@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from fedsim.algorithms import WorkerState, fedac_run, schedule_fedac1
+from fedsim.algorithms import fedac_run, schedule_fedac1
 from fedsim.diagnostics import potential_phi, potential_psi
 from fedsim.objectives import Quadratic
 from fedsim.rng import RngStream
@@ -41,9 +41,8 @@ def main():
     psis, phis = [], []
 
     def track(step, w, w_ag):
-        workers = [WorkerState(w[i], w_ag[i]) for i in range(len(w))]
-        psis.append(potential_psi(workers, obj, mu, shift, 0.0))
-        phis.append(potential_phi(workers, obj, mu, shift, 0.0))
+        psis.append(potential_psi(w, w_ag, obj, mu, shift, 0.0))
+        phis.append(potential_phi(w, w_ag, obj, mu, shift, 0.0))
 
     w0 = shift + stream.gaussians(args.dim)
     fedac_run(obj, 4, args.steps, 1, hyper, seed=2, w0=w0, callback=track)

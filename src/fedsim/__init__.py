@@ -9,8 +9,8 @@ its CSV/JSON artifacts and command-line front end.
 """
 
 from .algorithms import (AgdTrajectory, DivergenceError, Hyper, RunResult,
-                         ScheduleError, WorkerState, agd_run, fedac_run,
-                         fedavg_run, mb_acsgd_run, mb_sgd_run, schedule_fedac1,
+                         ScheduleError, agd_run, fedac_run, fedavg_run,
+                         mb_acsgd_run, mb_sgd_run, schedule_fedac1,
                          schedule_fedac2, schedule_vanilla, worker_mean)
 from .dataio import (DataFormatError, Dataset, DatasetStats, dataset_stats,
                      load_dataset, parse_libsvm, serialize_libsvm)
@@ -33,8 +33,8 @@ from .harness import (ALGORITHMS, DEFAULT_ETA_GRID, CellResult, ConfigError,
                       write_records_csv, write_records_json, write_sweep_csv,
                       write_sweep_json)
 from .objectives import (Augmented, BatchedOracle, GradSample, Logistic,
-                         Objective, Quadratic, augment, smoothness_bounds)
-from .rng import RngStream, StreamBundle, rng_draw_gaussian, rng_draw_index
+                         Objective, Quadratic, smoothness_bounds)
+from .rng import RngStream, StreamBundle
 from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"

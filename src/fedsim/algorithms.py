@@ -11,9 +11,9 @@ All drivers share conventions:
 * Averages over workers use ``worker_mean`` (numpy mean over the worker axis,
   pairwise summation in fixed index order) -- the canonical reduction order
   that makes results independent of scheduling.
-* ``callback(t, W, W_ag)`` is invoked with read-only state views before step
-  t and once more at t = T; drivers never draw randomness for evaluation, so
-  observation cannot perturb trajectories.
+* ``callback(t, W, W_ag)`` is invoked with the live state arrays, marked
+  read-only, before step t and once more at t = T; drivers never draw
+  randomness for evaluation, so observation cannot perturb trajectories.
 
 Results are a pure function of ``(config, seed)``: rerunning with any thread
 layout reproduces them exactly.
@@ -22,8 +22,8 @@ layout reproduces them exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,7 +38,9 @@ class ScheduleError(ValueError):
 
 
 class DivergenceError(ArithmeticError):
-    """A worker iterate became non-finite; carries the step and worker index."""
+    """A worker iterate became non-finite; carries the parallel step and the
+    worker index.  The minibatch baselines, which take one step per K
+    parallel steps, report the last parallel step of the failing round."""
 
     def __init__(self, step: int, worker: int):
         self.step = int(step)
@@ -65,29 +67,20 @@ class Hyper:
 
 
 @dataclass
-class WorkerState:
-    """Per-worker iterate pair; FedAvg uses only the ``w`` slot."""
-
-    w: np.ndarray
-    w_ag: np.ndarray
-
-
-@dataclass
 class RunResult:
     """Final synchronized averages plus bookkeeping from one driver run.
 
     ``gradient_calls`` counts per-worker gradient queries times the worker
     count for the federated drivers (M*T) and per-worker queries alone for
     the minibatch baselines (T: each of the T/K steps charges K queries to
-    every one of the M conceptual workers).  ``eval_records`` is filled by
-    the experiment harness, not by the drivers themselves.
+    every one of the M conceptual workers).  ``rho_avg_w`` is FedAvg's
+    decay-weighted average point; the other drivers leave it None.
     """
 
     final_avg_w: np.ndarray
     final_avg_w_ag: np.ndarray
     gradient_calls: int
     rho_avg_w: Optional[np.ndarray] = None
-    eval_records: list = field(default_factory=list)
 
 
 def worker_mean(a: np.ndarray) -> np.ndarray:
@@ -159,6 +152,18 @@ def _check_finite(a: np.ndarray, t: int) -> None:
         raise DivergenceError(t, int(bad[0]))
 
 
+def _observe(callback: Optional[Callback], step: int, w: np.ndarray,
+             w_ag: Optional[np.ndarray]) -> None:
+    """Hand the callback the live state marked read-only; drivers never
+    write state in place, so no copy is needed."""
+    if callback is None:
+        return
+    w.setflags(write=False)
+    if w_ag is not None:
+        w_ag.setflags(write=False)
+    callback(step, w, w_ag)
+
+
 def _validate_run_args(m: int, t: int, k: int) -> None:
     if m < 1 or t < 1 or k < 1:
         raise ValueError(f"M, T, K must all be >= 1, got M={m} T={t} K={k}")
@@ -184,8 +189,7 @@ def fedac_run(obj: Objective, m: int, t: int, k: int, hyper: Hyper, seed: int,
     eta, gamma = hyper.eta, hyper.gamma
 
     for step in range(t):
-        if callback is not None:
-            callback(step, w, w_ag)
+        _observe(callback, step, w, w_ag)
         w_md = inv_b * w + (1.0 - inv_b) * w_ag
         g = obj.stoch_grad_multi(w_md, bundle)
         v_ag = w_md - eta * g
@@ -198,8 +202,7 @@ def fedac_run(obj: Objective, m: int, t: int, k: int, hyper: Hyper, seed: int,
             w_ag = v_ag
         _check_finite(w, step)
         _check_finite(w_ag, step)
-    if callback is not None:
-        callback(t, w, w_ag)
+    _observe(callback, t, w, w_ag)
     return RunResult(worker_mean(w), worker_mean(w_ag), len(ids) * t)
 
 
@@ -227,8 +230,7 @@ def fedavg_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     acc_norm = 0.0
 
     for step in range(t):
-        if callback is not None:
-            callback(step, w, None)
+        _observe(callback, step, w, None)
         acc = decay * acc + worker_mean(w)
         acc_norm = decay * acc_norm + 1.0
         g = obj.stoch_grad_multi(w, bundle)
@@ -238,8 +240,7 @@ def fedavg_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
         else:
             w = v
         _check_finite(w, step)
-    if callback is not None:
-        callback(t, w, None)
+    _observe(callback, t, w, None)
     final = worker_mean(w)
     return RunResult(final, final, len(ids) * t, rho_avg_w=acc / acc_norm)
 
@@ -264,14 +265,12 @@ def mb_sgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     w = _init_state(obj, 1, w0)[0]
 
     for r in range(rounds):
-        if callback is not None:
-            callback(r * k, w[None, :], None)
+        _observe(callback, r * k, w[None, :], None)
         g = obj.stoch_grad_multi(w, bundle)
         w = worker_mean(w[None, :] - eta * g)
         if not np.isfinite(w).all():
-            raise DivergenceError(r, 0)
-    if callback is not None:
-        callback(t, w[None, :], None)
+            raise DivergenceError((r + 1) * k - 1, 0)
+    _observe(callback, t, w[None, :], None)
     return RunResult(w, w, t)
 
 
@@ -296,9 +295,36 @@ def mb_acsgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     inner_cb: Optional[Callback] = None
     if callback is not None:
         inner_cb = lambda step, w, w_ag: callback(step * k, w, w_ag)
-    result = fedac_run(batched, 1, t // k, 1, hyper, seed, w0, inner_cb)
-    return RunResult(result.final_avg_w, result.final_avg_w_ag, t,
-                     rho_avg_w=result.rho_avg_w)
+    try:
+        result = fedac_run(batched, 1, t // k, 1, hyper, seed, w0, inner_cb)
+    except DivergenceError as exc:
+        raise DivergenceError((exc.step + 1) * k - 1, exc.worker) from None
+    return RunResult(result.final_avg_w, result.final_avg_w_ag, t)
+
+
+class AgdStep:
+    """One Nesterov AGD step with kappa = L/mu, on arrays or plain floats:
+    w_md = (w + sqrt(kappa) w_ag) / (sqrt(kappa) + 1); with g = grad F(w_md),
+    w_ag <- w_md - (1/L) g and
+    w <- (1 - 1/sqrt(kappa)) w + (1/sqrt(kappa)) w_md - sqrt(1/(L mu)) g.
+    """
+
+    def __init__(self, big_l: float, mu: float):
+        if not (mu > 0) or big_l < mu:
+            raise ValueError(f"need 0 < mu <= L, got mu={mu} L={big_l}")
+        self.rk = math.sqrt(big_l / mu)
+        self.inv_l = 1.0 / big_l
+        self.c_shrink = 1.0 - 1.0 / self.rk
+        self.c_pull = 1.0 / self.rk
+        self.c_grad = math.sqrt(1.0 / (big_l * mu))
+
+    def couple(self, w, w_ag):
+        return (w + self.rk * w_ag) / (self.rk + 1.0)
+
+    def update(self, w, w_md, g):
+        """Return the next ``(w_ag, w)`` from the gradient ``g`` at ``w_md``."""
+        return (w_md - self.inv_l * g,
+                self.c_shrink * w + self.c_pull * w_md - self.c_grad * g)
 
 
 @dataclass
@@ -313,23 +339,11 @@ class AgdTrajectory:
 
 def agd_run(obj: Objective, w0_ag, w0, big_l: float, mu: float,
             steps: int) -> AgdTrajectory:
-    """Deterministic Nesterov AGD for strongly convex objectives.
-
-    With kappa = L/mu and exact gradients:
-    w_md = (w + sqrt(kappa) * w_ag) / (sqrt(kappa) + 1);
-    w_ag <- w_md - (1/L) grad F(w_md);
-    w <- (1 - 1/sqrt(kappa)) w + (1/sqrt(kappa)) w_md
-         - sqrt(1/(L mu)) grad F(w_md).
-    """
-    if not (mu > 0) or big_l < mu:
-        raise ValueError(f"need 0 < mu <= L, got mu={mu} L={big_l}")
+    """Deterministic Nesterov AGD (see AgdStep) for strongly convex
+    objectives, with exact gradients, recording every iterate."""
+    agd = AgdStep(big_l, mu)
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    rk = math.sqrt(big_l / mu)
-    inv_l = 1.0 / big_l
-    c_shrink = 1.0 - 1.0 / rk
-    c_pull = 1.0 / rk
-    c_grad = math.sqrt(1.0 / (big_l * mu))
 
     w = np.atleast_1d(np.asarray(w0, dtype=np.float64)).copy()
     w_ag = np.atleast_1d(np.asarray(w0_ag, dtype=np.float64)).copy()
@@ -339,10 +353,8 @@ def agd_run(obj: Objective, w0_ag, w0, big_l: float, mu: float,
     ws[0] = w
     ags[0] = w_ag
     for step in range(steps):
-        w_md = (w + rk * w_ag) / (rk + 1.0)
-        g = obj.grad(w_md)
-        w_ag = w_md - inv_l * g
-        w = c_shrink * w + c_pull * w_md - c_grad * g
+        w_md = agd.couple(w, w_ag)
+        w_ag, w = agd.update(w, w_md, obj.grad(w_md))
         mds[step] = w_md
         ags[step + 1] = w_ag
         ws[step + 1] = w

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .algorithms import DivergenceError, ScheduleError
 from .dataio import DataFormatError, dataset_stats, load_dataset
 from .diagnostics import (ConstructionError, InstabilityRegionError,
                           construct_instability_objective,
@@ -313,23 +312,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         _error_line("usage", exc)
         return EXIT_USAGE
-    except ConfigError as exc:
-        _error_line("usage", exc)
-        return EXIT_USAGE
-    except DataFormatError as exc:
+    except (DataFormatError, OSError) as exc:
         _error_line("data", exc)
         return EXIT_DATA
-    except OSError as exc:
-        _error_line("data", exc)
-        return EXIT_DATA
-    except (DivergenceError, ScheduleError, OptimumError, ConstructionError,
+    # DivergenceError is an ArithmeticError and ScheduleError a ValueError
+    except (ValueError, ArithmeticError, OptimumError, ConstructionError,
             InstabilityRegionError) as exc:
-        _error_line("numerical", exc)
-        return EXIT_NUMERICAL
-    except (ValueError, ArithmeticError) as exc:
         _error_line("numerical", exc)
         return EXIT_NUMERICAL
 

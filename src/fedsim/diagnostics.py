@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import WorkerState, agd_run, worker_mean
+from .algorithms import AgdStep, agd_run, worker_mean
 from .objectives import Objective
 from .rng import RngStream
 
@@ -69,40 +69,34 @@ class InstabilityRegionError(RuntimeError):
         super().__init__(f"step {step}: {detail}")
 
 
-def _stack_workers(workers: Sequence[WorkerState]):
-    w = np.stack([np.atleast_1d(np.asarray(ws.w, dtype=np.float64)) for ws in workers])
-    w_ag = np.stack([np.atleast_1d(np.asarray(ws.w_ag, dtype=np.float64)) for ws in workers])
-    return w, w_ag
-
-
-def potential_psi(workers: Sequence[WorkerState], obj: Objective, mu: float,
+def potential_psi(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
                   w_star, f_star: float) -> float:
-    """Decentralized potential: mean_m F(w_ag^m) - F* + (mu/2) ||w_bar - w*||**2."""
-    w, w_ag = _stack_workers(workers)
+    """Decentralized potential: mean_m F(w_ag^m) - F* + (mu/2) ||w_bar - w*||**2,
+    on (M, dim) worker arrays as a driver callback receives them."""
     w_star = np.atleast_1d(np.asarray(w_star, dtype=np.float64))
     values = np.array([obj.eval(row) for row in w_ag])
     d = worker_mean(w) - w_star
     return float(np.mean(values) - f_star + 0.5 * mu * (d * d).sum())
 
 
-def potential_phi(workers: Sequence[WorkerState], obj: Objective, mu: float,
+def potential_phi(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
                   w_star, f_star: float) -> float:
-    """Centralized potential: F(w_bar_ag) - F* + (mu/6) ||w_bar - w*||**2."""
-    w, w_ag = _stack_workers(workers)
+    """Centralized potential: F(w_bar_ag) - F* + (mu/6) ||w_bar - w*||**2,
+    on (M, dim) worker arrays."""
     w_star = np.atleast_1d(np.asarray(w_star, dtype=np.float64))
     d = worker_mean(w) - w_star
     return float(obj.eval(worker_mean(w_ag)) - f_star + mu / 6.0 * (d * d).sum())
 
 
-def potential_report(workers: Sequence[WorkerState], obj: Objective, mu: float,
+def potential_report(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
                      w_star, f_star: float) -> PotentialReport:
-    """Both potentials plus max/mean-square deviation of workers from their average."""
-    w, _ = _stack_workers(workers)
+    """Both potentials plus max/mean-square deviation of workers from their
+    average, on (M, dim) worker arrays."""
     center = worker_mean(w)
     dev = np.sqrt(((w - center) ** 2).sum(axis=1))
     return PotentialReport(
-        psi=potential_psi(workers, obj, mu, w_star, f_star),
-        phi=potential_phi(workers, obj, mu, w_star, f_star),
+        psi=potential_psi(w, w_ag, obj, mu, w_star, f_star),
+        phi=potential_phi(w, w_ag, obj, mu, w_star, f_star),
         discrepancy_max=float(dev.max()),
         discrepancy_mean_sq=float((dev * dev).mean()),
     )
@@ -495,11 +489,8 @@ def instability_experiment(objective: PiecewiseCurvature1D, w0: float, w0_ag: fl
     if k < 0:
         raise ValueError("K must be >= 0")
     steps = 3 * k
-    rk = math.sqrt(big_l / mu)
-    inv_l = 1.0 / big_l
-    c_shrink = 1.0 - 1.0 / rk
-    c_pull = 1.0 / rk
-    c_grad = math.sqrt(1.0 / (big_l * mu))
+    agd = AgdStep(big_l, mu)
+    rk = agd.rk
 
     lead = agd_run(objective, w0_ag, w0, big_l, mu, steps)
     trail = agd_run(objective, w0_ag - eps, w0 - eps, big_l, mu, steps)
@@ -516,15 +507,13 @@ def instability_experiment(objective: PiecewiseCurvature1D, w0: float, w0_ag: fl
         if (h_lead == objective.big_l) != want_l:
             raise InstabilityRegionError(
                 t, f"curvature {h_lead} breaks the mu,L,mu step pattern")
-        d_md = (d_w + rk * d_ag) / (rk + 1.0)
-        g_diff = h_lead * d_md
-        d_ag = d_md - inv_l * g_diff
-        d_w = c_shrink * d_w + c_pull * d_md - c_grad * g_diff
+        d_md = agd.couple(d_w, d_ag)
+        d_ag, d_w = agd.update(d_w, d_md, h_lead * d_md)
         if (t + 1) % 3 == 0:
             blocks.append((d_ag, d_w))
     block_gaps = np.array(blocks)
 
-    scale = -2.0 * (1.0 - 1.0 / rk) ** 3
+    scale = -2.0 * agd.c_shrink ** 3
     projector = np.array([[0.5, 0.5 / rk], [rk / 2.0, 0.5]])
     ratios = np.zeros(k)
     max_map_error = 0.0
@@ -553,5 +542,5 @@ def instability_experiment(objective: PiecewiseCurvature1D, w0: float, w0_ag: fl
         max_pairing_error=max_pairing_error,
         amplification=abs(scale),
         predicted_gap_w=0.5 * eps * growth * (rk + 1.0),
-        predicted_gap_w_ag=0.5 * eps * growth * (1.0 + 1.0 / rk),
+        predicted_gap_w_ag=0.5 * eps * growth * (1.0 + agd.c_pull),
     )

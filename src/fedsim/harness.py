@@ -31,8 +31,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import (DivergenceError, ScheduleError, fedac_run, fedavg_run,
-                         mb_acsgd_run, mb_sgd_run, schedule_fedac1,
+from .algorithms import (AgdStep, DivergenceError, ScheduleError, fedac_run,
+                         fedavg_run, mb_acsgd_run, mb_sgd_run, schedule_fedac1,
                          schedule_fedac2, schedule_vanilla, worker_mean)
 from .dataio import Dataset, load_dataset
 from .objectives import Logistic, Objective
@@ -264,19 +264,12 @@ def compute_optimum(obj: Objective, tol: Optional[float] = None,
     OptimumError with the achieved norm if ``max_iter`` updates do not get
     there.  An already-optimal start returns after zero updates.
     """
-    mu, big_l = obj.mu_est, obj.l_est
-    if not (mu > 0):
-        raise ValueError(f"objective must be strongly convex, mu_est={mu}")
-    rk = math.sqrt(big_l / mu)
-    inv_l = 1.0 / big_l
-    c_shrink = 1.0 - 1.0 / rk
-    c_pull = 1.0 / rk
-    c_grad = math.sqrt(1.0 / (big_l * mu))
+    agd = AgdStep(obj.l_est, obj.mu_est)
     w = np.zeros(obj.dim)
     w_ag = np.zeros(obj.dim)
     iterations = 0
     while True:
-        w_md = (w + rk * w_ag) / (rk + 1.0)
+        w_md = agd.couple(w, w_ag)
         value, grad = obj.eval_grad(w_md)
         grad_norm = float(np.linalg.norm(grad))
         threshold = tol if tol is not None else 1e-12 * (1.0 + abs(value))
@@ -284,19 +277,25 @@ def compute_optimum(obj: Objective, tol: Optional[float] = None,
             return OptimumResult(w_md.copy(), float(value), iterations, grad_norm)
         if iterations >= max_iter:
             raise OptimumError(grad_norm, iterations)
-        w_ag = w_md - inv_l * grad
-        w = c_shrink * w + c_pull * w_md - c_grad * grad
+        w_ag, w = agd.update(w, w_md, grad)
         iterations += 1
 
 
 def cached_optimum(obj: Objective, dataset: Dataset, lam: float,
                    tol: Optional[float], cache_path) -> OptimumResult:
-    """compute_optimum with a JSON cache keyed by dataset content and lam."""
+    """compute_optimum with a JSON cache keyed by dataset content and lam.
+
+    An unreadable or corrupt cache file counts as a miss.  Writes replace the
+    file atomically, so a reader never sees a partly written cache.
+    """
     cache_path = Path(cache_path)
     key = f"{dataset.content_hash()}|lam={lam!r}|tol={tol!r}"
-    cache = {}
-    if cache_path.exists():
+    try:
         cache = json.loads(cache_path.read_text())
+    except (OSError, ValueError):
+        cache = {}
+    if not isinstance(cache, dict):
+        cache = {}
     if key in cache:
         entry = cache[key]
         return OptimumResult(np.array(entry["w_star"]), entry["f_star"],
@@ -309,7 +308,12 @@ def cached_optimum(obj: Objective, dataset: Dataset, lam: float,
         "grad_norm": result.grad_norm,
     }
     cache_path.parent.mkdir(parents=True, exist_ok=True)
-    cache_path.write_text(json.dumps(cache, sort_keys=True))
+    tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(cache, sort_keys=True))
+        os.replace(tmp, cache_path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return result
 
 

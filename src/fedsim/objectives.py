@@ -191,9 +191,7 @@ class Logistic(Objective):
         self._dense = None
         if self.n * self.dim <= self._DENSE_CACHE_LIMIT:
             self._dense = np.asarray(self.X.todense())
-        row_sq = np.asarray(self.X.multiply(self.X).sum(axis=1)).ravel()
-        self.mu_est = self.lam
-        self.l_est = float(row_sq.mean() / 4.0 + self.lam)
+        self.mu_est, self.l_est = smoothness_bounds(dataset, self.lam)
         if self.l_est <= 0:
             # all-zero features with lam == 0: degenerate but keep l_est positive
             self.l_est = np.finfo(np.float64).tiny
@@ -326,9 +324,6 @@ class BatchedOracle(Objective):
     def stream_workers(self, m):
         return np.arange(m * self.batch, dtype=np.int64)
 
-    def stoch_grad(self, w, stream):
-        raise NotImplementedError("batched oracle draws through stoch_grad_multi")
-
     def stoch_grad_multi(self, W, bundle):
         W = self.inner._check_point(W)
         if W.ndim == 1:
@@ -339,11 +334,6 @@ class BatchedOracle(Objective):
         expanded = np.repeat(W, self.batch, axis=0)
         g = self.inner.stoch_grad_multi(expanded, bundle)
         return np.mean(g.reshape(m, self.batch, self.dim), axis=1)
-
-
-def augment(obj: Objective, lam: float, w0) -> Objective:
-    """Wrap an objective with an l2 proximity term anchored at w0."""
-    return Augmented(obj, lam, w0)
 
 
 def smoothness_bounds(dataset, lam: float):

@@ -158,14 +158,6 @@ class RngStream:
         self._bundle = StreamBundle(seed, [worker_id], counter)
 
     @property
-    def seed(self) -> int:
-        return self._bundle.seed
-
-    @property
-    def worker_id(self) -> int:
-        return int(self._bundle.worker_ids[0])
-
-    @property
     def counter(self) -> int:
         return self._bundle.counter
 
@@ -182,12 +174,3 @@ class RngStream:
     def indices(self, n: int, count: int = 1) -> np.ndarray:
         return self._bundle.indices(n, count)[0]
 
-
-def rng_draw_gaussian(stream: RngStream, count: int) -> np.ndarray:
-    """Draw `count` standard normals from the stream (counter advances by count)."""
-    return stream.gaussians(count)
-
-
-def rng_draw_index(stream: RngStream, n: int) -> int:
-    """Draw one uniform integer in [0, n) from the stream (counter advances by 1)."""
-    return int(stream.indices(n, 1)[0])

@@ -24,14 +24,12 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .algorithms import (WorkerState, fedac_run, fedavg_run, mb_acsgd_run,
+from .algorithms import (AgdStep, fedac_run, fedavg_run, mb_acsgd_run,
                          mb_sgd_run, schedule_fedac1, schedule_vanilla,
                          worker_mean)
 from .diagnostics import (PiecewiseCurvature1D, construct_instability_objective,
-                          instability_experiment, norm_bound_fedac1,
-                          norm_bound_fedac2, potential_psi, sample_admissible,
-                          transfer_matrix_fedac1, transfer_matrix_fedac2,
-                          transformed_norm)
+                          instability_experiment, norm_bound_sweep,
+                          potential_psi, sample_admissible)
 from .harness import (ExperimentConfig, build_objective, compute_optimum,
                       tune_and_sweep, write_records_csv, write_sweep_csv)
 from .objectives import Augmented, BatchedOracle, Logistic, Objective, Quadratic
@@ -107,21 +105,12 @@ def check_equivalences() -> CheckResult:
 def check_norm_bounds(samples: int = 1000, n_h: int = 21,
                       seed: int = 2024) -> CheckResult:
     def run():
-        tuples = sample_admissible(seed, samples)
         violations = 0
         worst_margin = math.inf
-        for mu, big_l, gamma, eta in tuples:
-            hs = np.linspace(mu, big_l, n_h)
-            for matrix_fn, bound_fn in (
-                    (transfer_matrix_fedac1, norm_bound_fedac1),
-                    (transfer_matrix_fedac2, norm_bound_fedac2)):
-                bound = bound_fn(mu, gamma, eta)
-                for h in hs:
-                    norm = transformed_norm(matrix_fn(mu, gamma, eta, float(h)),
-                                            gamma, eta)
-                    worst_margin = min(worst_margin, bound - norm)
-                    if norm > bound + 1e-9:
-                        violations += 1
+        for mu, big_l, gamma, eta in sample_admissible(seed, samples):
+            report = norm_bound_sweep(mu, big_l, [(gamma, eta)], n_h)
+            violations += len(report.violations)
+            worst_margin = min(worst_margin, report.worst_margin)
         detail = (f"{samples} hyperparameter draws x {n_h} curvatures x 2 "
                   f"schedules, {violations} violations, worst margin "
                   f"{worst_margin:.3e}")
@@ -151,8 +140,7 @@ def check_potential_contraction(trials: int = 50, steps: int = 100,
             psis: List[float] = []
 
             def cb(step, w, w_ag):
-                workers = [WorkerState(w[i], w_ag[i]) for i in range(len(w))]
-                psis.append(potential_psi(workers, obj, mu, shift, 0.0))
+                psis.append(potential_psi(w, w_ag, obj, mu, shift, 0.0))
 
             w0 = shift + stream.gaussians(dim)
             fedac_run(obj, 4, steps, 1, hyper, seed=3, w0=w0, callback=cb)
@@ -176,7 +164,7 @@ def check_instability(ks: Tuple[int, ...] = (1, 2, 4, 8),
                 kappa, 1.0, k)
             # 1e-9 at the problem scale, shrunk when the curvature clearance
             # cannot absorb the amplified gap
-            amp = (2.0 * (1.0 - 1.0 / math.sqrt(kappa)) ** 3) ** k
+            amp = (2.0 * AgdStep(kappa, 1.0).c_shrink ** 3) ** k
             eps = min(1e-9, 0.25 * delta / amp)
             result = instability_experiment(objective, w0, w0_ag, kappa, 1.0,
                                             eps, k)

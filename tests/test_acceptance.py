@@ -31,7 +31,7 @@ import pytest
 from fedsim.algorithms import (fedac_run, fedavg_run, mb_acsgd_run, mb_sgd_run,
                                schedule_fedac1, schedule_vanilla, worker_mean)
 from fedsim.dataio import dataset_stats, load_dataset
-from fedsim.diagnostics import (PiecewiseCurvature1D, WorkerState,
+from fedsim.diagnostics import (PiecewiseCurvature1D,
                                 construct_instability_objective,
                                 instability_experiment, norm_bound_fedac1,
                                 norm_bound_fedac2, potential_psi,
@@ -158,8 +158,7 @@ def test_acceptance_3_potential_contraction():
             psis = []
 
             def track(step, w, w_ag):
-                workers = [WorkerState(w[i], w_ag[i]) for i in range(len(w))]
-                psis.append(potential_psi(workers, obj, mu, shift, 0.0))
+                psis.append(potential_psi(w, w_ag, obj, mu, shift, 0.0))
 
             w0 = shift + stream.gaussians(dim)
             fedac_run(obj, 4, 100, 1, hyper, seed=3, w0=w0, callback=track)

@@ -350,6 +350,26 @@ def test_mb_sgd_divergence():
             mb_sgd_run(obj, m=1, t=10, k=1, eta=1e300, seed=0, w0=[1.0])
 
 
+def test_mb_sgd_divergence_reports_parallel_step():
+    obj = Quadratic([1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as ei:
+            mb_sgd_run(obj, m=2, t=16, k=4, eta=1e300, seed=0, w0=[1.0])
+    # round 0 lands on -1e300, round 1 overflows; its last parallel step is 7
+    assert (ei.value.step, ei.value.worker) == (7, 0)
+
+
+def test_divergence_report_matches_between_fedavg_and_mb_sgd_at_k1():
+    obj = Quadratic([1.0])
+    reports = []
+    for run in (fedavg_run, mb_sgd_run):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as ei:
+                run(obj, m=3, t=10, k=1, eta=1e300, seed=0, w0=[1.0])
+        reports.append((ei.value.step, ei.value.worker))
+    assert reports[0] == reports[1] == (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # mb_acsgd_run
 
@@ -402,10 +422,55 @@ def test_mb_acsgd_gradient_calls():
     assert res.gradient_calls == 8
 
 
+def test_mb_acsgd_divergence_reports_parallel_step():
+    obj = Quadratic([1e-3, 1e3])
+    m, t, k, eta = 2, 400, 4, 1e3
+    hyper = schedule_vanilla(eta, obj.mu_est)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as inner:
+            fedac_run(BatchedOracle(obj, m * k), 1, t // k, 1, hyper, 0,
+                      w0=[1.0, 1.0])
+        with pytest.raises(DivergenceError) as outer:
+            mb_acsgd_run(obj, m, t, k, eta, 0, w0=[1.0, 1.0])
+    assert inner.value.step > 0
+    assert (outer.value.step, outer.value.worker) == (
+        (inner.value.step + 1) * k - 1, 0)
+
+
 def test_mb_acsgd_requires_positive_mu():
     obj = Quadratic([1.0], mu_est=0.0)
     with pytest.raises(ValueError):
         mb_acsgd_run(obj, m=1, t=4, k=1, eta=0.1, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# callbacks
+
+
+@pytest.mark.parametrize("driver", ["fedac", "fedavg", "mb_sgd", "mb_acsgd"])
+def test_callback_state_is_read_only(driver):
+    obj = Quadratic([1.0, 2.0], shift=[0.5, -0.5], sigma=0.5)
+    runs = {
+        "fedac": lambda cb: fedac_run(obj, 2, 8, 2, schedule_fedac1(0.1, 1.0, 2),
+                                      3, callback=cb),
+        "fedavg": lambda cb: fedavg_run(obj, 2, 8, 2, 0.1, 3, callback=cb),
+        "mb_sgd": lambda cb: mb_sgd_run(obj, 2, 8, 2, 0.1, 3, callback=cb),
+        "mb_acsgd": lambda cb: mb_acsgd_run(obj, 2, 8, 2, 0.1, 3, callback=cb),
+    }
+    seen = []
+
+    def write(step, w, w_ag):
+        for a in (w, w_ag):
+            if a is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 123.0
+        seen.append(step)
+
+    observed = runs[driver](write)
+    plain = runs[driver](None)
+    assert seen[-1] == 8
+    np.testing.assert_array_equal(observed.final_avg_w, plain.final_avg_w)
+    np.testing.assert_array_equal(observed.final_avg_w_ag, plain.final_avg_w_ag)
 
 
 # ---------------------------------------------------------------------------

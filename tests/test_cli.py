@@ -13,6 +13,7 @@ a subprocess on this source tree, exits 1 with no arguments and 0 for
 import argparse
 import gzip
 import importlib.metadata
+import json
 import os
 import re
 import shutil
@@ -167,6 +168,20 @@ def test_run_writes_records_and_exits_0(tmp_path, capsys):
     assert (out_dir / "records.json").exists()
     header = (out_dir / "records.csv").read_text().splitlines()[0]
     assert header == "algorithm,M,K,eta,seed,t,suboptimality"
+
+
+def test_run_with_truncated_optimum_cache_exits_0(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    fresh = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "fresh"),
+                     "--deterministic-output"], capsys)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "optimum_cache.json").write_text('{"abc|lam=0.01|tol=None": {"w_')
+    code, out, err = run_cli(["run", "--config", cfg, "--out", str(out_dir),
+                              "--deterministic-output"], capsys)
+    assert (code, err) == (0, "")
+    assert out == fresh[1].replace(str(tmp_path / "fresh"), str(out_dir))
+    json.loads((out_dir / "optimum_cache.json").read_text())
 
 
 def test_run_flag_overrides_config_value(tmp_path, capsys):

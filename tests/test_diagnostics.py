@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fedsim.algorithms import Hyper, WorkerState, agd_run, fedac_run, schedule_fedac1
+from fedsim.algorithms import Hyper, agd_run, fedac_run, schedule_fedac1
 from fedsim.diagnostics import (
     InstabilityRegionError,
     PiecewiseCurvature1D,
@@ -30,9 +30,9 @@ from fedsim.objectives import Quadratic
 
 
 def states(pairs):
-    return [WorkerState(w=np.atleast_1d(np.asarray(w, float)),
-                        w_ag=np.atleast_1d(np.asarray(ag, float)))
-            for w, ag in pairs]
+    """(w, w_ag) worker arrays of shape (M, dim) from per-worker pairs."""
+    return tuple(np.stack([np.atleast_1d(np.asarray(v, float)) for v in column])
+                 for column in zip(*pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -42,27 +42,27 @@ def states(pairs):
 def test_potentials_zero_at_optimum():
     obj = Quadratic([1.0])
     workers = states([(0.0, 0.0)] * 3)
-    assert potential_psi(workers, obj, 1.0, [0.0], 0.0) == 0.0
-    assert potential_phi(workers, obj, 1.0, [0.0], 0.0) == 0.0
+    assert potential_psi(*workers, obj, 1.0, [0.0], 0.0) == 0.0
+    assert potential_phi(*workers, obj, 1.0, [0.0], 0.0) == 0.0
 
 
 def test_potential_psi_hand_value():
     obj = Quadratic([1.0])
     workers = states([(1.0, 2.0)])  # w=1, w_ag=2
-    assert potential_psi(workers, obj, 1.0, [0.0], 0.0) == pytest.approx(2.5, abs=1e-15)
+    assert potential_psi(*workers, obj, 1.0, [0.0], 0.0) == pytest.approx(2.5, abs=1e-15)
 
 
 def test_potential_phi_hand_value():
     obj = Quadratic([1.0])
     workers = states([(1.0, 2.0)])
-    assert potential_phi(workers, obj, 1.0, [0.0], 0.0) == pytest.approx(
+    assert potential_phi(*workers, obj, 1.0, [0.0], 0.0) == pytest.approx(
         2.0 + 1.0 / 6.0, abs=1e-15)
 
 
 def test_potential_psi_symmetric_pair():
     obj = Quadratic([1.0])
     workers = states([(1.0, 1.0), (-1.0, -1.0)])
-    assert potential_psi(workers, obj, 1.0, [0.0], 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert potential_psi(*workers, obj, 1.0, [0.0], 0.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_phi_mean_term_obeys_jensen():
@@ -78,11 +78,11 @@ def test_phi_mean_term_obeys_jensen():
 def test_potential_report_discrepancy():
     obj = Quadratic([1.0])
     workers = states([(1.0, 1.0), (3.0, 3.0)])
-    rep = potential_report(workers, obj, 1.0, [0.0], 0.0)
+    rep = potential_report(*workers, obj, 1.0, [0.0], 0.0)
     assert rep.discrepancy_max == pytest.approx(1.0, abs=1e-15)
     assert rep.discrepancy_mean_sq == pytest.approx(1.0, abs=1e-15)
-    assert rep.psi == potential_psi(workers, obj, 1.0, [0.0], 0.0)
-    assert rep.phi == potential_phi(workers, obj, 1.0, [0.0], 0.0)
+    assert rep.psi == potential_psi(*workers, obj, 1.0, [0.0], 0.0)
+    assert rep.phi == potential_phi(*workers, obj, 1.0, [0.0], 0.0)
 
 
 # ---------------------------------------------------------------------------

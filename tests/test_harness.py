@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from fedsim.algorithms import agd_run
 from fedsim.dataio import parse_libsvm
 from fedsim.harness import (
     ALGORITHMS,
@@ -105,6 +106,31 @@ def test_optimum_requires_strong_convexity():
     obj = Quadratic([1.0], mu_est=0.0)
     with pytest.raises(ValueError):
         compute_optimum(obj)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_optimum_is_the_last_agd_query_point(kind):
+    if kind == "quadratic":
+        obj = Quadratic([2.0, 0.5, 1.0], shift=[1.0, -2.0, 0.25])
+    else:
+        obj = Logistic(make_synthetic_logistic(40, 10, seed=1, nnz=3), lam=0.1)
+    opt = compute_optimum(obj)
+    zeros = np.zeros(obj.dim)
+    traj = agd_run(obj, zeros, zeros, obj.l_est, obj.mu_est, opt.iterations + 1)
+    np.testing.assert_array_equal(opt.w_star, traj.w_md[-1])
+
+
+@pytest.mark.parametrize("content", [b'{"trunc', b"", b"[1, 2]", b"\xff\xfe"])
+def test_cached_optimum_treats_corrupt_cache_as_miss(tmp_path, content):
+    ds = make_synthetic_logistic(40, 10, seed=1, nnz=3)
+    obj = Logistic(ds, lam=0.1)
+    cache = tmp_path / "optima.json"
+    cache.write_bytes(content)
+    result = cached_optimum(obj, ds, 0.1, None, cache)
+    assert result.f_star == compute_optimum(obj).f_star
+    (entry,) = json.loads(cache.read_text()).values()
+    assert entry["f_star"] == result.f_star
+    assert [p.name for p in tmp_path.iterdir()] == ["optima.json"]
 
 
 def test_cached_optimum_round_trip(tmp_path):

@@ -9,7 +9,6 @@ from fedsim.objectives import (
     BatchedOracle,
     Logistic,
     Quadratic,
-    augment,
     smoothness_bounds,
 )
 from fedsim.rng import RngStream, StreamBundle
@@ -149,12 +148,12 @@ def test_stoch_grad_unbiased_five_standard_errors():
 
 
 # ---------------------------------------------------------------------------
-# augment
+# Augmented
 
 
 def test_augment_updates_curvature_estimates():
     base = Quadratic([1.0], mu_est=1.0, l_est=1.0)
-    a = augment(base, 1.0, [0.0])
+    a = Augmented(base, 1.0, [0.0])
     assert a.mu_est == 2.0
     assert a.l_est == 2.0
 
@@ -162,19 +161,19 @@ def test_augment_updates_curvature_estimates():
 def test_augment_gradient_at_anchor_matches_inner():
     base = Quadratic([2.0, 3.0], shift=[0.5, -0.5])
     w0 = np.array([1.0, 2.0])
-    a = augment(base, 0.7, w0)
+    a = Augmented(base, 0.7, w0)
     np.testing.assert_array_equal(a.grad(w0), base.grad(w0))
 
 
 def test_augment_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
-        augment(Quadratic([1.0]), 0.0, [0.0])
+        Augmented(Quadratic([1.0]), 0.0, [0.0])
 
 
 def test_augmentation_identity():
     obj = make_logistic("+1 1:1 2:1\n-1 1:0.5\n", lam=0.2)
     lam, w0 = 0.3, np.array([0.1, -0.2])
-    a = augment(obj, lam, w0)
+    a = Augmented(obj, lam, w0)
     rng = np.random.default_rng(4)
     for _ in range(10):
         w = rng.normal(size=2)
@@ -245,7 +244,7 @@ def test_finite_difference_gradient(kind):
         )
         obj = make_logistic(text, lam=0.1)
     else:
-        obj = augment(Quadratic(rng.uniform(0.5, 2.0, size=6)), 0.4, rng.normal(size=6))
+        obj = Augmented(Quadratic(rng.uniform(0.5, 2.0, size=6)), 0.4, rng.normal(size=6))
     for _ in range(5):
         w = rng.normal(size=6)
         g = obj.grad(w)
@@ -272,7 +271,7 @@ def test_curvature_estimate_ordering():
     for obj in [
         Quadratic([0.5, 1.0, 2.0]),
         make_logistic("+1 1:1\n-1 1:2\n", lam=0.01),
-        augment(Quadratic([1.0]), 0.5, [0.0]),
+        Augmented(Quadratic([1.0]), 0.5, [0.0]),
     ]:
         assert 0.0 <= obj.mu_est <= obj.l_est
 

@@ -7,8 +7,6 @@ import scipy.stats
 from fedsim.rng import (
     RngStream,
     StreamBundle,
-    rng_draw_gaussian,
-    rng_draw_index,
     stream_key,
 )
 
@@ -113,12 +111,12 @@ def test_index_chi_squared_uniformity():
 
 def test_draw_helpers_consume_counter():
     s = RngStream(seed=77, worker_id=2)
-    g = rng_draw_gaussian(s, 3)
+    g = s.gaussians(3)
     assert g.shape == (3,)
     assert s.counter == 3
-    i = rng_draw_index(s, 10)
-    assert isinstance(i, int)
-    assert 0 <= i < 10
+    i = s.indices(10, 1)
+    assert i.shape == (1,)
+    assert 0 <= i[0] < 10
     assert s.counter == 4
 
 
