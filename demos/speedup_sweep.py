@@ -11,8 +11,6 @@ full harness writes to sweep.csv.  Runs in well under a minute.
 import argparse
 import time
 
-import numpy as np
-
 from fedsim.harness import (ExperimentConfig, compute_optimum,
                             make_synthetic_logistic, tune_and_sweep,
                             write_records_csv, write_sweep_csv)
@@ -40,8 +38,7 @@ def main():
           f"({opt.iterations} solver iterations)")
 
     start = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells, rows = tune_and_sweep(cfg, obj, opt.f_star)
+    cells, rows = tune_and_sweep(cfg, obj, opt.f_star)
     print(f"{len(cells)} cells swept in {time.perf_counter() - start:.1f}s\n")
 
     header = f"{'algorithm':<10}" + "".join(

@@ -10,8 +10,6 @@ coupling weight shrinks like 1/sqrt(K), which keeps that penalty flat.
 
 import argparse
 
-import numpy as np
-
 from fedsim.harness import (ExperimentConfig, compute_optimum,
                             make_synthetic_logistic, tune_and_sweep)
 from fedsim.objectives import Logistic
@@ -34,8 +32,7 @@ def main():
         eval_every=max(64, max(k_list)))
 
     opt = compute_optimum(obj)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, rows = tune_and_sweep(cfg, obj, opt.f_star)
+    _, rows = tune_and_sweep(cfg, obj, opt.f_star)
 
     by = {(r.algorithm, r.k): r for r in rows}
     print(f"M={args.m}, T={args.t}, tuned best suboptimality per K:\n")

@@ -8,10 +8,11 @@ piecewise-curvature instability experiment), and the experiment harness with
 its CSV/JSON artifacts and command-line front end.
 """
 
-from .algorithms import (AgdTrajectory, DivergenceError, Hyper, RunResult,
-                         ScheduleError, agd_run, fedac_run, fedavg_run,
-                         mb_acsgd_run, mb_sgd_run, schedule_fedac1,
-                         schedule_fedac2, schedule_vanilla, worker_mean)
+from .algorithms import (AgdTrajectory, DivergenceError, Hyper, ReplicaResult,
+                         RunResult, ScheduleError, agd_run, fedac_run,
+                         fedavg_run, mb_acsgd_run, mb_sgd_run, replica_mean,
+                         run_replicas, schedule_fedac1, schedule_fedac2,
+                         schedule_vanilla, worker_mean)
 from .dataio import (DataFormatError, Dataset, DatasetStats, dataset_stats,
                      load_dataset, parse_libsvm, serialize_libsvm)
 from .diagnostics import (ConstructionError, InstabilityRegionError,
@@ -29,7 +30,7 @@ from .harness import (ALGORITHMS, DEFAULT_ETA_GRID, CellResult, ConfigError,
                       RecordRow, SweepRow, build_config, build_objective,
                       cached_optimum, compute_optimum, make_synthetic_logistic,
                       parse_config_file, parse_config_text, read_records_csv,
-                      read_sweep_csv, run_cell, tune_and_sweep,
+                      read_sweep_csv, run_cell, run_group, tune_and_sweep,
                       write_records_csv, write_records_json, write_sweep_csv,
                       write_sweep_json)
 from .objectives import (Augmented, BatchedOracle, GradSample, Logistic,

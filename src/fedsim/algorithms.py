@@ -10,20 +10,24 @@ All drivers share conventions:
   each, so equivalence tests can share randomness bit for bit.
 * Averages over workers use ``worker_mean`` (numpy mean over the worker axis,
   pairwise summation in fixed index order) -- the canonical reduction order
-  that makes results independent of scheduling.
+  that makes results independent of scheduling.  ``replica_mean`` takes the
+  same mean for several stacked runs at once, bit for bit.
 * ``callback(t, W, W_ag)`` is invoked with the live state arrays, marked
   read-only, before step t and once more at t = T; drivers never draw
   randomness for evaluation, so observation cannot perturb trajectories.
+* ``fedac_run`` and ``fedavg_run`` are one-replica calls of
+  ``run_replicas``, the one step kernel of the federated drivers, which runs
+  any number of (hyperparameters, seed) replicas side by side.
 
 Results are a pure function of ``(config, seed)``: rerunning with any thread
-layout reproduces them exactly.
+layout, or beside any other replicas, reproduces them exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,22 +138,17 @@ def schedule_vanilla(eta: float, mu: float) -> Hyper:
     return Hyper(eta, gamma, alpha, alpha + 1.0)
 
 
-def _init_state(obj: Objective, m: int, w0) -> np.ndarray:
+def _start_row(obj: Objective, w0) -> np.ndarray:
+    """The start point as a (dim,) row; None is the origin and a scalar is
+    broadcast to every coordinate."""
     if w0 is None:
-        row = np.zeros(obj.dim)
-    else:
-        row = np.asarray(w0, dtype=np.float64).ravel()
-        if row.size == 1 and obj.dim > 1:
-            row = np.full(obj.dim, float(row[0]))
-        if row.size != obj.dim:
-            raise ValueError("w0 length does not match objective dimension")
-    return np.tile(row, (m, 1))
-
-
-def _check_finite(a: np.ndarray, t: int) -> None:
-    if not np.isfinite(a).all():
-        bad = np.where(~np.isfinite(a).all(axis=1))[0]
-        raise DivergenceError(t, int(bad[0]))
+        return np.zeros(obj.dim)
+    row = np.asarray(w0, dtype=np.float64).ravel()
+    if row.size == 1 and obj.dim > 1:
+        row = np.full(obj.dim, float(row[0]))
+    if row.size != obj.dim:
+        raise ValueError("w0 length does not match objective dimension")
+    return row.copy()
 
 
 def _observe(callback: Optional[Callback], step: int, w: np.ndarray,
@@ -169,6 +168,165 @@ def _validate_run_args(m: int, t: int, k: int) -> None:
         raise ValueError(f"M, T, K must all be >= 1, got M={m} T={t} K={k}")
 
 
+def replica_mean(a: np.ndarray, m: int) -> np.ndarray:
+    """Worker averages of stacked replicas: ``a`` is (R*M, dim), replica r
+    owning rows ``[r*M, (r+1)*M)``; row r of the (R, dim) result equals
+    ``worker_mean`` of that block bit for bit: ``np.mean`` is this sum
+    divided by the count, without the wrapper's per-call overhead."""
+    return np.add.reduce(a.reshape(-1, m, a.shape[-1]), axis=1) / m
+
+
+def _bad_workers(w: np.ndarray, w_ag: Optional[np.ndarray],
+                 m: int) -> List[Optional[int]]:
+    """For each replica's block of M rows: the lowest worker whose ``w`` row
+    is non-finite, else the lowest whose ``w_ag`` row is, else None."""
+    blocks = [np.isfinite(a).all(axis=1).reshape(-1, m)
+              for a in (w, w_ag) if a is not None]
+    bad: List[Optional[int]] = []
+    for rows in zip(*blocks):
+        failed = [ok for ok in rows if not ok.all()]
+        bad.append(int(np.argmin(failed[0])) if failed else None)
+    return bad
+
+
+@dataclass
+class ReplicaResult:
+    """Per-replica outcome of ``run_replicas``, one row per replica.
+
+    ``diverged[r]`` is the ``(step, worker)`` at which replica r's ``w`` (or,
+    if ``w`` stayed finite, its ``w_ag``) first went non-finite, or None.
+    A diverged replica's rows of the final averages and of ``rho_avg_w``
+    are nan.
+    """
+
+    final_avg_w: np.ndarray
+    final_avg_w_ag: np.ndarray
+    gradient_calls: int
+    diverged: List[Optional[Tuple[int, int]]]
+    rho_avg_w: Optional[np.ndarray] = None
+
+
+ReplicaCallback = Callable[[int, np.ndarray, np.ndarray, Optional[np.ndarray]], None]
+
+
+def run_replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
+                 seeds: Sequence[int], w0=None,
+                 callback: Optional[ReplicaCallback] = None,
+                 mu: Optional[float] = None) -> ReplicaResult:
+    """R independent M-worker runs in lockstep, as one (R*M, dim) state.
+
+    Replica r draws from the streams ``(seeds[r], worker)`` and steps with
+    ``steps[r]``: a ``Hyper`` runs FedAc (see ``fedac_run``), a plain step
+    size runs FedAvg (see ``fedavg_run``, whose ``mu`` sets the decay of the
+    weighted average).  Every replica follows the same float expressions as
+    a run of its own, with its hyperparameters held as (R*M, 1) columns, so
+    each replica is bit-identical to the run it stands for.
+
+    ``callback(t, live, W, W_ag)`` is invoked before step t and at t = T
+    with the indices of the replicas still running and their state rows,
+    marked read-only.  A replica whose iterates go non-finite at step s is
+    recorded in ``diverged`` and its rows are dropped from step s + 1 on.
+    """
+    _validate_run_args(m, t, k)
+    if not seeds or len(steps) != len(seeds):
+        raise ValueError(f"need one step rule per seed, got {len(steps)} "
+                         f"for {len(seeds)}")
+    accelerated = isinstance(steps[0], Hyper)
+    for rule in steps:
+        if isinstance(rule, Hyper) != accelerated:
+            raise ValueError("steps must be all Hyper or all step sizes")
+        if not accelerated and not (rule > 0):
+            raise ValueError(f"eta must be positive, got {rule}")
+    if mu is None:
+        mu = obj.mu_est
+    reps, dim = len(seeds), obj.dim
+    ids = obj.stream_workers(m)
+    bundle = StreamBundle([s for s in seeds for _ in ids], np.tile(ids, reps))
+    w = np.tile(_start_row(obj, w0), (reps * m, 1))
+
+    def column(values) -> np.ndarray:
+        return np.repeat(np.asarray(values, dtype=np.float64), m)[:, None]
+
+    if accelerated:
+        w_ag = w.copy()
+        inv_b = column([1.0 / h.beta for h in steps])
+        inv_a = column([1.0 / h.alpha for h in steps])
+        cols = [inv_b, 1.0 - inv_b, inv_a, 1.0 - inv_a,
+                column([h.eta for h in steps]), column([h.gamma for h in steps])]
+    else:
+        w_ag = None
+        cols = [column(steps)]
+        decay = np.array([1.0 - 0.5 * eta * mu for eta in steps])[:, None]
+        acc = np.zeros((reps, dim))
+        acc_norm = np.zeros((reps, 1))
+    live = np.arange(reps)
+    diverged: List[Optional[Tuple[int, int]]] = [None] * reps
+    observe = None
+    if callback is not None:
+        observe = lambda step, w, w_ag: callback(step, live, w, w_ag)
+
+    def sync(v: np.ndarray) -> np.ndarray:
+        return np.repeat(replica_mean(v, m), m, axis=0)
+
+    for step in range(t):
+        _observe(observe, step, w, w_ag)
+        synced = (step + 1) % k == 0
+        if accelerated:
+            inv_b, c_b, inv_a, c_a, eta, gamma = cols
+            w_md = inv_b * w + c_b * w_ag
+            g = obj.stoch_grad_multi(w_md, bundle)
+            v_ag = w_md - eta * g
+            v = c_a * w + inv_a * w_md - gamma * g
+            w, w_ag = (sync(v), sync(v_ag)) if synced else (v, v_ag)
+        else:
+            acc = decay * acc + replica_mean(w, m)
+            acc_norm = decay * acc_norm + 1.0
+            g = obj.stoch_grad_multi(w, bundle)
+            v = w - cols[0] * g
+            w = sync(v) if synced else v
+        if np.isfinite(w).all() and (w_ag is None or np.isfinite(w_ag).all()):
+            continue
+        bad = _bad_workers(w, w_ag, m)
+        for r, worker in zip(live, bad):
+            if worker is not None:
+                diverged[r] = (step, worker)
+        keep = np.array([worker is None for worker in bad])
+        rows = np.repeat(keep, m)
+        w = w[rows]
+        w_ag = None if w_ag is None else w_ag[rows]
+        cols = [c[rows] for c in cols]
+        bundle.keep(np.repeat(keep, ids.size))
+        if not accelerated:
+            decay, acc, acc_norm = decay[keep], acc[keep], acc_norm[keep]
+        live = live[keep]
+        if not live.size:
+            break
+    if live.size:
+        _observe(observe, t, w, w_ag)
+    final_w = np.full((reps, dim), np.nan)
+    final_ag = np.full((reps, dim), np.nan)
+    final_w[live] = replica_mean(w, m)
+    final_ag[live] = final_w[live] if w_ag is None else replica_mean(w_ag, m)
+    rho = None
+    if not accelerated:
+        rho = np.full((reps, dim), np.nan)
+        rho[live] = acc / acc_norm
+    return ReplicaResult(final_w, final_ag, ids.size * t, diverged, rho)
+
+
+def _single(result: ReplicaResult) -> ReplicaResult:
+    """Raise the DivergenceError of a one-replica run, if it diverged."""
+    if result.diverged[0] is not None:
+        raise DivergenceError(*result.diverged[0])
+    return result
+
+
+def _plain_callback(callback: Optional[Callback]) -> Optional[ReplicaCallback]:
+    if callback is None:
+        return None
+    return lambda step, live, w, w_ag: callback(step, w, w_ag)
+
+
 def fedac_run(obj: Objective, m: int, t: int, k: int, hyper: Hyper, seed: int,
               w0=None, callback: Optional[Callback] = None) -> RunResult:
     """Accelerated local SGD with periodic averaging.
@@ -177,33 +335,12 @@ def fedac_run(obj: Objective, m: int, t: int, k: int, hyper: Hyper, seed: int,
     queries a stochastic gradient g at w_md, and forms the candidates
     v_ag = w_md - eta g and v = (1 - alpha^-1) w + alpha^-1 w_md - gamma g;
     synchronized steps average both candidate families across workers and
-    broadcast, local steps assign them directly.
+    broadcast, local steps assign them directly.  A one-replica
+    ``run_replicas``.
     """
-    _validate_run_args(m, t, k)
-    ids = obj.stream_workers(m)
-    bundle = StreamBundle(seed, ids)
-    w = _init_state(obj, m, w0)
-    w_ag = w.copy()
-    inv_b = 1.0 / hyper.beta
-    inv_a = 1.0 / hyper.alpha
-    eta, gamma = hyper.eta, hyper.gamma
-
-    for step in range(t):
-        _observe(callback, step, w, w_ag)
-        w_md = inv_b * w + (1.0 - inv_b) * w_ag
-        g = obj.stoch_grad_multi(w_md, bundle)
-        v_ag = w_md - eta * g
-        v = (1.0 - inv_a) * w + inv_a * w_md - gamma * g
-        if (step + 1) % k == 0:
-            w = np.broadcast_to(worker_mean(v), (m, obj.dim)).copy()
-            w_ag = np.broadcast_to(worker_mean(v_ag), (m, obj.dim)).copy()
-        else:
-            w = v
-            w_ag = v_ag
-        _check_finite(w, step)
-        _check_finite(w_ag, step)
-    _observe(callback, t, w, w_ag)
-    return RunResult(worker_mean(w), worker_mean(w_ag), len(ids) * t)
+    res = _single(run_replicas(obj, m, t, k, [hyper], [seed], w0,
+                               _plain_callback(callback)))
+    return RunResult(res.final_avg_w[0], res.final_avg_w_ag[0], res.gradient_calls)
 
 
 def fedavg_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
@@ -215,34 +352,13 @@ def fedavg_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     ``sum_t rho_t w_bar_t / sum_t rho_t`` over t = 0..T-1 with
     ``rho_t = (1 - eta * mu / 2)**(T - t - 1)``, accumulated incrementally.
     ``mu`` defaults to the objective's strong-convexity estimate; mu = 0
-    degrades gracefully to the uniform average.
+    degrades gracefully to the uniform average.  A one-replica
+    ``run_replicas``.
     """
-    _validate_run_args(m, t, k)
-    if not (eta > 0):
-        raise ValueError(f"eta must be positive, got {eta}")
-    if mu is None:
-        mu = obj.mu_est
-    ids = obj.stream_workers(m)
-    bundle = StreamBundle(seed, ids)
-    w = _init_state(obj, m, w0)
-    decay = 1.0 - 0.5 * eta * mu
-    acc = np.zeros(obj.dim)
-    acc_norm = 0.0
-
-    for step in range(t):
-        _observe(callback, step, w, None)
-        acc = decay * acc + worker_mean(w)
-        acc_norm = decay * acc_norm + 1.0
-        g = obj.stoch_grad_multi(w, bundle)
-        v = w - eta * g
-        if (step + 1) % k == 0:
-            w = np.broadcast_to(worker_mean(v), (m, obj.dim)).copy()
-        else:
-            w = v
-        _check_finite(w, step)
-    _observe(callback, t, w, None)
-    final = worker_mean(w)
-    return RunResult(final, final, len(ids) * t, rho_avg_w=acc / acc_norm)
+    res = _single(run_replicas(obj, m, t, k, [eta], [seed], w0,
+                               _plain_callback(callback), mu))
+    final = res.final_avg_w[0]
+    return RunResult(final, final, res.gradient_calls, rho_avg_w=res.rho_avg_w[0])
 
 
 def mb_sgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
@@ -262,7 +378,7 @@ def mb_sgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     rounds = t // k
     batch = m * k
     bundle = StreamBundle(seed, obj.stream_workers(batch))
-    w = _init_state(obj, 1, w0)[0]
+    w = _start_row(obj, w0)
 
     for r in range(rounds):
         _observe(callback, r * k, w[None, :], None)
@@ -340,13 +456,14 @@ class AgdTrajectory:
 def agd_run(obj: Objective, w0_ag, w0, big_l: float, mu: float,
             steps: int) -> AgdTrajectory:
     """Deterministic Nesterov AGD (see AgdStep) for strongly convex
-    objectives, with exact gradients, recording every iterate."""
+    objectives, with exact gradients, recording every iterate.  Scalar
+    starts are broadcast to every coordinate, as in the drivers."""
     agd = AgdStep(big_l, mu)
     if steps < 0:
         raise ValueError("steps must be >= 0")
 
-    w = np.atleast_1d(np.asarray(w0, dtype=np.float64)).copy()
-    w_ag = np.atleast_1d(np.asarray(w0_ag, dtype=np.float64)).copy()
+    w = _start_row(obj, w0)
+    w_ag = _start_row(obj, w0_ag)
     ws = np.empty((steps + 1, w.size))
     ags = np.empty((steps + 1, w.size))
     mds = np.empty((steps, w.size))

@@ -4,7 +4,10 @@ The harness turns a flat configuration into suboptimality curves.  For each
 cell (algorithm, M, K, eta, seed) it runs the corresponding driver with an
 evaluation callback that measures F(eval point) - F* on a fixed step cadence,
 then tunes eta per (algorithm, M, K) by the best suboptimality attained over
-evaluations, taking the median across seeds.  A deterministic full-gradient
+evaluations, taking the median across seeds.  The cells of one (algorithm,
+M, K) group run together: the federated algorithms step all their (eta,
+seed) replicas as one array program (``algorithms.run_replicas``), with
+every cell's bits the same as a run of its own.  A deterministic full-gradient
 accelerated descent precomputes F* once per (dataset, regularization) pair
 and caches it beside the outputs.
 
@@ -31,9 +34,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import (AgdStep, DivergenceError, ScheduleError, fedac_run,
-                         fedavg_run, mb_acsgd_run, mb_sgd_run, schedule_fedac1,
-                         schedule_fedac2, schedule_vanilla, worker_mean)
+from .algorithms import (AgdStep, DivergenceError, ScheduleError, mb_acsgd_run,
+                         mb_sgd_run, replica_mean, run_replicas,
+                         schedule_fedac1, schedule_fedac2, schedule_vanilla)
 from .dataio import Dataset, load_dataset
 from .objectives import Logistic, Objective
 from .rng import RngStream
@@ -355,109 +358,138 @@ class SweepRow(NamedTuple):
     k: int
     best_eta: float
     best_suboptimality: float
-    seeds: Tuple[int, ...] = ()
 
 
-def run_cell(obj: Objective, algorithm: str, m: int, k: int, eta: float,
-             t: int, seed: int, eval_every: int, f_star: float) -> CellResult:
-    """Run one experiment cell with the standard evaluation callback.
+def _step_rule(algorithm: str, eta: float, mu: float, k: int):
+    """What ``run_replicas`` steps a cell with: the schedule's ``Hyper`` for
+    the accelerated algorithms, eta itself for the others.  Raises
+    ScheduleError or ValueError when the schedule is infeasible; that is all
+    the minibatch baselines, which run their own drivers, use it for."""
+    if algorithm == "fedac1":
+        return schedule_fedac1(eta, mu, k)
+    if algorithm == "fedac2":
+        return schedule_fedac2(eta, mu, k)
+    if algorithm in ("fedac_vanilla", "mb_acsgd"):
+        return schedule_vanilla(eta, mu)
+    return eta
 
-    Divergence (non-finite iterates) and schedule infeasibility at large eta
-    both yield +inf suboptimality from the failure point on, so tuning
-    naturally discards them.  Evaluation never consumes random draws.
+
+def run_group(obj: Objective, algorithm: str, m: int, k: int,
+              replicas: Sequence[Tuple[float, int]], t: int, eval_every: int,
+              f_star: float) -> List[CellResult]:
+    """Run the (eta, seed) replicas of one (algorithm, M, K) group with the
+    standard evaluation callback; one CellResult per replica, in order.
+
+    The federated algorithms run every replica at once through
+    ``run_replicas``; the minibatch baselines, whose steps already gather
+    M*K rows each, run one replica at a time.  Divergence (non-finite
+    iterates) and schedule infeasibility at large eta both yield +inf
+    suboptimality from the failure point on, so tuning naturally discards
+    them.  Evaluation never consumes random draws.  Floating-point warnings
+    are ignored here, whatever the caller's ``np.errstate``: divergence is
+    an expected outcome that the records report.
     """
-    cell = CellResult(algorithm, m, k, float(eta), seed)
-    expected = list(range(0, t + 1, eval_every))
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm '{algorithm}'")
     kind = "avg_ag" if algorithm in _ACCELERATED else "avg_w"
+    expected = range(0, t + 1, eval_every)
     mu = obj.mu_est
+    cells = [CellResult(algorithm, m, k, float(eta), seed)
+             for eta, seed in replicas]
 
     def sub_at(point: np.ndarray) -> float:
         gap = obj.eval(point) - f_star
         return gap if math.isfinite(gap) else math.inf
 
-    def cb(step: int, w: np.ndarray, w_ag: Optional[np.ndarray]) -> None:
-        if step % eval_every == 0 and step <= t:
-            point = worker_mean(w_ag if kind == "avg_ag" else w)
-            cell.records.append(EvalRecord(step, sub_at(point), kind))
+    def observer(group: List[CellResult]):
+        """Callback recording the eval point of ``group[r]`` for each live r."""
+        def observe(step: int, live, w: np.ndarray,
+                    w_ag: Optional[np.ndarray]) -> None:
+            if step % eval_every == 0:
+                state = w_ag if kind == "avg_ag" else w
+                points = replica_mean(state, state.shape[0] // len(live))
+                for r, point in zip(live, points):
+                    group[r].records.append(EvalRecord(step, sub_at(point), kind))
+        return observe
 
-    try:
-        if algorithm in ("fedac1", "fedac2", "fedac_vanilla"):
-            if algorithm == "fedac1":
-                hyper = schedule_fedac1(eta, mu, k)
-            elif algorithm == "fedac2":
-                hyper = schedule_fedac2(eta, mu, k)
-            else:
-                hyper = schedule_vanilla(eta, mu)
-        elif algorithm == "mb_acsgd":
-            schedule_vanilla(eta, mu)  # fail fast if infeasible
-    except (ScheduleError, ValueError):
+    def diverge(cell: CellResult) -> None:
         cell.diverged = True
-        cell.records = [EvalRecord(ts, math.inf, kind) for ts in expected]
-        return cell
-
-    try:
-        if algorithm in ("fedac1", "fedac2", "fedac_vanilla"):
-            fedac_run(obj, m, t, k, hyper, seed, callback=cb)
-        elif algorithm == "fedavg":
-            result = fedavg_run(obj, m, t, k, eta, seed, mu=mu, callback=cb)
-            cell.rho_suboptimality = sub_at(result.rho_avg_w)
-        elif algorithm == "mb_sgd":
-            mb_sgd_run(obj, m, t, k, eta, seed, callback=cb)
-        elif algorithm == "mb_acsgd":
-            mb_acsgd_run(obj, m, t, k, eta, seed, callback=cb)
-        else:
-            raise ConfigError(f"unknown algorithm '{algorithm}'")
-    except DivergenceError:
-        cell.diverged = True
-        seen = {r.t for r in cell.records}
         cell.records.extend(EvalRecord(ts, math.inf, kind)
-                            for ts in expected if ts not in seen)
-        cell.records.sort(key=lambda r: r.t)
-    return cell
+                            for ts in expected[len(cell.records):])
+
+    with np.errstate(all="ignore"):
+        runnable, rules = [], []
+        for cell in cells:
+            try:
+                rules.append(_step_rule(algorithm, cell.eta, mu, k))
+                runnable.append(cell)
+            except (ScheduleError, ValueError):
+                diverge(cell)
+        if algorithm in _MINIBATCH:
+            driver = mb_sgd_run if algorithm == "mb_sgd" else mb_acsgd_run
+            for cell in runnable:
+                observe = observer([cell])
+                try:
+                    driver(obj, m, t, k, cell.eta, cell.seed,
+                           callback=lambda step, w, w_ag, f=observe:
+                           f(step, (0,), w, w_ag))
+                except DivergenceError:
+                    diverge(cell)
+        elif runnable:
+            result = run_replicas(obj, m, t, k, rules, [c.seed for c in runnable],
+                                  callback=observer(runnable), mu=mu)
+            for i, cell in enumerate(runnable):
+                if result.diverged[i] is not None:
+                    diverge(cell)
+                elif result.rho_avg_w is not None:
+                    cell.rho_suboptimality = sub_at(result.rho_avg_w[i])
+    return cells
+
+
+def run_cell(obj: Objective, algorithm: str, m: int, k: int, eta: float,
+             t: int, seed: int, eval_every: int, f_star: float) -> CellResult:
+    """Run one experiment cell: a ``run_group`` of one replica."""
+    return run_group(obj, algorithm, m, k, [(eta, seed)], t, eval_every,
+                     f_star)[0]
 
 
 def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
                    threads: int = 1) -> Tuple[List[CellResult], List[SweepRow]]:
     """Run the full sweep and tune eta per (algorithm, M, K).
 
-    Cells run independently (optionally on a thread pool) and are always
-    assembled in canonical nested order (algorithm, M, K, eta, seed), so the
-    output is identical for any thread count.  Per cell the best-over-time
-    suboptimality is taken, then the median across seeds; the eta minimizing
-    that median wins, ties going to the smaller eta.  If every eta diverges
-    the row is flagged with best_eta = nan.
+    Each (algorithm, M, K) group runs all its (eta, seed) replicas through
+    ``run_group``.  Groups run independently (optionally on a thread pool)
+    and cells are always assembled in canonical nested order (algorithm, M,
+    K, eta, seed), so the output is identical for any thread count.  Per
+    cell the best-over-time suboptimality is taken, then the median across
+    seeds; the eta minimizing that median wins, ties going to the smaller
+    eta.  If every eta diverges the row is flagged with best_eta = nan.
     """
     etas = tuple(sorted(cfg.etas))
-    specs = [(alg, m, k, eta, seed)
-             for alg in cfg.algorithms
-             for m in cfg.m_list
-             for k in cfg.k_list
-             for eta in etas
-             for seed in cfg.seeds]
+    replicas = [(eta, seed) for eta in etas for seed in cfg.seeds]
+    groups = [(alg, m, k) for alg in cfg.algorithms for m in cfg.m_list
+              for k in cfg.k_list]
 
-    def one(spec):
-        alg, m, k, eta, seed = spec
-        return run_cell(obj, alg, m, k, eta, cfg.t, seed, cfg.eval_every, f_star)
+    def one(group):
+        alg, m, k = group
+        return run_group(obj, alg, m, k, replicas, cfg.t, cfg.eval_every, f_star)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(one, specs))
+            results = list(pool.map(one, groups))
     else:
-        cells = [one(spec) for spec in specs]
+        results = [one(group) for group in groups]
 
-    by_cell = {(c.algorithm, c.m, c.k, c.eta, c.seed): c for c in cells}
-    rows = []
-    for alg in cfg.algorithms:
-        for m in cfg.m_list:
-            for k in cfg.k_list:
-                best_eta, best_med = math.nan, math.inf
-                for eta in etas:
-                    bests = [by_cell[(alg, m, k, eta, seed)].best()
-                             for seed in cfg.seeds]
-                    med = statistics.median(bests)
-                    if med < best_med:
-                        best_eta, best_med = eta, med
-                rows.append(SweepRow(alg, m, k, best_eta, best_med, cfg.seeds))
+    cells, rows = [], []
+    for (alg, m, k), group_cells in zip(groups, results):
+        cells.extend(group_cells)
+        best_eta, best_med = math.nan, math.inf
+        for i, eta in enumerate(etas):
+            per_seed = group_cells[i * len(cfg.seeds):(i + 1) * len(cfg.seeds)]
+            med = statistics.median(c.best() for c in per_seed)
+            if med < best_med:
+                best_eta, best_med = eta, med
+        rows.append(SweepRow(alg, m, k, best_eta, best_med))
     return cells, rows
 
 

@@ -31,6 +31,12 @@ _MAX_REJECTION_ROUNDS = 128
 
 _INV_2_53 = 2.0 ** -53
 
+# the same constants as numpy scalars, built once: uint64 array arithmetic
+# with them wraps silently
+_U_GOLDEN, _U_MIX_A, _U_MIX_B = (np.uint64(c) for c in (_GOLDEN, _MIX_A, _MIX_B))
+_U1, _U11, _U27, _U30, _U31, _U_SLOT_SHIFT = (
+    np.uint64(c) for c in (1, 11, 27, 30, 31, _SLOT_SHIFT))
+
 
 def _mix_int(z: int) -> int:
     """SplitMix64 finalizer on a plain python int (no numpy scalar overflow)."""
@@ -42,9 +48,9 @@ def _mix_int(z: int) -> int:
 
 def _finalize_array(z: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 finalizer; uint64 array arithmetic wraps silently."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _U30)) * _U_MIX_A
+    z = (z ^ (z >> _U27)) * _U_MIX_B
+    return z ^ (z >> _U31)
 
 
 def stream_key(seed: int, worker_id: int) -> int:
@@ -56,46 +62,59 @@ def stream_key(seed: int, worker_id: int) -> int:
 
 def _words(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Raw output words for every (key, word-index) pair; shape broadcast of inputs."""
-    states = keys + idx * np.uint64(_GOLDEN)
+    states = keys + idx * _U_GOLDEN
     return _finalize_array(states)
 
 
 def _slot_word_idx(counter: int, count: int, word: int) -> np.ndarray:
     slots = np.arange(counter, counter + count, dtype=np.uint64)
-    return (slots << np.uint64(_SLOT_SHIFT)) + np.uint64(word)
+    return (slots << _U_SLOT_SHIFT) + np.uint64(word)
 
 
 def _to_unit(words: np.ndarray) -> np.ndarray:
     """Map 64-bit words to floats in [0, 1) using the top 53 bits."""
-    return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return (words >> _U11).astype(np.float64) * _INV_2_53
 
 
 def _to_unit_open(words: np.ndarray) -> np.ndarray:
     """Map 64-bit words to floats in (0, 1] so that log() is always finite."""
-    return ((words >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV_2_53
+    return ((words >> _U11) + _U1).astype(np.float64) * _INV_2_53
 
 
 class StreamBundle:
-    """A family of streams sharing one seed, advancing their counters in lockstep.
+    """A family of streams advancing their counters in lockstep, one per row.
 
-    The bundle draws for all workers at once (vectorized), but each row is
-    bit-identical to what the corresponding ``RngStream(seed, worker_id)``
-    would produce on its own.
+    Row i is the stream ``(seeds[i], worker_ids[i])``: ``seed`` is one seed
+    for every row or a sequence with one seed per row, so a bundle can hold
+    the workers of several independent runs side by side.  The bundle draws
+    for all rows at once (vectorized), but each row is bit-identical to what
+    the corresponding ``RngStream(seed, worker_id)`` would produce on its own.
     """
 
-    __slots__ = ("seed", "worker_ids", "counter", "_keys")
+    __slots__ = ("worker_ids", "counter", "_keys")
 
-    def __init__(self, seed: int, worker_ids, counter: int = 0):
-        self.seed = int(seed)
+    def __init__(self, seed, worker_ids, counter: int = 0):
         ids = np.asarray(worker_ids, dtype=np.int64).ravel()
+        if np.ndim(seed) == 0:
+            seeds = [int(seed)] * ids.size
+        else:
+            seeds = [int(s) for s in seed]
+        if len(seeds) != ids.size:
+            raise ValueError(f"{len(seeds)} seeds for {ids.size} worker ids")
         self.worker_ids = ids
         self.counter = int(counter)
         self._keys = np.array(
-            [stream_key(seed, int(m)) for m in ids], dtype=np.uint64
-        ).reshape(-1, 1)
+            [stream_key(s, int(m)) for s, m in zip(seeds, ids)],
+            dtype=np.uint64).reshape(-1, 1)
 
     def __len__(self) -> int:
         return self._keys.shape[0]
+
+    def keep(self, rows) -> None:
+        """Keep only the selected rows (a boolean mask or row indices), in
+        order; the kept streams go on from the shared counter unchanged."""
+        self.worker_ids = self.worker_ids[rows]
+        self._keys = self._keys[rows]
 
     def _take_slots(self, count: int) -> int:
         start = self.counter
@@ -103,13 +122,13 @@ class StreamBundle:
         return start
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Shape (workers, count) floats in [0, 1); advances counter by count."""
+        """Shape (rows, count) floats in [0, 1); advances counter by count."""
         start = self._take_slots(count)
         idx = _slot_word_idx(start, count, 0)
         return _to_unit(_words(self._keys, idx))
 
     def gaussians(self, count: int) -> np.ndarray:
-        """Shape (workers, count) standard normals; advances counter by count."""
+        """Shape (rows, count) standard normals; advances counter by count."""
         start = self._take_slots(count)
         idx0 = _slot_word_idx(start, count, 0)
         idx1 = _slot_word_idx(start, count, 1)
@@ -118,10 +137,13 @@ class StreamBundle:
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
     def indices(self, n: int, count: int = 1) -> np.ndarray:
-        """Shape (workers, count) uniform integers in [0, n); advances counter by count.
+        """Shape (rows, count) uniform integers in [0, n); advances counter by count.
 
         Uses rejection against the largest multiple of n below 2**64, so the
-        distribution is exactly uniform with no modulo bias.
+        distribution is exactly uniform with no modulo bias.  When every
+        first word is accepted (always, if n divides 2**64), the result is
+        taken from those words directly; otherwise the rejection rounds
+        start over from the same slots and give the same variates.
         """
         if n < 1:
             raise ValueError(f"index range must be >= 1, got {n}")
@@ -129,6 +151,14 @@ class StreamBundle:
         nn = np.uint64(n)
         threshold = np.uint64((((1 << 64) // n) * n) & _MASK)
         # threshold == 0 means n divides 2**64 exactly: accept everything
+        w = _words(self._keys, _slot_word_idx(start, count, 0))
+        if not threshold or np.maximum.reduce(w, axis=None) < threshold:
+            return (w % nn).astype(np.int64)
+        return self._reject(start, count, nn, threshold)
+
+    def _reject(self, start: int, count: int, nn: np.uint64,
+                threshold: np.uint64) -> np.ndarray:
+        """The general rejection loop behind ``indices``."""
         out = np.empty((len(self), count), dtype=np.int64)
         pending = np.ones((len(self), count), dtype=bool)
         for word in range(_MAX_REJECTION_ROUNDS):

@@ -12,8 +12,11 @@ from fedsim.algorithms import (
     agd_run,
     fedac_run,
     fedavg_run,
+    _bad_workers,
     mb_acsgd_run,
     mb_sgd_run,
+    replica_mean,
+    run_replicas,
     schedule_fedac1,
     schedule_fedac2,
     schedule_vanilla,
@@ -312,6 +315,141 @@ def test_fedavg_gradient_calls_and_divergence():
 
 
 # ---------------------------------------------------------------------------
+# run_replicas
+
+
+class Spike(Quadratic):
+    """A noisy quadratic whose oracle returns inf on chosen rows at one call."""
+
+    def __init__(self, rows=(), call=-1):
+        super().__init__([1.0, 2.0], shift=[0.5, -0.5], sigma=0.3)
+        self.rows, self.call, self.calls = list(rows), call, 0
+
+    def stoch_grad_multi(self, W, bundle):
+        g = super().stoch_grad_multi(W, bundle)
+        if self.calls == self.call:
+            g[self.rows] = np.inf
+        self.calls += 1
+        return g
+
+
+class ReplicaCapture:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, t, live, W, W_ag):
+        self.calls.append((t, list(live), W.copy(),
+                           None if W_ag is None else W_ag.copy()))
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+@pytest.mark.parametrize("m,k", [(1, 1), (3, 4), (4, 1)])
+def test_run_replicas_rows_match_single_runs(accelerated, m, k):
+    obj = Spike()
+    etas, seeds = [0.05, 0.2, 0.05], [0, 0, 7]
+    steps = [schedule_fedac1(e, obj.mu_est, k) for e in etas] if accelerated \
+        else etas
+    cap = ReplicaCapture()
+    res = run_replicas(obj, m, 12, k, steps, seeds, w0=[1.0, -1.0], callback=cap)
+    assert res.diverged == [None] * 3
+    assert res.gradient_calls == m * 12
+    assert [c[0] for c in cap.calls] == list(range(13))
+    for r, (eta, seed) in enumerate(zip(etas, seeds)):
+        single = Capture()
+        if accelerated:
+            one = fedac_run(obj, m, 12, k, steps[r], seed, w0=[1.0, -1.0],
+                            callback=single)
+            assert res.rho_avg_w is None
+        else:
+            one = fedavg_run(obj, m, 12, k, eta, seed, w0=[1.0, -1.0],
+                             callback=single)
+            np.testing.assert_array_equal(res.rho_avg_w[r], one.rho_avg_w)
+        np.testing.assert_array_equal(res.final_avg_w[r], one.final_avg_w)
+        np.testing.assert_array_equal(res.final_avg_w_ag[r], one.final_avg_w_ag)
+        rows = slice(r * m, (r + 1) * m)
+        for (_, live, W, W_ag), w1, ag1 in zip(cap.calls, single.w, single.w_ag):
+            assert live == [0, 1, 2]
+            np.testing.assert_array_equal(W[rows], w1)
+            if accelerated:
+                np.testing.assert_array_equal(W_ag[rows], ag1)
+
+
+def test_replica_mean_matches_worker_mean():
+    a = np.random.default_rng(0).normal(size=(5 * 7, 11)) * 1e3
+    means = replica_mean(a, 7)
+    for r in range(5):
+        np.testing.assert_array_equal(means[r], worker_mean(a[r * 7:(r + 1) * 7]))
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+def test_run_replicas_drops_a_diverged_replica(accelerated):
+    """Replica 1's workers 1 and 2 blow up at local step 2: it is recorded as
+    diverged at (2, 1) and dropped, and the others run on unchanged."""
+    m, t, k = 3, 8, 4
+    etas, seeds = [0.05, 0.1, 0.2], [3, 4, 5]
+    steps = [schedule_fedac1(e, 1.0, k) for e in etas] if accelerated else etas
+    cap = ReplicaCapture()
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_replicas(Spike(rows=[m + 1, m + 2], call=2), m, t, k, steps,
+                           seeds, callback=cap)
+    assert res.diverged == [None, (2, 1), None]
+    assert [c[1] for c in cap.calls] == [[0, 1, 2]] * 3 + [[0, 2]] * (t - 2)
+    assert np.isnan(res.final_avg_w[1]).all()
+    assert np.isnan(res.final_avg_w_ag[1]).all()
+    if not accelerated:
+        assert np.isnan(res.rho_avg_w[1]).all()
+    for r in (0, 2):
+        if accelerated:
+            one = fedac_run(Spike(), m, t, k, steps[r], seeds[r])
+        else:
+            one = fedavg_run(Spike(), m, t, k, etas[r], seeds[r])
+            np.testing.assert_array_equal(res.rho_avg_w[r], one.rho_avg_w)
+        np.testing.assert_array_equal(res.final_avg_w[r], one.final_avg_w)
+        np.testing.assert_array_equal(res.final_avg_w_ag[r], one.final_avg_w_ag)
+
+
+@pytest.mark.parametrize("driver", ["fedac", "fedavg"])
+def test_single_run_divergence_reports_lowest_worker(driver):
+    obj = Spike(rows=[1, 2], call=2)
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as ei:
+            if driver == "fedac":
+                fedac_run(obj, 3, 8, 4, schedule_fedac1(0.1, 1.0, 4), 0,
+                          callback=lambda t, w, w_ag: seen.append(t))
+            else:
+                fedavg_run(obj, 3, 8, 4, 0.1, 0,
+                           callback=lambda t, w, w_ag: seen.append(t))
+    assert (ei.value.step, ei.value.worker) == (2, 1)
+    assert seen == [0, 1, 2]
+
+
+def test_bad_workers_checks_w_before_w_ag():
+    w = np.zeros((9, 2))
+    w_ag = np.zeros((9, 2))
+    w[2, 1] = np.nan      # replica 0: w bad at worker 2 ...
+    w_ag[0, 0] = np.inf   # ... and w_ag at worker 0: w is reported
+    w_ag[5, 0] = -np.inf  # replica 1: only w_ag, at worker 2
+    assert _bad_workers(w, w_ag, 3) == [2, 2, None]
+    assert _bad_workers(w, None, 3) == [2, None, None]
+
+
+def test_run_replicas_validation():
+    obj = Quadratic([1.0])
+    hyper = schedule_fedac1(0.1, 1.0, 1)
+    with pytest.raises(ValueError):
+        run_replicas(obj, 1, 4, 1, [hyper], [0, 1])
+    with pytest.raises(ValueError):
+        run_replicas(obj, 1, 4, 1, [], [])
+    with pytest.raises(ValueError):
+        run_replicas(obj, 1, 4, 1, [hyper, 0.1], [0, 1])
+    with pytest.raises(ValueError):
+        run_replicas(obj, 1, 4, 1, [0.1, 0.0], [0, 1])
+    with pytest.raises(ValueError):
+        run_replicas(obj, 0, 4, 1, [0.1], [0])
+
+
+# ---------------------------------------------------------------------------
 # mb_sgd_run
 
 
@@ -509,6 +647,18 @@ def test_agd_trajectory_shapes():
     assert traj.w.shape == (8, 2)
     assert traj.w_ag.shape == (8, 2)
     assert traj.w_md.shape == (7, 2)
+
+
+def test_agd_broadcasts_scalar_start():
+    obj = Quadratic([1.0, 2.0])
+    traj = agd_run(obj, 0, 0, 2.0, 1.0, 3)
+    ref = agd_run(obj, np.zeros(2), np.zeros(2), 2.0, 1.0, 3)
+    for a, b in ((traj.w, ref.w), (traj.w_ag, ref.w_ag), (traj.w_md, ref.w_md)):
+        np.testing.assert_array_equal(a, b)
+    shifted = agd_run(Quadratic([1.0, 2.0], shift=[1.0, 1.0]), 0.5, 0.5, 2.0, 1.0, 2)
+    np.testing.assert_array_equal(shifted.w[0], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        agd_run(obj, [1.0, 2.0, 3.0], 0, 2.0, 1.0, 3)
 
 
 def test_agd_validation():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,86 @@ def test_sweep_thread_count_invariance():
     assert records_to_rows(cells1) == records_to_rows(cells4)
 
 
+def diverging_grid(**overrides):
+    """M in {1, 3}, K in {1, 4}, two seeds; eta = 1 diverges mid-run, and
+    eta = 5 makes both FedAc schedules infeasible."""
+    base = dict(algorithms=("fedac1", "fedac2", "fedac_vanilla", "fedavg",
+                            "mb_sgd", "mb_acsgd"),
+                t=32, k_list=(1, 4), m_list=(1, 3),
+                etas=(1e-13, 1.5e-12, 1.0, 5.0), seeds=(0, 1), eval_every=4)
+    base.update(overrides)
+    return small_cfg(**base), Quadratic([1e12, 0.3], shift=[0.5, -1.0], sigma=0.5)
+
+
+def artifact_bytes(cells, rows, tmp_path, tag):
+    write_records_csv(cells, tmp_path / f"records_{tag}.csv")
+    write_sweep_csv(rows, tmp_path / f"sweep_{tag}.csv")
+    return ((tmp_path / f"records_{tag}.csv").read_bytes()
+            + (tmp_path / f"sweep_{tag}.csv").read_bytes())
+
+
+def test_grouped_sweep_equals_per_cell_runs(tmp_path):
+    cfg, obj = diverging_grid()
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells, rows = tune_and_sweep(cfg, obj, f_star=0.0)
+        singles = [run_cell(obj, alg, m, k, eta, cfg.t, seed, cfg.eval_every, 0.0)
+                   for alg in cfg.algorithms for m in cfg.m_list
+                   for k in cfg.k_list for eta in sorted(cfg.etas)
+                   for seed in cfg.seeds]
+    # the grid exercises every path: mid-run divergence, infeasible
+    # schedules, FedAvg's decay-weighted average and clean runs
+    finite = [sum(r.suboptimality < math.inf for r in c.records) for c in cells]
+    assert any(c.diverged and 0 < n < len(c.records)
+               for c, n in zip(cells, finite) if c.algorithm == "fedac1")
+    assert any(c.diverged and n == 0 for c, n in zip(cells, finite)
+               if c.algorithm == "fedac2")
+    assert any(c.rho_suboptimality is not None for c in cells)
+    assert not all(c.diverged for c in cells)
+
+    expected_rows = []
+    per_group = len(cfg.etas) * len(cfg.seeds)
+    for g in range(0, len(singles), per_group):
+        group = singles[g:g + per_group]
+        best_eta, best_med = math.nan, math.inf
+        for i, eta in enumerate(sorted(cfg.etas)):
+            med = statistics.median(
+                c.best() for c in group[i * len(cfg.seeds):(i + 1) * len(cfg.seeds)])
+            if med < best_med:
+                best_eta, best_med = eta, med
+        expected_rows.append(SweepRow(group[0].algorithm, group[0].m, group[0].k,
+                                      best_eta, best_med))
+    assert artifact_bytes(cells, rows, tmp_path, "grouped") == \
+        artifact_bytes(singles, expected_rows, tmp_path, "single")
+    assert [(c.diverged, c.rho_suboptimality) for c in cells] == \
+        [(c.diverged, c.rho_suboptimality) for c in singles]
+
+
+@pytest.mark.parametrize("objective", ["quadratic", "logistic"])
+def test_sweep_owns_the_floating_point_policy(tmp_path, objective):
+    """A caller's strict np.errstate neither stops a diverging sweep nor
+    changes its bytes, serial or threaded.  The logistic grid also
+    underflows in exp."""
+    cfg, obj = diverging_grid(algorithms=("fedac1", "fedavg", "mb_sgd"))
+    if objective == "logistic":
+        cfg = small_cfg(algorithms=("fedac1", "fedavg", "mb_sgd"), t=64,
+                        k_list=(1, 4), m_list=(1, 3), etas=(0.1, 10.0, 1000.0),
+                        eval_every=16)
+        obj, _ = build_objective(small_cfg(synthetic_n=300, synthetic_dim=20,
+                                           synthetic_nnz=5, lam=1e-2))
+    blobs = []
+    for threads in (1, 2):
+        with np.errstate(all="raise"):
+            cells, rows = tune_and_sweep(cfg, obj, f_star=0.0, threads=threads)
+        assert any(c.diverged for c in cells)
+        blobs.append(artifact_bytes(cells, rows, tmp_path, str(threads)))
+    assert blobs[0] == blobs[1]
+    bad = next(c for c in cells if c.diverged)
+    with np.errstate(all="raise"):
+        again = run_cell(obj, bad.algorithm, bad.m, bad.k, bad.eta, cfg.t,
+                         bad.seed, cfg.eval_every, 0.0)
+    assert again.diverged and again.records == bad.records
+
+
 # ---------------------------------------------------------------------------
 # artifact writers
 
@@ -444,8 +525,8 @@ def test_records_csv_preserves_inf(tmp_path):
 
 
 def test_sweep_csv_round_trip(tmp_path):
-    rows = [SweepRow("fedac1", 4, 16, 0.1, 0.0123456789012345, (0, 1, 2)),
-            SweepRow("fedavg", 1, 1, 0.001, 2.5, (0, 1, 2))]
+    rows = [SweepRow("fedac1", 4, 16, 0.1, 0.0123456789012345),
+            SweepRow("fedavg", 1, 1, 0.001, 2.5)]
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     back = read_sweep_csv(path)
@@ -455,6 +536,21 @@ def test_sweep_csv_round_trip(tmp_path):
         assert rt.k == orig.k
         assert rt.best_eta == orig.best_eta
         assert rt.best_suboptimality == orig.best_suboptimality
+
+
+def test_sweep_csv_round_trip_is_equal(tmp_path):
+    """Sweep rows, a flagged one included, survive a write and a read."""
+    cfg = small_cfg(algorithms=("fedavg", "fedac1"), etas=(0.1, 0.5))
+    obj = Quadratic([1.0], shift=[1.0], sigma=0.3)
+    _, rows = tune_and_sweep(cfg, obj, f_star=0.0)
+    flagged = SweepRow("fedac2", 1, 1, math.nan, math.inf)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows + [flagged], path)
+    back = read_sweep_csv(path)
+    assert back[:-1] == rows
+    assert back[-1][:3] == flagged[:3]
+    assert math.isnan(back[-1].best_eta)
+    assert back[-1].best_suboptimality == math.inf
 
 
 def test_empty_and_single_row_files(tmp_path):

@@ -7,6 +7,8 @@ import scipy.stats
 from fedsim.rng import (
     RngStream,
     StreamBundle,
+    _slot_word_idx,
+    _words,
     stream_key,
 )
 
@@ -123,3 +125,47 @@ def test_draw_helpers_consume_counter():
 def test_stream_key_distinct():
     keys = {stream_key(s, w) for s in range(20) for w in range(20)}
     assert len(keys) == 400
+
+
+def test_bundle_keyed_by_seed_worker_pairs():
+    pairs = [(3, 0), (3, 1), (8, 0), (2**64 - 1, 4)]
+    bundle = StreamBundle([s for s, _ in pairs], [m for _, m in pairs])
+    g = bundle.gaussians(9)
+    ix = bundle.indices(50, 7)
+    for row, (seed, m) in enumerate(pairs):
+        solo = RngStream(seed=seed, worker_id=m)
+        assert np.array_equal(g[row], solo.gaussians(9))
+        assert np.array_equal(ix[row], solo.indices(50, 7))
+    with pytest.raises(ValueError):
+        StreamBundle([1, 2], [0, 1, 2])
+
+
+def test_bundle_keep_drops_rows_and_keeps_counter():
+    bundle = StreamBundle([5, 5, 6, 6], [0, 1, 0, 1])
+    bundle.gaussians(4)
+    bundle.keep(np.array([True, False, False, True]))
+    assert len(bundle) == 2
+    assert bundle.worker_ids.tolist() == [0, 1]
+    u = bundle.uniforms(6)
+    for row, (seed, m) in enumerate([(5, 0), (6, 1)]):
+        solo = RngStream(seed=seed, worker_id=m, counter=4)
+        assert np.array_equal(u[row], solo.uniforms(6))
+    assert bundle.counter == 10
+
+
+@pytest.mark.parametrize("n", [2**63 + 1, 2**40, 2**64 // 3 + 1, 1000, 1])
+def test_indices_fast_path_matches_rejection_loop(n):
+    """The accept-all shortcut gives the variates and counter of the general
+    rejection loop, whether or not a first word is rejected."""
+    ids = np.arange(64)
+    fast = StreamBundle(17, ids, counter=3)
+    general = StreamBundle(17, ids, counter=3)
+    got = fast.indices(n, 32)
+    threshold = np.uint64((((1 << 64) // n) * n) % (1 << 64))
+    first = _words(general._keys, _slot_word_idx(3, 32, 0))
+    if n == 2**63 + 1:  # about half of the first words are rejected
+        assert 0.4 < (first >= threshold).mean() < 0.6
+    want = general._reject(general._take_slots(32), 32, np.uint64(n), threshold)
+    assert np.array_equal(got, want)
+    assert fast.counter == general.counter == 35
+    assert got.min() >= 0 and (got.astype(np.uint64) < np.uint64(n)).all()
