@@ -14,13 +14,15 @@ from .algorithms import (AgdTrajectory, DivergenceError, Hyper, ReplicaResult,
                          run_replicas, schedule_fedac1, schedule_fedac2,
                          schedule_vanilla, worker_mean)
 from .dataio import (DataFormatError, Dataset, DatasetStats, dataset_stats,
-                     load_dataset, parse_libsvm, serialize_libsvm)
+                     load_dataset, parse_libsvm, row_norms_sq, serialize_libsvm)
 from .diagnostics import (ConstructionError, InstabilityRegionError,
-                          InstabilityResult, NormBoundReport, NormBoundRow,
+                          InstabilityResult, InstabilityVerdict,
+                          NormBoundReport, NormBoundRow,
                           PiecewiseCurvature1D, PotentialReport, TransferMatrix,
                           construct_instability_objective,
                           instability_experiment, norm_bound_fedac1,
-                          norm_bound_fedac2, norm_bound_sweep, potential_phi,
+                          norm_bound_draws, norm_bound_fedac2,
+                          norm_bound_sweep, potential_phi,
                           potential_psi, potential_report, sample_admissible,
                           spectral_norm_2x2, transfer_matrix_fedac1,
                           transfer_matrix_fedac2, transfer_matrix_from_hyper,

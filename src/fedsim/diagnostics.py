@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -267,10 +267,17 @@ def sample_admissible(seed: int, count: int,
     log_k = np.log(kappa_range[0]) + u[:, 1] * (np.log(kappa_range[1]) - np.log(kappa_range[0]))
     mu = np.exp(log_mu)
     big_l = mu * np.exp(log_k)
-    eta = (1.0 - u[:, 2]) / big_l  # in (0, 1/L]
-    gamma_hi = np.sqrt(eta / mu)
-    gamma = eta + u[:, 3] * (gamma_hi - eta)
+    gamma, eta = norm_bound_draws(u[:, 2:], mu, big_l)
     return np.column_stack([mu, big_l, gamma, eta])
+
+
+def norm_bound_draws(u: np.ndarray, mu, big_l) -> Tuple[np.ndarray, np.ndarray]:
+    """``(gamma, eta)`` from uniforms ``u`` of shape (count, 2): eta uniform in
+    (0, 1/L] from ``u[:, 0]``, gamma uniform in [eta, sqrt(eta/mu)] from
+    ``u[:, 1]``.  ``mu`` and ``big_l`` are scalars or per-row arrays."""
+    eta = (1.0 - u[:, 0]) / big_l
+    gamma = eta + u[:, 1] * (np.sqrt(eta / mu) - eta)
+    return gamma, eta
 
 
 class PiecewiseCurvature1D(Objective):
@@ -470,6 +477,29 @@ class InstabilityResult:
     amplification: float
     predicted_gap_w: float
     predicted_gap_w_ag: float
+
+    def verdict(self, eps: float) -> "InstabilityVerdict":
+        """The experiment's acceptance rule for a run started ``eps`` apart.
+
+        Every measured ratio must match the closed-form amplification within
+        1e-3 and the projector map must hold within 1e-8.  With K > 0 stages
+        and eps > 0, the final w gap must also reach ``0.5 * eps * 1.02**K``.
+        """
+        k = self.ratios.size
+        ratio_error = float(np.abs(self.ratios - self.amplification).max(initial=0.0))
+        gap_floor = 0.5 * eps * 1.02 ** k
+        ok = (ratio_error <= 1e-3 and self.max_map_error <= 1e-8
+              and (k == 0 or eps == 0 or self.final_gap_w >= gap_floor))
+        return InstabilityVerdict(ok, ratio_error, gap_floor)
+
+
+class InstabilityVerdict(NamedTuple):
+    """Whether the acceptance rule holds, the largest ratio error, and the
+    floor the final w gap had to reach."""
+
+    ok: bool
+    ratio_error: float
+    gap_floor: float
 
 
 def instability_experiment(objective: PiecewiseCurvature1D, w0: float, w0_ag: float,

@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import expit
 
+from .dataio import row_norms_sq
 from .rng import RngStream, StreamBundle
 
 
@@ -345,5 +346,4 @@ def smoothness_bounds(dataset, lam: float):
     """
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    row_sq = np.asarray(dataset.X.multiply(dataset.X).sum(axis=1)).ravel()
-    return float(lam), float(row_sq.mean() / 4.0 + lam)
+    return float(lam), float(row_norms_sq(dataset.X).mean() / 4.0 + lam)

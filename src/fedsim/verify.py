@@ -168,16 +168,12 @@ def check_instability(ks: Tuple[int, ...] = (1, 2, 4, 8),
             eps = min(1e-9, 0.25 * delta / amp)
             result = instability_experiment(objective, w0, w0_ag, kappa, 1.0,
                                             eps, k)
-            ratio_err = float(np.abs(result.ratios - result.amplification).max())
-            guaranteed_floor = 0.5 * eps * 1.02 ** k
-            ok = (ratio_err <= 1e-3
-                  and result.final_gap_w >= guaranteed_floor
-                  and result.max_map_error <= 1e-8)
+            verdict = result.verdict(eps)
             details.append(
-                f"K={k}: ratio err {ratio_err:.1e}, map err "
+                f"K={k}: ratio err {verdict.ratio_error:.1e}, map err "
                 f"{result.max_map_error:.1e}, gap {result.final_gap_w:.3e} >= "
-                f"{guaranteed_floor:.3e}: {'ok' if ok else 'FAIL'}")
-            if not ok:
+                f"{verdict.gap_floor:.3e}: {'ok' if verdict.ok else 'FAIL'}")
+            if not verdict.ok:
                 return False, "; ".join(details)
         return True, "; ".join(details)
     return _timed(run, "instability")

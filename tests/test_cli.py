@@ -152,6 +152,28 @@ def test_check_data_malformed_file_exits_2_with_line_number(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("content", [b"+1 1:1\n-1 2:\xff\n",
+                                     b"+1 1:1\n-1 3000000000:1\n"],
+                         ids=["invalid-utf8", "index-beyond-int32"])
+def test_check_data_bad_content_exits_2_with_line_number(content, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    code, out, err = run_cli(["check-data", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: data: line 2: ")
+
+
+def test_check_data_truncated_gzip_exits_2(tmp_path, capsys):
+    text = "".join(f"+1 {i % 100 + 1}:1\n" for i in range(2000)).encode()
+    blob = gzip.compress(text, mtime=0)
+    path = tmp_path / "cut.txt.gz"
+    path.write_bytes(blob[:len(blob) // 2])
+    code, out, err = run_cli(["check-data", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: data: ")
+    assert "gzip" in err
+
+
 # ---------------------------------------------------------------------------
 # run
 

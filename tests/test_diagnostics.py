@@ -400,6 +400,24 @@ def test_instability_final_gaps(k):
     assert res.max_pairing_error <= 1e-12
 
 
+def test_instability_verdict():
+    res, eps, _ = run_instability(4)
+    verdict = res.verdict(eps)
+    assert verdict.ok
+    assert verdict.gap_floor == 0.5 * eps * 1.02**4
+    assert verdict.ratio_error == float(np.abs(res.ratios - res.amplification).max())
+    assert not res.verdict(2.0 * res.final_gap_w / 1.02**4 * 1.01).ok  # gap below floor
+    res.ratios[1] += 2e-3
+    assert not res.verdict(eps).ok
+    res.ratios[1] = np.nan
+    assert not res.verdict(eps).ok
+    f, w0, w0_ag, _ = construct_instability_objective(25.0, 1.0, 0)
+    empty = instability_experiment(f, w0, w0_ag, 25.0, 1.0, 1e-9, 0)
+    assert empty.verdict(1e-9) == (True, 0.0, 0.5e-9)
+    zero = instability_experiment(f, w0, w0_ag, 25.0, 1.0, 0.0, 0)
+    assert zero.verdict(0.0).ok
+
+
 def test_instability_zero_eps_means_zero_gaps():
     f, w0, w0_ag, delta = construct_instability_objective(25.0, 1.0, 2)
     res = instability_experiment(f, w0, w0_ag, 25.0, 1.0, 0.0, 2)
