@@ -15,9 +15,11 @@ All drivers share conventions:
 * ``callback(t, W, W_ag)`` is invoked with the live state arrays, marked
   read-only, before step t and once more at t = T; drivers never draw
   randomness for evaluation, so observation cannot perturb trajectories.
-* ``fedac_run`` and ``fedavg_run`` are one-replica calls of
-  ``run_replicas``, the one step kernel of the federated drivers, which runs
-  any number of (hyperparameters, seed) replicas side by side.
+* ``run_replicas`` is the one step kernel: it runs any number of
+  (hyperparameters, seed) replicas side by side.  ``fedac_run`` and
+  ``fedavg_run`` are its one-replica calls; ``_run_minibatch`` maps the
+  minibatch baselines onto it, and ``mb_sgd_run`` and ``mb_acsgd_run`` are
+  its one-replica calls.
 
 Results are a pure function of ``(config, seed)``: rerunning with any thread
 layout, or beside any other replicas, reproduces them exactly.
@@ -314,11 +316,13 @@ def run_replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     return ReplicaResult(final_w, final_ag, ids.size * t, diverged, rho)
 
 
-def _single(result: ReplicaResult) -> ReplicaResult:
-    """Raise the DivergenceError of a one-replica run, if it diverged."""
+def _single(result: ReplicaResult) -> RunResult:
+    """The RunResult of a one-replica run; raises its DivergenceError."""
     if result.diverged[0] is not None:
         raise DivergenceError(*result.diverged[0])
-    return result
+    rho = None if result.rho_avg_w is None else result.rho_avg_w[0]
+    return RunResult(result.final_avg_w[0], result.final_avg_w_ag[0],
+                     result.gradient_calls, rho)
 
 
 def _plain_callback(callback: Optional[Callback]) -> Optional[ReplicaCallback]:
@@ -338,9 +342,8 @@ def fedac_run(obj: Objective, m: int, t: int, k: int, hyper: Hyper, seed: int,
     broadcast, local steps assign them directly.  A one-replica
     ``run_replicas``.
     """
-    res = _single(run_replicas(obj, m, t, k, [hyper], [seed], w0,
-                               _plain_callback(callback)))
-    return RunResult(res.final_avg_w[0], res.final_avg_w_ag[0], res.gradient_calls)
+    return _single(run_replicas(obj, m, t, k, [hyper], [seed], w0,
+                                _plain_callback(callback)))
 
 
 def fedavg_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
@@ -355,10 +358,46 @@ def fedavg_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     degrades gracefully to the uniform average.  A one-replica
     ``run_replicas``.
     """
-    res = _single(run_replicas(obj, m, t, k, [eta], [seed], w0,
-                               _plain_callback(callback), mu))
-    final = res.final_avg_w[0]
-    return RunResult(final, final, res.gradient_calls, rho_avg_w=res.rho_avg_w[0])
+    return _single(run_replicas(obj, m, t, k, [eta], [seed], w0,
+                                _plain_callback(callback), mu))
+
+
+def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
+                   seeds: Sequence[int], w0=None,
+                   callback: Optional[ReplicaCallback] = None) -> ReplicaResult:
+    """Minibatch baselines as one ``run_replicas`` call: replica r takes T/K
+    steps on the streams ``(seeds[r], 0..M*K-1)``.  A step size runs
+    minibatch SGD, FedAvg on M*K workers with K = 1; a ``Hyper`` runs
+    accelerated minibatch SGD, one worker on a ``BatchedOracle`` of M*K.
+
+    Steps are parallel steps: the callback sees chain step s as s*K, with
+    one row per live replica, and divergence at chain step s is recorded at
+    ``(s+1)*K - 1``, the end of its round.  ``gradient_calls`` is T, as in
+    ``RunResult``; there is no decay-weighted average.
+    """
+    _validate_run_args(m, t, k)
+    if t % k != 0:
+        raise ValueError(f"K must divide T, got T={t} K={k}")
+    rounds, batch = t // k, m * k
+    if steps and isinstance(steps[0], Hyper):
+        oracle, workers = BatchedOracle(obj, batch), 1
+    else:
+        oracle, workers = obj, batch
+    final_w, final_ag = np.full((2, len(seeds), obj.dim), np.nan)
+
+    def observe(step, live, w, w_ag):
+        # report a synced block's first row: its mean can be an ulp off the rows
+        w = w[::workers]
+        if step == rounds:
+            final_w[live] = w
+            final_ag[live] = w if w_ag is None else w_ag
+        if callback is not None:
+            callback(step * k, live, w, w_ag)
+
+    res = run_replicas(oracle, workers, rounds, 1, steps, seeds, w0, observe)
+    diverged = [None if d is None else ((d[0] + 1) * k - 1, d[1])
+                for d in res.diverged]
+    return ReplicaResult(final_w, final_ag, t, diverged)
 
 
 def mb_sgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
@@ -368,26 +407,11 @@ def mb_sgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     Implemented in the averaged-candidate form: the next iterate is the mean
     over batch members j of ``w - eta * g_j``.  This is algebraically the
     plain batch step ``w - eta * mean_j(g_j)`` but matches the federated
-    implementation bit for bit at K = 1 on shared streams.
+    implementation bit for bit at K = 1 on shared streams.  A one-replica
+    ``_run_minibatch``; the callback gets the (1, dim) iterate and no w_ag.
     """
-    _validate_run_args(m, t, k)
-    if t % k != 0:
-        raise ValueError(f"K must divide T, got T={t} K={k}")
-    if not (eta > 0):
-        raise ValueError(f"eta must be positive, got {eta}")
-    rounds = t // k
-    batch = m * k
-    bundle = StreamBundle(seed, obj.stream_workers(batch))
-    w = _start_row(obj, w0)
-
-    for r in range(rounds):
-        _observe(callback, r * k, w[None, :], None)
-        g = obj.stoch_grad_multi(w, bundle)
-        w = worker_mean(w[None, :] - eta * g)
-        if not np.isfinite(w).all():
-            raise DivergenceError((r + 1) * k - 1, 0)
-    _observe(callback, t, w[None, :], None)
-    return RunResult(w, w, t)
+    return _single(_run_minibatch(obj, m, t, k, [eta], [seed], w0,
+                                 _plain_callback(callback)))
 
 
 def mb_acsgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
@@ -398,24 +422,11 @@ def mb_acsgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     Literally the single-worker, per-step-synchronized accelerated driver on
     a batch-averaging oracle, with the vanilla schedule gamma = sqrt(eta/mu)
     (no synchronization-interval correction -- the chain has no local steps).
+    A one-replica ``_run_minibatch``.
     """
-    _validate_run_args(m, t, k)
-    if t % k != 0:
-        raise ValueError(f"K must divide T, got T={t} K={k}")
-    if mu is None:
-        mu = obj.mu_est
-    if not (mu > 0):
-        raise ValueError("accelerated baseline needs a positive strong-convexity estimate")
-    hyper = schedule_vanilla(eta, mu)
-    batched = BatchedOracle(obj, m * k)
-    inner_cb: Optional[Callback] = None
-    if callback is not None:
-        inner_cb = lambda step, w, w_ag: callback(step * k, w, w_ag)
-    try:
-        result = fedac_run(batched, 1, t // k, 1, hyper, seed, w0, inner_cb)
-    except DivergenceError as exc:
-        raise DivergenceError((exc.step + 1) * k - 1, exc.worker) from None
-    return RunResult(result.final_avg_w, result.final_avg_w_ag, t)
+    hyper = schedule_vanilla(eta, obj.mu_est if mu is None else mu)
+    return _single(_run_minibatch(obj, m, t, k, [hyper], [seed], w0,
+                                 _plain_callback(callback)))
 
 
 class AgdStep:

@@ -218,7 +218,8 @@ class NormBoundReport:
 
     @property
     def violations(self) -> List[NormBoundRow]:
-        return [r for r in self.rows if r.max_norm > r.bound + self.tolerance]
+        return [r for r in self.rows
+                if not r.max_norm <= r.bound + self.tolerance]
 
     @property
     def worst_margin(self) -> float:
@@ -349,9 +350,6 @@ class PiecewiseCurvature1D(Objective):
         if len(self._a) and bool(((self._a <= x) & (x <= self._b)).any()):
             return self.big_l
         return self.base_mu
-
-    def stoch_grad(self, w, stream):
-        return self.grad(w)
 
     def stoch_grad_multi(self, W, bundle):
         W = np.atleast_2d(np.asarray(W, dtype=np.float64))

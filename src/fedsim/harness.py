@@ -5,14 +5,16 @@ cell (algorithm, M, K, eta, seed) it runs the corresponding driver with an
 evaluation callback that measures F(eval point) - F* on a fixed step cadence,
 then tunes eta per (algorithm, M, K) by the best suboptimality attained over
 evaluations, taking the median across seeds.  The cells of one (algorithm,
-M, K) group run together: the federated algorithms step all their (eta,
-seed) replicas as one array program (``algorithms.run_replicas``), with
-every cell's bits the same as a run of its own.  A deterministic full-gradient
-accelerated descent precomputes F* once per (dataset, regularization) pair
-and caches it beside the outputs.
+M, K) group run together through the one step kernel
+(``algorithms.run_replicas``, onto which ``algorithms._run_minibatch`` maps
+the minibatch baselines), as many (eta, seed) replicas per call as fit under
+``ROW_BUDGET`` state rows, with every cell's bits the same as a run of its
+own.  A deterministic full-gradient accelerated descent precomputes F* once
+per (dataset, regularization) pair and caches it beside the outputs.
 
 Evaluation points: accelerated methods report the worker average of the
-``w_ag`` family, FedAvg and minibatch SGD the worker average of ``w``.
+``w_ag`` family, FedAvg the worker average of ``w`` and minibatch SGD its
+one synchronized ``w``.
 FedAvg additionally reports its decay-weighted running average at the final
 step; that value competes during tuning but is not an extra CSV record, so
 every algorithm emits exactly T/eval_every + 1 records per cell.
@@ -34,9 +36,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import (AgdStep, DivergenceError, ScheduleError, mb_acsgd_run,
-                         mb_sgd_run, replica_mean, run_replicas,
-                         schedule_fedac1, schedule_fedac2, schedule_vanilla)
+from .algorithms import (AgdStep, ScheduleError, _run_minibatch, replica_mean,
+                         run_replicas, schedule_fedac1, schedule_fedac2,
+                         schedule_vanilla)
 from .dataio import Dataset, load_dataset
 from .objectives import Logistic, Objective
 from .rng import RngStream
@@ -44,6 +46,10 @@ from .rng import RngStream
 ALGORITHMS = ("fedac1", "fedac2", "fedac_vanilla", "fedavg", "mb_sgd", "mb_acsgd")
 _ACCELERATED = {"fedac1", "fedac2", "fedac_vanilla", "mb_acsgd"}
 _MINIBATCH = {"mb_sgd", "mb_acsgd"}
+
+# state rows per kernel call (M per replica, M*K for the minibatch chains);
+# far more rows in flight ran slower than one replica at a time
+ROW_BUDGET = 1024
 
 # 13-point learning-rate grid used for tuning unless overridden
 DEFAULT_ETA_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
@@ -361,10 +367,10 @@ class SweepRow(NamedTuple):
 
 
 def _step_rule(algorithm: str, eta: float, mu: float, k: int):
-    """What ``run_replicas`` steps a cell with: the schedule's ``Hyper`` for
-    the accelerated algorithms, eta itself for the others.  Raises
-    ScheduleError or ValueError when the schedule is infeasible; that is all
-    the minibatch baselines, which run their own drivers, use it for."""
+    """What the kernel steps a cell with: the schedule's ``Hyper`` for the
+    accelerated algorithms (``mb_acsgd`` included), eta itself for the
+    others.  Raises ScheduleError or ValueError when the schedule is
+    infeasible."""
     if algorithm == "fedac1":
         return schedule_fedac1(eta, mu, k)
     if algorithm == "fedac2":
@@ -380,9 +386,10 @@ def run_group(obj: Objective, algorithm: str, m: int, k: int,
     """Run the (eta, seed) replicas of one (algorithm, M, K) group with the
     standard evaluation callback; one CellResult per replica, in order.
 
-    The federated algorithms run every replica at once through
-    ``run_replicas``; the minibatch baselines, whose steps already gather
-    M*K rows each, run one replica at a time.  Divergence (non-finite
+    Every algorithm runs its replicas in chunks through the one step kernel:
+    ``run_replicas`` for the federated algorithms, ``_run_minibatch`` for the
+    minibatch baselines, each call holding as many replicas as fit under
+    ``ROW_BUDGET`` state rows, and at least one.  Divergence (non-finite
     iterates) and schedule infeasibility at large eta both yield +inf
     suboptimality from the failure point on, so tuning naturally discards
     them.  Evaluation never consumes random draws.  Floating-point warnings
@@ -425,20 +432,14 @@ def run_group(obj: Objective, algorithm: str, m: int, k: int,
                 runnable.append(cell)
             except (ScheduleError, ValueError):
                 diverge(cell)
-        if algorithm in _MINIBATCH:
-            driver = mb_sgd_run if algorithm == "mb_sgd" else mb_acsgd_run
-            for cell in runnable:
-                observe = observer([cell])
-                try:
-                    driver(obj, m, t, k, cell.eta, cell.seed,
-                           callback=lambda step, w, w_ag, f=observe:
-                           f(step, (0,), w, w_ag))
-                except DivergenceError:
-                    diverge(cell)
-        elif runnable:
-            result = run_replicas(obj, m, t, k, rules, [c.seed for c in runnable],
-                                  callback=observer(runnable), mu=mu)
-            for i, cell in enumerate(runnable):
+        minibatch = algorithm in _MINIBATCH
+        run = _run_minibatch if minibatch else run_replicas
+        per_call = max(1, ROW_BUDGET // (m * k if minibatch else m))
+        for start in range(0, len(runnable), per_call):
+            chunk = runnable[start:start + per_call]
+            result = run(obj, m, t, k, rules[start:start + per_call],
+                         [c.seed for c in chunk], callback=observer(chunk))
+            for i, cell in enumerate(chunk):
                 if result.diverged[i] is not None:
                     diverge(cell)
                 elif result.rho_avg_w is not None:

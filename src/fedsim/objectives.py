@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataio import row_norms_sq
-from .rng import RngStream, StreamBundle
+from .rng import StreamBundle
 
 
 class GradSample(NamedTuple):
@@ -42,18 +42,8 @@ def _log1p_exp(t: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
 
 
-def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-row inner products with a pinned reduction order.
-
-    ``rows`` is (B, dim); ``w`` is (dim,) or (B, dim).  Using multiply+sum
-    (pairwise reduction over the last axis) rather than BLAS keeps the result
-    bit-identical between the single-point and batched code paths.
-    """
-    return (rows * w).sum(axis=-1)
-
-
 class Objective:
-    """Base class; subclasses fill in eval/grad/stoch_grad.
+    """Base class; subclasses fill in eval/grad/stoch_grad_multi.
 
     Attributes
     ----------
@@ -89,15 +79,13 @@ class Objective:
         """Value and gradient in one call (subclasses may share work)."""
         return GradSample(self.eval(w), self.grad(w))
 
-    def stoch_grad(self, w: np.ndarray, stream: RngStream) -> np.ndarray:
-        raise NotImplementedError
-
     def stoch_grad_multi(self, W: np.ndarray, bundle: StreamBundle) -> np.ndarray:
         """Stochastic gradients for several workers at once.
 
         ``W`` is (B, dim) with one row per bundle stream, or (dim,) for a
-        shared query point.  Row m of the result is bit-identical to
-        ``stoch_grad`` on the corresponding single stream.
+        shared query point.  Row m of the result depends only on row m of
+        ``W`` and on stream m, bit for bit: it equals the first row of the
+        same call on a bundle holding that stream alone.
         """
         raise NotImplementedError
 
@@ -149,12 +137,6 @@ class Quadratic(Objective):
     def grad(self, w):
         w = self._check_point(w)
         return self.spectrum * (w - self.shift)
-
-    def stoch_grad(self, w, stream):
-        g = self.grad(w)
-        if self.sigma == 0.0:
-            return g
-        return g + self._noise_scale * stream.gaussians(self.dim)
 
     def stoch_grad_multi(self, W, bundle):
         W = self._check_point(W)
@@ -229,20 +211,13 @@ class Logistic(Objective):
             return self._dense[idx]
         return np.asarray(self.X[idx].todense())
 
-    def stoch_grad(self, w, stream):
-        w = self._check_point(w)
-        i = int(stream.indices(self.n, 1)[0])
-        row = self._rows(np.array([i]))[0]
-        z = self.labels[i] * _row_dots(row[None, :], w)[0]
-        coef = -self.labels[i] * expit(-z)
-        return coef * row + self.lam * w
-
     def stoch_grad_multi(self, W, bundle):
         W = self._check_point(W)
         idx = bundle.indices(self.n, 1)[:, 0]
         rows = self._rows(idx)
         y = self.labels[idx]
-        z = y * _row_dots(rows, W)
+        # multiply + pairwise sum, not BLAS: a row's bits do not depend on B
+        z = y * (rows * W).sum(axis=-1)
         coefs = -y * expit(-z)
         return coefs[:, None] * rows + self.lam * W
 
@@ -283,10 +258,6 @@ class Augmented(Objective):
             inner.grad + self.lam * d,
         )
 
-    def stoch_grad(self, w, stream):
-        w = self._check_point(w)
-        return self.inner.stoch_grad(w, stream) + self.lam * (w - self.w0)
-
     def stoch_grad_multi(self, W, bundle):
         W = self._check_point(W)
         return self.inner.stoch_grad_multi(W, bundle) + self.lam * (W - self.w0)
@@ -326,7 +297,7 @@ class BatchedOracle(Objective):
         return np.arange(m * self.batch, dtype=np.int64)
 
     def stoch_grad_multi(self, W, bundle):
-        W = self.inner._check_point(W)
+        W = np.asarray(W, dtype=np.float64)
         if W.ndim == 1:
             W = W[None, :]
         m = W.shape[0]

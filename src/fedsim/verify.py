@@ -27,7 +27,8 @@ import numpy as np
 from .algorithms import (AgdStep, fedac_run, fedavg_run, mb_acsgd_run,
                          mb_sgd_run, schedule_fedac1, schedule_vanilla,
                          worker_mean)
-from .diagnostics import (PiecewiseCurvature1D, construct_instability_objective,
+from .diagnostics import (InstabilityResult, PiecewiseCurvature1D,
+                          construct_instability_objective,
                           instability_experiment, norm_bound_sweep,
                           potential_psi, sample_admissible)
 from .harness import (ExperimentConfig, build_objective, compute_optimum,
@@ -147,7 +148,7 @@ def check_potential_contraction(trials: int = 50, steps: int = 100,
             for prev, cur in zip(psis, psis[1:]):
                 excess = cur - rate * prev * (1.0 + 1e-9)
                 worst_excess = max(worst_excess, excess)
-                if excess > 0:
+                if not excess <= 0:
                     bad += 1
         detail = (f"{trials} quadratics x {steps} steps, {bad} violations, "
                   f"worst excess {worst_excess:.3e}")
@@ -155,19 +156,23 @@ def check_potential_contraction(trials: int = 50, steps: int = 100,
     return _timed(run, "potential-contraction")
 
 
+def instability_run(k: int, kappa: float = 25.0) -> Tuple[float, InstabilityResult]:
+    """The instability experiment with K stages at condition number kappa
+    (mu = 1), and the offset eps its two trajectories start apart."""
+    objective, w0, w0_ag, delta = construct_instability_objective(kappa, 1.0, k)
+    # 1e-9 at the problem scale, shrunk when the curvature clearance cannot
+    # absorb the amplified gap
+    amp = (2.0 * AgdStep(kappa, 1.0).c_shrink ** 3) ** k
+    eps = min(1e-9, 0.25 * delta / amp)
+    return eps, instability_experiment(objective, w0, w0_ag, kappa, 1.0, eps, k)
+
+
 def check_instability(ks: Tuple[int, ...] = (1, 2, 4, 8),
                       kappa: float = 25.0) -> CheckResult:
     def run():
         details = []
         for k in ks:
-            objective, w0, w0_ag, delta = construct_instability_objective(
-                kappa, 1.0, k)
-            # 1e-9 at the problem scale, shrunk when the curvature clearance
-            # cannot absorb the amplified gap
-            amp = (2.0 * AgdStep(kappa, 1.0).c_shrink ** 3) ** k
-            eps = min(1e-9, 0.25 * delta / amp)
-            result = instability_experiment(objective, w0, w0_ag, kappa, 1.0,
-                                            eps, k)
+            eps, result = instability_run(k, kappa)
             verdict = result.verdict(eps)
             details.append(
                 f"K={k}: ratio err {verdict.ratio_error:.1e}, map err "
@@ -218,7 +223,7 @@ def check_gradients(points: int = 20, seed: int = 99) -> CheckResult:
                 rel = float(np.linalg.norm(_fd_gradient(obj, w) - obj.grad(w))
                             / max(np.linalg.norm(obj.grad(w)), 1e-12))
                 worst = max(worst, rel)
-                if rel > 1e-6:
+                if not rel <= 1e-6:
                     return False, f"{name}: relative error {rel:.2e} > 1e-6"
                 accepted += 1
         return True, (f"{len(kinds)} objective kinds x {points} points, "

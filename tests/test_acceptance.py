@@ -19,7 +19,6 @@ features, ~14 per row, noisy labels) and the identical protocol.
 """
 
 import contextlib
-import math
 import os
 import statistics
 from pathlib import Path
@@ -31,17 +30,14 @@ import pytest
 from fedsim.algorithms import (fedac_run, fedavg_run, mb_acsgd_run, mb_sgd_run,
                                schedule_fedac1, schedule_vanilla, worker_mean)
 from fedsim.dataio import dataset_stats, load_dataset
-from fedsim.diagnostics import (PiecewiseCurvature1D,
-                                construct_instability_objective,
-                                instability_experiment, norm_bound_fedac1,
-                                norm_bound_fedac2, potential_psi,
-                                sample_admissible, transfer_matrix_fedac1,
-                                transfer_matrix_fedac2, transformed_norm)
+from fedsim.diagnostics import norm_bound_sweep, sample_admissible
 from fedsim.harness import (DEFAULT_ETA_GRID, ExperimentConfig, compute_optimum,
                             make_synthetic_logistic, tune_and_sweep,
                             write_records_csv, write_sweep_csv)
-from fedsim.objectives import Augmented, BatchedOracle, Logistic, Quadratic
-from fedsim.rng import RngStream
+from fedsim.objectives import BatchedOracle, Logistic, Quadratic
+from fedsim.verify import (check_gradients, check_instability,
+                           check_norm_bounds, check_potential_contraction,
+                           instability_run)
 
 
 @contextlib.contextmanager
@@ -109,124 +105,37 @@ def test_acceptance_1_equivalences():
 
 
 # ---------------------------------------------------------------------------
-# 2. norm bounds
+# 2-5. the verify battery at the acceptance parameters
 
 
-def norm_bound_margins(samples=1000, n_h=21, seed=1234):
-    """Worst (bound - norm) margin per schedule over random admissible draws."""
-    margins = {"fedac1": math.inf, "fedac2": math.inf}
-    for mu, big_l, gamma, eta in sample_admissible(seed, samples):
-        hs = np.linspace(mu, big_l, n_h)
-        for name, matrix_fn, bound_fn in (
-                ("fedac1", transfer_matrix_fedac1, norm_bound_fedac1),
-                ("fedac2", transfer_matrix_fedac2, norm_bound_fedac2)):
-            bound = bound_fn(mu, gamma, eta)
-            for h in hs:
-                norm = transformed_norm(matrix_fn(mu, gamma, eta, float(h)),
-                                        gamma, eta)
-                margins[name] = min(margins[name], bound - norm)
-    return margins
+def passes(result):
+    assert result.passed, f"{result.name}: {result.detail}"
 
 
 def test_acceptance_2_norm_bounds():
     with criterion(2):
-        margins = norm_bound_margins()
-        for name, margin in margins.items():
-            assert margin >= -1e-9, f"{name}: worst margin {margin:.3e}"
-
-
-# ---------------------------------------------------------------------------
-# 3. potential contraction
+        # every transformed norm within 1e-9 of its closed-form bound
+        passes(check_norm_bounds(samples=1000, n_h=21, seed=1234))
 
 
 def test_acceptance_3_potential_contraction():
     with criterion(3):
-        stream = RngStream(4242, 0)
-        for _ in range(50):
-            dim = 2 + int(stream.indices(9, 1)[0])
-            u = stream.uniforms(2)
-            mu = 0.05 + u[0]
-            # kappa >= 20 keeps the potential above the float measurement
-            # floor of the w - shift cancellation through all 100 steps
-            kappa = 20.0 + 30.0 * u[1]
-            shift = stream.gaussians(dim)
-            obj = Quadratic(np.linspace(mu, mu * kappa, dim), shift=shift,
-                            sigma=0.0)
-            eta = 1.0 / obj.l_est
-            hyper = schedule_fedac1(eta, mu, 1)
-            rate = 1.0 - hyper.gamma * mu
-            psis = []
-
-            def track(step, w, w_ag):
-                psis.append(potential_psi(w, w_ag, obj, mu, shift, 0.0))
-
-            w0 = shift + stream.gaussians(dim)
-            fedac_run(obj, 4, 100, 1, hyper, seed=3, w0=w0, callback=track)
-            for prev, cur in zip(psis, psis[1:]):
-                assert cur <= rate * prev * (1.0 + 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# 4. instability
-
-
-def run_instability(k, kappa=25.0):
-    objective, w0, w0_ag, delta = construct_instability_objective(kappa, 1.0, k)
-    amp = (2.0 * (1.0 - 1.0 / math.sqrt(kappa)) ** 3) ** k
-    # 1e-9 at the problem scale, shrunk when the curvature clearance
-    # cannot absorb the amplified gap
-    eps = min(1e-9, 0.25 * delta / amp)
-    return eps, instability_experiment(objective, w0, w0_ag, kappa, 1.0,
-                                       eps, k)
+        # psi contracts by 1 - gamma mu per step on 50 random quadratics
+        passes(check_potential_contraction(trials=50, steps=100, seed=4242))
 
 
 def test_acceptance_4_instability():
     with criterion(4):
-        for k in (1, 2, 4, 8):
-            eps, result = run_instability(k)
-            assert np.abs(result.ratios - 1.024).max() <= 1e-3
-            assert result.final_gap_w >= 0.5 * eps * 1.02 ** k
-            assert result.max_map_error <= 1e-8
-
-
-# ---------------------------------------------------------------------------
-# 5. gradient correctness
-
-
-def finite_difference_gradient(obj, w, h=1e-6):
-    g = np.empty_like(w)
-    for i in range(len(w)):
-        e = np.zeros_like(w)
-        e[i] = h
-        g[i] = (obj.eval(w + e) - obj.eval(w - e)) / (2.0 * h)
-    return g
+        # ratios within 1e-3 of 1.024, map error <= 1e-8, and the final gap
+        # at least 0.5 eps 1.02**K
+        passes(check_instability(ks=(1, 2, 4, 8), kappa=25.0))
 
 
 def test_acceptance_5_gradients():
     with criterion(5):
-        stream = RngStream(909, 0)
-        logistic = Logistic(make_synthetic_logistic(80, 10, seed=31, nnz=4),
-                            lam=0.07)
-        kinds = [
-            Quadratic(np.linspace(0.5, 4.0, 7), shift=np.linspace(-1, 1, 7),
-                      sigma=0.0),
-            logistic,
-            Augmented(logistic, lam=0.25, w0=np.full(10, 0.3)),
-            PiecewiseCurvature1D(1.0, 30.0, [(0.4, 0.06), (-0.9, 0.12)]),
-        ]
-        for obj in kinds:
-            accepted = 0
-            while accepted < 20:
-                w = stream.gaussians(obj.dim)
-                if isinstance(obj, PiecewiseCurvature1D):
-                    # keep the difference stencil inside one curvature region
-                    if obj.curvature(w - 1e-6) != obj.curvature(w + 1e-6):
-                        continue
-                grad = obj.grad(w)
-                rel = (np.linalg.norm(finite_difference_gradient(obj, w) - grad)
-                       / max(np.linalg.norm(grad), 1e-12))
-                assert rel <= 1e-6, type(obj).__name__
-                accepted += 1
+        # relative error of the central difference at most 1e-6 on a
+        # quadratic, logistic, augmented and piecewise objective
+        passes(check_gradients(points=20, seed=909))
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +250,12 @@ def test_acceptance_8_thread_and_repeat_determinism(speedup, tmp_path):
 
         # the remaining criteria are single-threaded computations: repeat
         # representative ones and require exact equality
-        assert norm_bound_margins(samples=50, seed=77) == \
-            norm_bound_margins(samples=50, seed=77)
-        _, first = run_instability(4)
-        _, second = run_instability(4)
+        def norm_rows():
+            return [norm_bound_sweep(mu, big_l, [(gamma, eta)]).rows
+                    for mu, big_l, gamma, eta in sample_admissible(77, 50)]
+        assert norm_rows() == norm_rows()
+        _, first = instability_run(4)
+        _, second = instability_run(4)
         assert np.array_equal(first.ratios, second.ratios)
         assert first.final_gap_w == second.final_gap_w
         assert np.array_equal(first.block_gaps, second.block_gaps)

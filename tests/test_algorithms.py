@@ -16,13 +16,15 @@ from fedsim.algorithms import (
     mb_acsgd_run,
     mb_sgd_run,
     replica_mean,
+    _run_minibatch,
     run_replicas,
     schedule_fedac1,
     schedule_fedac2,
     schedule_vanilla,
     worker_mean,
 )
-from fedsim.objectives import BatchedOracle, Quadratic
+from fedsim.harness import make_synthetic_logistic
+from fedsim.objectives import BatchedOracle, Logistic, Quadratic
 from fedsim.rng import StreamBundle
 
 
@@ -579,6 +581,130 @@ def test_mb_acsgd_requires_positive_mu():
     obj = Quadratic([1.0], mu_est=0.0)
     with pytest.raises(ValueError):
         mb_acsgd_run(obj, m=1, t=4, k=1, eta=0.1, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the minibatch wrappers against the per-cell chains they replaced
+
+
+def reference_mb_sgd(obj, m, t, k, eta, seed, w0, callback):
+    """Minibatch SGD as its own loop: one (dim,) iterate and T/K steps, each
+    the mean over the M*K streams of ``w - eta * g_j``."""
+    bundle = StreamBundle(seed, obj.stream_workers(m * k))
+    w = np.asarray(w0, dtype=np.float64).copy()
+    for r in range(t // k):
+        callback(r * k, w[None, :], None)
+        g = obj.stoch_grad_multi(w, bundle)
+        w = worker_mean(w[None, :] - eta * g)
+        if not np.isfinite(w).all():
+            raise DivergenceError((r + 1) * k - 1, 0)
+    callback(t, w[None, :], None)
+    return RunResult(w, w, t)
+
+
+def reference_mb_acsgd(obj, m, t, k, eta, seed, w0, callback):
+    """Accelerated minibatch SGD as ``fedac_run`` on a batched oracle, its
+    chain steps rescaled to parallel steps."""
+    hyper = schedule_vanilla(eta, obj.mu_est)
+    try:
+        res = fedac_run(BatchedOracle(obj, m * k), 1, t // k, 1, hyper, seed, w0,
+                        lambda step, w, w_ag: callback(step * k, w, w_ag))
+    except DivergenceError as exc:
+        raise DivergenceError((exc.step + 1) * k - 1, exc.worker) from None
+    return RunResult(res.final_avg_w, res.final_avg_w_ag, t)
+
+
+MINIBATCH = {"mb_sgd": (mb_sgd_run, reference_mb_sgd),
+             "mb_acsgd": (mb_acsgd_run, reference_mb_acsgd)}
+
+
+def small_logistic():
+    return Logistic(make_synthetic_logistic(40, 6, seed=2, nnz=3), lam=0.05)
+
+
+def assert_same_capture(a, b):
+    assert a.ts == b.ts
+    for x, y in zip(a.w + a.w_ag, b.w + b.w_ag):
+        if x is None or y is None:
+            assert x is None and y is None
+        else:
+            np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("algorithm", sorted(MINIBATCH))
+@pytest.mark.parametrize("objective", ["quadratic", "logistic"])
+@pytest.mark.parametrize("m,k", [(1, 1), (3, 1), (2, 4), (3, 4)])
+def test_minibatch_wrapper_matches_per_cell_chain(algorithm, objective, m, k):
+    """Every callback state and the final averages, bit for bit; M*K = 3 or
+    12 rows do not average back to their common value exactly."""
+    if objective == "quadratic":
+        obj = Quadratic([1.0, 2.0], shift=[0.3, -0.6], sigma=1.0)
+    else:
+        obj = small_logistic()
+    driver, reference = MINIBATCH[algorithm]
+    w0 = np.linspace(-1.0, 1.0, obj.dim)
+    got, want = Capture(), Capture()
+    res = driver(obj, m, 24, k, 0.2, 5, w0=w0, callback=got)
+    ref = reference(obj, m, 24, k, 0.2, 5, w0, want)
+    assert got.ts == list(range(0, 25, k))
+    assert all(w.shape == (1, obj.dim) for w in got.w)
+    assert_same_capture(got, want)
+    np.testing.assert_array_equal(res.final_avg_w, ref.final_avg_w)
+    np.testing.assert_array_equal(res.final_avg_w_ag, ref.final_avg_w_ag)
+    assert res.gradient_calls == ref.gradient_calls == 24
+
+
+@pytest.mark.parametrize("algorithm", sorted(MINIBATCH))
+@pytest.mark.parametrize("m,k", [(1, 1), (3, 1), (2, 4)])
+def test_minibatch_wrapper_diverges_like_per_cell_chain(algorithm, m, k):
+    obj, eta = (Quadratic([1.0]), 1e300) if algorithm == "mb_sgd" \
+        else (Quadratic([1e-3, 1e3]), 1e3)
+    w0 = np.ones(obj.dim)
+    got, want = Capture(), Capture()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as mine:
+            MINIBATCH[algorithm][0](obj, m, 400, k, eta, 0, w0=w0, callback=got)
+        with pytest.raises(DivergenceError) as theirs:
+            MINIBATCH[algorithm][1](obj, m, 400, k, eta, 0, w0, want)
+    assert (mine.value.step, mine.value.worker) == \
+        (theirs.value.step, theirs.value.worker)
+    assert mine.value.step > k - 1
+    assert_same_capture(got, want)
+
+
+@pytest.mark.parametrize("algorithm", sorted(MINIBATCH))
+def test_run_minibatch_replicas_match_single_runs(algorithm):
+    """Replicas of either chain, side by side with one diverging, give each
+    replica's single-run callback states, finals and divergence report."""
+    m, k = 3, 4
+    if algorithm == "mb_sgd":
+        obj, t, etas = Quadratic([1.0, 2.0], shift=[0.3, -0.6], sigma=1.0), \
+            16, [0.05, 1e300, 0.2]
+        steps = etas
+    else:
+        obj, t, etas = Quadratic([1e-3, 1e3], shift=[0.3, -0.6], sigma=1.0), \
+            400, [1e-4, 1e3, 5e-4]
+        steps = [schedule_vanilla(e, obj.mu_est) for e in etas]
+    seeds = [1, 1, 2]
+    driver = MINIBATCH[algorithm][0]
+    cap = ReplicaCapture()
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _run_minibatch(obj, m, t, k, steps, seeds, callback=cap)
+        with pytest.raises(DivergenceError) as ei:
+            driver(obj, m, t, k, etas[1], seeds[1])
+    assert res.gradient_calls == t
+    assert res.rho_avg_w is None
+    assert res.diverged == [None, (ei.value.step, ei.value.worker), None]
+    assert np.isnan(res.final_avg_w[1]).all()
+    for r in (0, 2):
+        single = Capture()
+        one = driver(obj, m, t, k, etas[r], seeds[r], callback=single)
+        np.testing.assert_array_equal(res.final_avg_w[r], one.final_avg_w)
+        np.testing.assert_array_equal(res.final_avg_w_ag[r], one.final_avg_w_ag)
+        rows = [(step, W[list(live).index(r)]) for step, live, W, _ in cap.calls]
+        assert [step for step, _ in rows] == single.ts
+        for (_, row), w in zip(rows, single.w):
+            np.testing.assert_array_equal(row, w[0])
 
 
 # ---------------------------------------------------------------------------

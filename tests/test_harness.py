@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from fedsim.algorithms import agd_run
+import fedsim.harness as harness
+from fedsim.algorithms import agd_run, mb_sgd_run
 from fedsim.dataio import parse_libsvm
 from fedsim.harness import (
     ALGORITHMS,
@@ -313,6 +314,19 @@ def test_run_cell_fedavg_matches_mb_sgd_at_k1():
     assert a.records == b.records
 
 
+def test_run_cell_minibatch_sgd_reports_the_synced_iterate():
+    """mb_sgd's records are F at the chain's one iterate, as the driver
+    reports it, not the mean of the M*K equal rows."""
+    obj = Quadratic([1.0, 2.0], shift=[0.3, -0.6], sigma=1.0)
+    states = []
+    mb_sgd_run(obj, 3, 16, 2, 0.1, 4,
+               callback=lambda t, w, w_ag: states.append((t, w[0].copy())))
+    cell = run_cell(obj, "mb_sgd", m=3, k=2, eta=0.1, t=16, seed=4,
+                    eval_every=4, f_star=0.0)
+    assert cell.records == [EvalRecord(t, obj.eval(w), "avg_w")
+                            for t, w in states if t % 4 == 0]
+
+
 def test_run_cell_divergence_pads_with_inf():
     obj = Quadratic([1.0], shift=[1.0], sigma=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -432,24 +446,22 @@ def artifact_bytes(cells, rows, tmp_path, tag):
             + (tmp_path / f"sweep_{tag}.csv").read_bytes())
 
 
-def test_grouped_sweep_equals_per_cell_runs(tmp_path):
+def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
+    """The grouped sweep writes the bytes of per-cell runs at the default
+    row budget, where each group is one kernel call, and at 5 rows, where
+    groups split into chunks, down to one replica per call."""
+    calls = []
+    for name in ("run_replicas", "_run_minibatch"):
+        def counted(*args, run=getattr(harness, name), name=name, **kwargs):
+            calls.append((name, args[1], args[3], len(args[5])))
+            return run(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
     cfg, obj = diverging_grid()
     with np.errstate(over="ignore", invalid="ignore"):
-        cells, rows = tune_and_sweep(cfg, obj, f_star=0.0)
         singles = [run_cell(obj, alg, m, k, eta, cfg.t, seed, cfg.eval_every, 0.0)
                    for alg in cfg.algorithms for m in cfg.m_list
                    for k in cfg.k_list for eta in sorted(cfg.etas)
                    for seed in cfg.seeds]
-    # the grid exercises every path: mid-run divergence, infeasible
-    # schedules, FedAvg's decay-weighted average and clean runs
-    finite = [sum(r.suboptimality < math.inf for r in c.records) for c in cells]
-    assert any(c.diverged and 0 < n < len(c.records)
-               for c, n in zip(cells, finite) if c.algorithm == "fedac1")
-    assert any(c.diverged and n == 0 for c, n in zip(cells, finite)
-               if c.algorithm == "fedac2")
-    assert any(c.rho_suboptimality is not None for c in cells)
-    assert not all(c.diverged for c in cells)
-
     expected_rows = []
     per_group = len(cfg.etas) * len(cfg.seeds)
     for g in range(0, len(singles), per_group):
@@ -462,10 +474,38 @@ def test_grouped_sweep_equals_per_cell_runs(tmp_path):
                 best_eta, best_med = eta, med
         expected_rows.append(SweepRow(group[0].algorithm, group[0].m, group[0].k,
                                       best_eta, best_med))
-    assert artifact_bytes(cells, rows, tmp_path, "grouped") == \
-        artifact_bytes(singles, expected_rows, tmp_path, "single")
-    assert [(c.diverged, c.rho_suboptimality) for c in cells] == \
-        [(c.diverged, c.rho_suboptimality) for c in singles]
+
+    for budget in (harness.ROW_BUDGET, 5):
+        monkeypatch.setattr(harness, "ROW_BUDGET", budget)
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells, rows = tune_and_sweep(cfg, obj, f_star=0.0)
+        for name, m, k, n in calls:
+            state_rows = m * k if name == "_run_minibatch" else m
+            assert n == 1 or n * state_rows <= budget
+        if budget == 5:
+            # mb_sgd at M=K=1 splits its 8 replicas 5 + 3; at 4 or 12 rows
+            # per replica each call holds one
+            assert {("_run_minibatch", 1, 1, 5), ("_run_minibatch", 1, 1, 3),
+                    ("_run_minibatch", 1, 4, 1), ("_run_minibatch", 3, 4, 1)} \
+                <= set(calls)
+        else:
+            assert len(calls) == len(rows)
+        # the grid exercises every path: mid-run divergence, infeasible
+        # schedules, FedAvg's decay-weighted average and clean runs
+        finite = [sum(r.suboptimality < math.inf for r in c.records)
+                  for c in cells]
+        for alg in ("fedac1", "mb_sgd", "mb_acsgd"):
+            assert any(c.diverged and 0 < n < len(c.records)
+                       for c, n in zip(cells, finite) if c.algorithm == alg)
+        assert any(c.diverged and n == 0 for c, n in zip(cells, finite)
+                   if c.algorithm == "fedac2")
+        assert any(c.rho_suboptimality is not None for c in cells)
+        assert not all(c.diverged for c in cells)
+        assert artifact_bytes(cells, rows, tmp_path, "grouped") == \
+            artifact_bytes(singles, expected_rows, tmp_path, "single")
+        assert [(c.diverged, c.rho_suboptimality) for c in cells] == \
+            [(c.diverged, c.rho_suboptimality) for c in singles]
 
 
 @pytest.mark.parametrize("objective", ["quadratic", "logistic"])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fedsim.dataio import parse_libsvm
 from fedsim.objectives import (
@@ -16,6 +17,29 @@ from fedsim.rng import RngStream, StreamBundle
 
 def make_logistic(text, lam):
     return Logistic(parse_libsvm(text), lam)
+
+
+def reference_stoch_grad(obj, w, stream):
+    """The single-stream oracle, written out one point and one draw at a
+    time: the reference that every row of ``stoch_grad_multi`` must match."""
+    w = np.asarray(w, dtype=np.float64)
+    if isinstance(obj, Augmented):
+        return reference_stoch_grad(obj.inner, w, stream) + obj.lam * (w - obj.w0)
+    if isinstance(obj, Logistic):
+        i = int(stream.indices(obj.n, 1)[0])
+        row = np.asarray(obj.X[i].todense()).ravel()
+        z = obj.labels[i] * (row * w).sum()
+        return -obj.labels[i] * expit(-z) * row + obj.lam * w
+    g = obj.grad(w)
+    if obj.sigma == 0.0:
+        return g
+    return g + obj.sigma / np.sqrt(obj.dim) * stream.gaussians(obj.dim)
+
+
+def one_stream_grad(obj, w, bundle):
+    """``stoch_grad_multi`` at one point on a bundle of one stream."""
+    return obj.stoch_grad_multi(np.asarray(w, dtype=np.float64)[None, :],
+                                bundle)[0]
 
 
 class ZeroObjective(Quadratic):
@@ -87,13 +111,13 @@ def test_non_finite_input_raises():
 
 
 # ---------------------------------------------------------------------------
-# stoch_grad
+# stochastic oracle, one stream at a time
 
 
 def test_quadratic_zero_noise_is_exact():
     q = Quadratic(spectrum=[2.0], shift=[0.0], sigma=0.0)
-    s = RngStream(0, 0)
-    np.testing.assert_array_equal(q.stoch_grad(np.array([3.0]), s), [6.0])
+    s = StreamBundle(0, [0])
+    np.testing.assert_array_equal(one_stream_grad(q, [3.0], s), [6.0])
     assert s.counter == 0  # noiseless oracle consumes no randomness
 
 
@@ -101,9 +125,9 @@ def test_logistic_single_sample_stoch_equals_grad():
     obj = make_logistic("+1 1:0.4 2:-0.2\n", lam=0.1)
     w = np.array([0.3, -0.7])
     g = obj.grad(w)
-    s = RngStream(5, 0)
+    s = StreamBundle(5, [0])
     for _ in range(4):
-        np.testing.assert_allclose(obj.stoch_grad(w, s), g, atol=1e-15)
+        np.testing.assert_allclose(one_stream_grad(obj, w, s), g, atol=1e-15)
     assert s.counter == 4  # one index slot per call even when n == 1
 
 
@@ -111,9 +135,9 @@ def test_quadratic_noise_unbiased_and_correct_variance():
     sigma = 1.0
     q = Quadratic(spectrum=[2.0], shift=[0.0], sigma=sigma)
     w = np.array([3.0])
-    s = RngStream(314, 0)
+    s = StreamBundle(314, [0])
     n = 100_000
-    draws = np.array([q.stoch_grad(w, s)[0] for _ in range(n)])
+    draws = np.array([one_stream_grad(q, w, s)[0] for _ in range(n)])
     noise = draws - 6.0
     assert abs(draws.mean() - 6.0) <= 3e-2
     second_moment = (noise * noise).mean()
@@ -126,11 +150,11 @@ def test_quadratic_noise_total_variance_multidim():
     dim = 5
     q = Quadratic(spectrum=np.ones(dim), sigma=sigma)
     w = np.zeros(dim)
-    s = RngStream(11, 0)
+    s = StreamBundle(11, [0])
     n = 20_000
     total = 0.0
     for _ in range(n):
-        z = q.stoch_grad(w, s)
+        z = one_stream_grad(q, w, s)
         total += float(z @ z)
     assert abs(total / n - sigma**2) <= 0.05 * sigma**2
 
@@ -139,9 +163,9 @@ def test_stoch_grad_unbiased_five_standard_errors():
     obj = make_logistic("+1 1:1 2:1\n-1 1:1 2:0\n+1 2:1\n", lam=0.05)
     w = np.array([0.2, -0.4])
     g = obj.grad(w)
-    s = RngStream(99, 0)
+    s = StreamBundle(99, [0])
     n = 100_000
-    draws = np.stack([obj.stoch_grad(w, s) for _ in range(n)])
+    draws = np.stack([one_stream_grad(obj, w, s) for _ in range(n)])
     err = draws.mean(axis=0) - g
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(err) <= 5 * np.maximum(se, 1e-12))
@@ -296,7 +320,9 @@ def test_multi_matches_single_streams_quadratic():
     multi = q.stoch_grad_multi(W, bundle)
     for m in range(3):
         s = RngStream(seed=6, worker_id=m)
-        np.testing.assert_array_equal(multi[m], q.stoch_grad(W[m], s))
+        np.testing.assert_array_equal(multi[m], reference_stoch_grad(q, W[m], s))
+        np.testing.assert_array_equal(
+            multi[m], one_stream_grad(q, W[m], StreamBundle(6, [m])))
 
 
 def test_multi_matches_single_streams_logistic():
@@ -306,7 +332,9 @@ def test_multi_matches_single_streams_logistic():
     multi = obj.stoch_grad_multi(W, bundle)
     for m in range(2):
         s = RngStream(seed=21, worker_id=m)
-        np.testing.assert_array_equal(multi[m], obj.stoch_grad(W[m], s))
+        np.testing.assert_array_equal(multi[m], reference_stoch_grad(obj, W[m], s))
+        np.testing.assert_array_equal(
+            multi[m], one_stream_grad(obj, W[m], StreamBundle(21, [m])))
 
 
 def test_multi_shared_point_broadcast():
@@ -329,7 +357,8 @@ def test_batched_oracle_averages_member_gradients():
     g = oracle.stoch_grad_multi(w, bundle)
 
     members = np.stack(
-        [inner.stoch_grad(w, RngStream(seed=13, worker_id=j)) for j in range(batch)]
+        [reference_stoch_grad(inner, w, RngStream(seed=13, worker_id=j))
+         for j in range(batch)]
     )
     np.testing.assert_array_equal(g[0], np.mean(members, axis=0))
 
@@ -348,3 +377,33 @@ def test_batched_oracle_bundle_size_check():
     bundle = StreamBundle(seed=0, worker_ids=[0, 1, 2])
     with pytest.raises(ValueError):
         oracle.stoch_grad_multi(np.zeros((2, 1)), bundle)
+
+
+def test_multi_matches_single_streams_augmented():
+    inner = make_logistic("+1 1:1 2:1\n-1 1:0.5\n+1 2:2\n", lam=0.1)
+    obj = Augmented(inner, 0.3, [0.2, -0.1])
+    W = np.array([[0.1, 0.2], [-0.3, 0.4], [1.0, -1.0]])
+    multi = obj.stoch_grad_multi(W, StreamBundle(seed=4, worker_ids=[0, 1, 2]))
+    for m in range(3):
+        np.testing.assert_array_equal(
+            multi[m], reference_stoch_grad(obj, W[m], RngStream(4, m)))
+        np.testing.assert_array_equal(
+            multi[m], one_stream_grad(obj, W[m], StreamBundle(4, [m])))
+
+
+@pytest.mark.parametrize("inner", ["quadratic", "logistic"])
+def test_batched_oracle_rejects_bad_points_like_its_inner(inner):
+    if inner == "quadratic":
+        obj = Quadratic([1.0, 2.0], sigma=0.5)
+    else:
+        obj = make_logistic("+1 1:1 2:1\n-1 1:0.5\n", lam=0.1)
+    oracle = BatchedOracle(obj, 3)
+    for bad, message in ((np.array([[0.1, np.nan]]), "non-finite"),
+                         (np.array([[0.1, np.inf]]), "non-finite"),
+                         (np.zeros((1, 3)), "dimension 3, objective has 2"),
+                         (np.zeros(3), "dimension 3, objective has 2")):
+        with pytest.raises(ValueError) as direct:
+            obj.stoch_grad_multi(bad, StreamBundle(0, [0]))
+        with pytest.raises(ValueError, match=message) as batched:
+            oracle.stoch_grad_multi(bad, StreamBundle(0, oracle.stream_workers(1)))
+        assert str(batched.value) == str(direct.value)
