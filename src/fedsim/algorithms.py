@@ -12,9 +12,11 @@ All drivers share conventions:
   pairwise summation in fixed index order) -- the canonical reduction order
   that makes results independent of scheduling.  ``replica_mean`` takes the
   same mean for several stacked runs at once, bit for bit.
-* ``callback(t, W, W_ag)`` is invoked with the live state arrays, marked
-  read-only, before step t and once more at t = T; drivers never draw
-  randomness for evaluation, so observation cannot perturb trajectories.
+* ``callback(t, W, W_ag)`` is invoked with read-only views of the state
+  before step t and once more at t = T.  The kernel updates the state in
+  place, so the views are valid only until the callback returns; a callback
+  that keeps a state copies it.  Drivers never draw randomness for
+  evaluation, so observation cannot perturb trajectories.
 * ``run_replicas`` is the one step kernel: it runs any number of
   (hyperparameters, seed) replicas side by side.  ``fedac_run`` and
   ``fedavg_run`` are its one-replica calls; ``_run_minibatch`` maps the
@@ -33,7 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .objectives import BatchedOracle, Objective
+from .objectives import BatchedOracle, Objective, _takes_buffers
 from .rng import StreamBundle
 
 Callback = Callable[[int, np.ndarray, Optional[np.ndarray]], None]
@@ -153,16 +155,21 @@ def _start_row(obj: Objective, w0) -> np.ndarray:
     return row.copy()
 
 
+def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    if a is None:
+        return None
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
 def _observe(callback: Optional[Callback], step: int, w: np.ndarray,
              w_ag: Optional[np.ndarray]) -> None:
-    """Hand the callback the live state marked read-only; drivers never
-    write state in place, so no copy is needed."""
-    if callback is None:
-        return
-    w.setflags(write=False)
-    if w_ag is not None:
-        w_ag.setflags(write=False)
-    callback(step, w, w_ag)
+    """Hand the callback read-only views of the state.  The kernel updates
+    the state in place, so a view is valid only until the callback returns:
+    a callback that keeps a state copies it."""
+    if callback is not None:
+        callback(step, _read_only(w), _read_only(w_ag))
 
 
 def _validate_run_args(m: int, t: int, k: int) -> None:
@@ -221,13 +228,29 @@ def run_replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     ``steps[r]``: a ``Hyper`` runs FedAc (see ``fedac_run``), a plain step
     size runs FedAvg (see ``fedavg_run``, whose ``mu`` sets the decay of the
     weighted average).  Every replica follows the same float expressions as
-    a run of its own, with its hyperparameters held as (R*M, 1) columns, so
+    a run of its own, with its hyperparameters held as (R, 1) columns, so
     each replica is bit-identical to the run it stands for.
 
     ``callback(t, live, W, W_ag)`` is invoked before step t and at t = T
-    with the indices of the replicas still running and their state rows,
-    marked read-only.  A replica whose iterates go non-finite at step s is
-    recorded in ``diverged`` and its rows are dropped from step s + 1 on.
+    with the indices of the replicas still running and read-only views of
+    their state rows, valid until the callback returns.  A replica whose
+    iterates go non-finite at step s is recorded in ``diverged`` and its
+    rows are dropped from step s + 1 on.
+    """
+    return _replicas(obj, m, t, k, steps, seeds, w0, callback, mu, True)
+
+
+def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
+              seeds: Sequence[int], w0, callback: Optional[ReplicaCallback],
+              mu: Optional[float], weighted: bool) -> ReplicaResult:
+    """The body of ``run_replicas``.  ``weighted=False`` skips FedAvg's
+    decay-weighted average, which the minibatch baselines discard.
+
+    Every step is written in place, in the operation order of the plain
+    expressions, into arrays allocated once and again only when replicas
+    drop out: the state (``w``, and ``w_ag`` under FedAc), ``w_md`` and the
+    oracle's ``out`` and ``scratch``, whose leading rows double as the
+    step's one temporary.
     """
     _validate_run_args(m, t, k)
     if not seeds or len(steps) != len(seeds):
@@ -244,10 +267,11 @@ def run_replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     reps, dim = len(seeds), obj.dim
     ids = obj.stream_workers(m)
     bundle = StreamBundle([s for s in seeds for _ in ids], np.tile(ids, reps))
+    buffered = _takes_buffers(obj)
     w = np.tile(_start_row(obj, w0), (reps * m, 1))
 
     def column(values) -> np.ndarray:
-        return np.repeat(np.asarray(values, dtype=np.float64), m)[:, None]
+        return np.asarray(values, dtype=np.float64)[:, None]
 
     if accelerated:
         w_ag = w.copy()
@@ -267,28 +291,63 @@ def run_replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     if callback is not None:
         observe = lambda step, w, w_ag: callback(step, live, w, w_ag)
 
-    def sync(v: np.ndarray) -> np.ndarray:
-        return np.repeat(replica_mean(v, m), m, axis=0)
+    def work():
+        """``w_md`` (FedAc only), the oracle's keyword work arrays and the
+        step's temporary for the current rows."""
+        rows, streams = w.shape[0], len(bundle)
+        w_md = np.empty_like(w) if accelerated else None
+        if not buffered:
+            return w_md, {}, np.empty_like(w)
+        out, scratch = np.empty((streams, dim)), np.empty((streams, dim))
+        return w_md, {"out": out, "scratch": scratch}, scratch[:rows]
 
+    def sync(state: np.ndarray) -> np.ndarray:
+        """Replace each replica's rows by their mean; return the means."""
+        means = replica_mean(state, m)
+        state.reshape(-1, m, dim)[...] = means[:, None, :]
+        return means
+
+    w_md, buffers, tmp = work()
     for step in range(t):
         _observe(observe, step, w, w_ag)
         synced = (step + 1) % k == 0
+        # a replica's M rows as one row of the (R, M*dim) views, so that
+        # its (R, 1) hyperparameter column scales one long run per replica
+        by_rep = len(live), -1
+        W, TMP = w.reshape(by_rep), tmp.reshape(by_rep)
         if accelerated:
             inv_b, c_b, inv_a, c_a, eta, gamma = cols
-            w_md = inv_b * w + c_b * w_ag
-            g = obj.stoch_grad_multi(w_md, bundle)
-            v_ag = w_md - eta * g
-            v = c_a * w + inv_a * w_md - gamma * g
-            w, w_ag = (sync(v), sync(v_ag)) if synced else (v, v_ag)
+            AG, MD = w_ag.reshape(by_rep), w_md.reshape(by_rep)
+            # w_md = inv_b * w + c_b * w_ag
+            np.multiply(inv_b, W, out=MD)
+            np.multiply(c_b, AG, out=TMP)
+            np.add(MD, TMP, out=MD)
+            G = obj.stoch_grad_multi(w_md, bundle, **buffers).reshape(by_rep)
+            # w_ag = w_md - eta * g
+            np.multiply(eta, G, out=TMP)
+            np.subtract(MD, TMP, out=AG)
+            # w = c_a * w + inv_a * w_md - gamma * g
+            np.multiply(c_a, W, out=W)
+            np.multiply(inv_a, MD, out=TMP)
+            np.add(W, TMP, out=W)
+            np.multiply(gamma, G, out=TMP)
+            np.subtract(W, TMP, out=W)
+            now_w, now_ag = (sync(w), sync(w_ag)) if synced else (w, w_ag)
         else:
-            acc = decay * acc + replica_mean(w, m)
-            acc_norm = decay * acc_norm + 1.0
-            g = obj.stoch_grad_multi(w, bundle)
-            v = w - cols[0] * g
-            w = sync(v) if synced else v
-        if np.isfinite(w).all() and (w_ag is None or np.isfinite(w_ag).all()):
+            if weighted:
+                acc = decay * acc + replica_mean(w, m)
+                acc_norm = decay * acc_norm + 1.0
+            G = obj.stoch_grad_multi(w, bundle, **buffers).reshape(by_rep)
+            # w = w - eta * g
+            np.multiply(cols[0], G, out=TMP)
+            np.subtract(W, TMP, out=W)
+            now_w, now_ag = sync(w) if synced else w, None
+        # a synced step checks the block means: its rows are their copies,
+        # so a blow-up there is reported at worker 0
+        if np.isfinite(now_w).all() and (
+                now_ag is None or np.isfinite(now_ag).all()):
             continue
-        bad = _bad_workers(w, w_ag, m)
+        bad = _bad_workers(now_w, now_ag, 1 if synced else m)
         for r, worker in zip(live, bad):
             if worker is not None:
                 diverged[r] = (step, worker)
@@ -296,13 +355,14 @@ def run_replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
         rows = np.repeat(keep, m)
         w = w[rows]
         w_ag = None if w_ag is None else w_ag[rows]
-        cols = [c[rows] for c in cols]
+        cols = [c[keep] for c in cols]
         bundle.keep(np.repeat(keep, ids.size))
         if not accelerated:
             decay, acc, acc_norm = decay[keep], acc[keep], acc_norm[keep]
         live = live[keep]
         if not live.size:
             break
+        w_md, buffers, tmp = work()
     if live.size:
         _observe(observe, t, w, w_ag)
     final_w = np.full((reps, dim), np.nan)
@@ -310,7 +370,7 @@ def run_replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     final_w[live] = replica_mean(w, m)
     final_ag[live] = final_w[live] if w_ag is None else replica_mean(w_ag, m)
     rho = None
-    if not accelerated:
+    if not accelerated and weighted:
         rho = np.full((reps, dim), np.nan)
         rho[live] = acc / acc_norm
     return ReplicaResult(final_w, final_ag, ids.size * t, diverged, rho)
@@ -394,7 +454,8 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
         if callback is not None:
             callback(step * k, live, w, w_ag)
 
-    res = run_replicas(oracle, workers, rounds, 1, steps, seeds, w0, observe)
+    res = _replicas(oracle, workers, rounds, 1, steps, seeds, w0, observe,
+                    None, False)
     diverged = [None if d is None else ((d[0] + 1) * k - 1, d[1])
                 for d in res.diverged]
     return ReplicaResult(final_w, final_ag, t, diverged)

@@ -392,9 +392,10 @@ def run_group(obj: Objective, algorithm: str, m: int, k: int,
     ``ROW_BUDGET`` state rows, and at least one.  Divergence (non-finite
     iterates) and schedule infeasibility at large eta both yield +inf
     suboptimality from the failure point on, so tuning naturally discards
-    them.  Evaluation never consumes random draws.  Floating-point warnings
-    are ignored here, whatever the caller's ``np.errstate``: divergence is
-    an expected outcome that the records report.
+    them.  Evaluation never consumes random draws, and F at the start point,
+    which every replica shares, is evaluated once per group.  Floating-point
+    warnings are ignored here, whatever the caller's ``np.errstate``:
+    divergence is an expected outcome that the records report.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm '{algorithm}'")
@@ -408,6 +409,13 @@ def run_group(obj: Objective, algorithm: str, m: int, k: int,
         gap = obj.eval(point) - f_star
         return gap if math.isfinite(gap) else math.inf
 
+    origin: list = []  # [point, sub_at(point)] of the replicas' common start
+
+    def sub_at_start(point: np.ndarray) -> float:
+        if not (origin and np.array_equal(origin[0], point)):
+            origin[:] = [point.copy(), sub_at(point)]
+        return origin[1]
+
     def observer(group: List[CellResult]):
         """Callback recording the eval point of ``group[r]`` for each live r."""
         def observe(step: int, live, w: np.ndarray,
@@ -415,8 +423,9 @@ def run_group(obj: Objective, algorithm: str, m: int, k: int,
             if step % eval_every == 0:
                 state = w_ag if kind == "avg_ag" else w
                 points = replica_mean(state, state.shape[0] // len(live))
+                at = sub_at_start if step == 0 else sub_at
                 for r, point in zip(live, points):
-                    group[r].records.append(EvalRecord(step, sub_at(point), kind))
+                    group[r].records.append(EvalRecord(step, at(point), kind))
         return observe
 
     def diverge(cell: CellResult) -> None:

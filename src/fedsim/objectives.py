@@ -17,10 +17,16 @@ followed by ``sum`` over the last axis, and averages over workers or batch
 members use ``np.mean`` over the leading axis.  Keeping one canonical order
 is what allows the bitwise-equivalence guarantees between the batched and
 per-worker code paths.
+
+The step kernel passes ``stoch_grad_multi`` two caller-owned work arrays,
+``out`` and ``scratch``, and the built-in oracles compute in them without
+allocating or re-checking the point; an oracle whose ``stoch_grad_multi``
+takes only ``(W, bundle)`` is called without them (see ``_takes_buffers``).
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -40,6 +46,22 @@ class GradSample(NamedTuple):
 def _log1p_exp(t: np.ndarray) -> np.ndarray:
     """Numerically stable log(1 + exp(t)) = log1p(exp(-|t|)) + max(t, 0)."""
     return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
+
+
+def _takes_buffers(oracle) -> bool:
+    """Whether ``oracle.stoch_grad_multi`` accepts the ``out`` and
+    ``scratch`` work arrays."""
+    return "scratch" in inspect.signature(oracle.stoch_grad_multi).parameters
+
+
+def _by_point(points: np.ndarray, a: np.ndarray):
+    """``points`` (G, dim) or (dim,) as (G, 1, dim), and ``a``'s B stream rows
+    as (G, B/G, dim) blocks: the streams of block g query point row g."""
+    pts = points.reshape(-1, 1, points.shape[-1])
+    if a.shape[0] % pts.shape[0]:
+        raise ValueError(f"{a.shape[0]} streams do not split evenly over "
+                         f"{pts.shape[0]} points")
+    return pts, a.reshape(pts.shape[0], -1, a.shape[-1])
 
 
 class Objective:
@@ -79,13 +101,22 @@ class Objective:
         """Value and gradient in one call (subclasses may share work)."""
         return GradSample(self.eval(w), self.grad(w))
 
-    def stoch_grad_multi(self, W: np.ndarray, bundle: StreamBundle) -> np.ndarray:
+    def stoch_grad_multi(self, W: np.ndarray, bundle: StreamBundle, *,
+                         out: Optional[np.ndarray] = None,
+                         scratch: Optional[np.ndarray] = None) -> np.ndarray:
         """Stochastic gradients for several workers at once.
 
-        ``W`` is (B, dim) with one row per bundle stream, or (dim,) for a
-        shared query point.  Row m of the result depends only on row m of
-        ``W`` and on stream m, bit for bit: it equals the first row of the
-        same call on a bundle holding that stream alone.
+        ``W`` is (B, dim) with one row per bundle stream, (dim,) for a shared
+        query point, or (G, dim) with G dividing B, row g shared by the
+        streams ``[g*B/G, (g+1)*B/G)``.  Row m of the result depends only on
+        the point of stream m and on stream m, bit for bit: it equals the
+        first row of the same call on a bundle holding that stream alone.
+
+        ``out`` and ``scratch`` are C-contiguous (B, dim) float64 work arrays
+        from a trusted caller, given together or not at all.  The result is
+        then written into the leading rows of ``out`` and returned as a view
+        of them, ``scratch`` is overwritten, and ``W`` is not checked: the
+        caller guarantees a finite point of the right dimension.
         """
         raise NotImplementedError
 
@@ -138,14 +169,18 @@ class Quadratic(Objective):
         w = self._check_point(w)
         return self.spectrum * (w - self.shift)
 
-    def stoch_grad_multi(self, W, bundle):
-        W = self._check_point(W)
-        g = self.spectrum * (W - self.shift)
-        if W.ndim == 1:
-            g = np.broadcast_to(g, (len(bundle), self.dim)).copy()
-        if self.sigma == 0.0:
-            return g
-        return g + self._noise_scale * bundle.gaussians(self.dim)
+    def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
+        if out is None:
+            W = self._check_point(W)
+            out = np.empty((len(bundle), self.dim))
+        pts, blocks = _by_point(W, out)
+        np.subtract(pts, self.shift, out=blocks)
+        np.multiply(self.spectrum, out, out=out)
+        if self.sigma != 0.0:
+            noise = bundle.gaussians(self.dim)
+            np.multiply(self._noise_scale, noise, out=noise)
+            np.add(out, noise, out=out)
+        return out
 
 
 class Logistic(Objective):
@@ -206,20 +241,29 @@ class Logistic(Objective):
             g = np.asarray(self.X.T @ coefs).ravel()
         return GradSample(loss, g + self.lam * w)
 
-    def _rows(self, idx: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense[idx]
-        return np.asarray(self.X[idx].todense())
-
-    def stoch_grad_multi(self, W, bundle):
-        W = self._check_point(W)
+    def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
+        if out is None:
+            W = self._check_point(W)
+            out = np.empty((len(bundle), self.dim))
+            scratch = np.empty_like(out)
+        pts, blocks = _by_point(W, out)
         idx = bundle.indices(self.n, 1)[:, 0]
-        rows = self._rows(idx)
+        rows = scratch
+        if self._dense is not None:
+            # idx lies in [0, n): "clip" never clips, and unlike the default
+            # "raise" it gathers straight into ``rows`` without a buffer
+            np.take(self._dense, idx, axis=0, out=rows, mode="clip")
+        else:
+            self.X[idx].toarray(out=rows)
         y = self.labels[idx]
         # multiply + pairwise sum, not BLAS: a row's bits do not depend on B
-        z = y * (rows * W).sum(axis=-1)
+        np.multiply(rows.reshape(blocks.shape), pts, out=blocks)
+        z = y * out.sum(axis=-1)
         coefs = -y * expit(-z)
-        return coefs[:, None] * rows + self.lam * W
+        np.multiply(coefs[:, None], rows, out=out)
+        reg = np.multiply(self.lam, pts, out=rows[:len(pts), None, :])
+        np.add(blocks, reg, out=blocks)
+        return out
 
 
 class Augmented(Objective):
@@ -234,6 +278,7 @@ class Augmented(Objective):
         if w0.size != inner.dim:
             raise ValueError("anchor length does not match inner objective")
         self.inner = inner
+        self._inner_buffers = _takes_buffers(inner)
         self.lam = float(lam)
         self.w0 = w0
         self.dim = inner.dim
@@ -258,9 +303,22 @@ class Augmented(Objective):
             inner.grad + self.lam * d,
         )
 
-    def stoch_grad_multi(self, W, bundle):
-        W = self._check_point(W)
-        return self.inner.stoch_grad_multi(W, bundle) + self.lam * (W - self.w0)
+    def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
+        if out is None:
+            W = self._check_point(W)
+            out = np.empty((len(bundle), self.dim))
+            scratch = np.empty_like(out)
+        if self._inner_buffers:
+            g = self.inner.stoch_grad_multi(W, bundle, out=out, scratch=scratch)
+        else:
+            g = self.inner.stoch_grad_multi(W, bundle)
+            out[:len(g)] = g
+            g = out[:len(g)]
+        pts, blocks = _by_point(W, g)
+        pull = np.subtract(pts, self.w0, out=scratch[:len(pts), None, :])
+        np.multiply(self.lam, pull, out=pull)
+        np.add(blocks, pull, out=blocks)
+        return g
 
     def stream_workers(self, m):
         return self.inner.stream_workers(m)
@@ -279,6 +337,7 @@ class BatchedOracle(Objective):
         if batch < 1:
             raise ValueError("batch must be >= 1")
         self.inner = inner
+        self._inner_buffers = _takes_buffers(inner)
         self.batch = int(batch)
         self.dim = inner.dim
         self.mu_est = inner.mu_est
@@ -296,16 +355,25 @@ class BatchedOracle(Objective):
     def stream_workers(self, m):
         return np.arange(m * self.batch, dtype=np.int64)
 
-    def stoch_grad_multi(self, W, bundle):
+    def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
         W = np.asarray(W, dtype=np.float64)
         if W.ndim == 1:
             W = W[None, :]
         m = W.shape[0]
         if len(bundle) != m * self.batch:
             raise ValueError("bundle size does not match workers * batch")
-        expanded = np.repeat(W, self.batch, axis=0)
-        g = self.inner.stoch_grad_multi(expanded, bundle)
-        return np.mean(g.reshape(m, self.batch, self.dim), axis=1)
+        if out is None or not self._inner_buffers:
+            g = self.inner.stoch_grad_multi(np.repeat(W, self.batch, axis=0),
+                                            bundle)
+        else:
+            # the members of a worker's batch share its row of W
+            g = self.inner.stoch_grad_multi(W, bundle, out=out, scratch=scratch)
+        g = g.reshape(m, self.batch, self.dim)
+        if out is None:
+            return np.mean(g, axis=1)
+        # np.mean is this sum divided by the count
+        total = np.add.reduce(g, axis=1, out=scratch[:m])
+        return np.divide(total, self.batch, out=out[:m])
 
 
 def smoothness_bounds(dataset, lam: float):

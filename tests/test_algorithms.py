@@ -24,7 +24,8 @@ from fedsim.algorithms import (
     worker_mean,
 )
 from fedsim.harness import make_synthetic_logistic
-from fedsim.objectives import BatchedOracle, Logistic, Quadratic
+from fedsim.objectives import (BatchedOracle, Logistic, Quadratic,
+                               _takes_buffers)
 from fedsim.rng import StreamBundle
 
 
@@ -410,9 +411,10 @@ def test_run_replicas_drops_a_diverged_replica(accelerated):
         np.testing.assert_array_equal(res.final_avg_w_ag[r], one.final_avg_w_ag)
 
 
-@pytest.mark.parametrize("driver", ["fedac", "fedavg"])
-def test_single_run_divergence_reports_lowest_worker(driver):
-    obj = Spike(rows=[1, 2], call=2)
+def spike_divergence(driver, call):
+    """The (step, worker) a 3-worker, K = 4 run on ``Spike`` reports when
+    workers 1 and 2 blow up at oracle call ``call``, and the callback steps."""
+    obj = Spike(rows=[1, 2], call=call)
     seen = []
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as ei:
@@ -422,8 +424,25 @@ def test_single_run_divergence_reports_lowest_worker(driver):
             else:
                 fedavg_run(obj, 3, 8, 4, 0.1, 0,
                            callback=lambda t, w, w_ag: seen.append(t))
-    assert (ei.value.step, ei.value.worker) == (2, 1)
+    return (ei.value.step, ei.value.worker), seen
+
+
+@pytest.mark.parametrize("driver", ["fedac", "fedavg"])
+def test_single_run_divergence_reports_lowest_worker(driver):
+    """Spike's oracle takes only ``(W, bundle)`` and runs unchanged."""
+    assert not _takes_buffers(Spike())
+    report, seen = spike_divergence(driver, 2)
+    assert report == (2, 1)
     assert seen == [0, 1, 2]
+
+
+@pytest.mark.parametrize("driver", ["fedac", "fedavg"])
+def test_divergence_at_a_synchronized_step_reports_worker_zero(driver):
+    """Step 3 synchronizes (K = 4): every row is the block mean, which the
+    kernel checks in place of the rows, so worker 0 is reported."""
+    report, seen = spike_divergence(driver, 3)
+    assert report == (3, 0)
+    assert seen == [0, 1, 2, 3]
 
 
 def test_bad_workers_checks_w_before_w_ag():
@@ -735,6 +754,51 @@ def test_callback_state_is_read_only(driver):
     assert seen[-1] == 8
     np.testing.assert_array_equal(observed.final_avg_w, plain.final_avg_w)
     np.testing.assert_array_equal(observed.final_avg_w_ag, plain.final_avg_w_ag)
+
+
+KERNEL_DRIVERS = {
+    "fedac1": lambda obj, cb: fedac_run(obj, 4, 32, 8,
+                                        schedule_fedac1(0.1, obj.mu_est, 8), 3,
+                                        callback=cb),
+    "fedavg": lambda obj, cb: fedavg_run(obj, 4, 32, 8, 0.1, 3, callback=cb),
+    "mb_sgd": lambda obj, cb: mb_sgd_run(obj, 2, 64, 2, 0.1, 3, callback=cb),
+    "mb_acsgd": lambda obj, cb: mb_acsgd_run(obj, 2, 64, 2, 0.1, 3, callback=cb),
+}  # 32 kernel steps each, on 4 streams
+
+
+@pytest.mark.parametrize("driver", sorted(KERNEL_DRIVERS))
+def test_one_leaf_oracle_call_per_kernel_step(driver, monkeypatch):
+    """Each kernel step calls the leaf oracle's public ``stoch_grad_multi``
+    exactly once, with one stream per gradient query and the kernel's work
+    arrays: a traced run counts oracle rows through this method."""
+    calls = []
+    leaf = Logistic.stoch_grad_multi
+
+    def counted(self, W, bundle, *, out=None, scratch=None):
+        calls.append((len(bundle), out is not None and scratch is not None))
+        return leaf(self, W, bundle, out=out, scratch=scratch)
+
+    monkeypatch.setattr(Logistic, "stoch_grad_multi", counted)
+    obj = small_logistic()
+    res = KERNEL_DRIVERS[driver](obj, None)
+    assert calls == [(4, True)] * 32
+    assert res.gradient_calls == (64 if driver.startswith("mb_") else 4 * 32)
+
+
+@pytest.mark.parametrize("driver", sorted(KERNEL_DRIVERS))
+def test_callback_state_reuses_its_buffers(driver):
+    """The kernel steps in place: over 32 steps the callback's ``w`` views
+    share at most three data buffers, and ``w_ag`` likewise."""
+    buffers = {"w": set(), "w_ag": set()}
+
+    def record(step, w, w_ag):
+        buffers["w"].add(w.__array_interface__["data"][0])
+        if w_ag is not None:
+            buffers["w_ag"].add(w_ag.__array_interface__["data"][0])
+
+    KERNEL_DRIVERS[driver](small_logistic(), record)
+    assert 1 <= len(buffers["w"]) <= 3
+    assert len(buffers["w_ag"]) <= 3
 
 
 # ---------------------------------------------------------------------------

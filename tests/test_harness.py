@@ -446,6 +446,23 @@ def artifact_bytes(cells, rows, tmp_path, tag):
             + (tmp_path / f"sweep_{tag}.csv").read_bytes())
 
 
+def test_group_evaluates_its_start_point_once(monkeypatch):
+    """Every replica of a group starts at the same point, so F there is
+    evaluated once per group, also when the group runs in several chunks."""
+    monkeypatch.setattr(harness, "ROW_BUDGET", 3)  # one M=3 replica per call
+    obj = Quadratic([1.0, 2.0], shift=[0.5, -1.0], sigma=0.5)
+    points = []
+    evaluate = obj.eval
+    monkeypatch.setattr(obj, "eval", lambda w: points.append(w.copy()) or evaluate(w))
+    replicas = [(0.1, 0), (0.2, 0), (0.1, 1)]
+    cells = harness.run_group(obj, "fedac1", 3, 4, replicas, 8, 4, 0.0)
+    assert len(points) == 1 + len(replicas) * 2
+    assert sum(not p.any() for p in points) == 1
+    for cell, (eta, seed) in zip(cells, replicas):
+        assert cell.records == run_cell(obj, "fedac1", 3, 4, eta, 8, seed, 4,
+                                        0.0).records
+
+
 def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
     """The grouped sweep writes the bytes of per-cell runs at the default
     row budget, where each group is one kernel call, and at 5 rows, where

@@ -407,3 +407,126 @@ def test_batched_oracle_rejects_bad_points_like_its_inner(inner):
         with pytest.raises(ValueError, match=message) as batched:
             oracle.stoch_grad_multi(bad, StreamBundle(0, oracle.stream_workers(1)))
         assert str(batched.value) == str(direct.value)
+
+
+# ---------------------------------------------------------------------------
+# caller-owned work arrays (the step kernel's path)
+
+
+def _logistic_rows(dense: bool, monkeypatch):
+    """Logistic regression on 9 rows in 4 features, on its dense cache or,
+    with the cache limit at 0, on the sparse matrix."""
+    if not dense:
+        monkeypatch.setattr(Logistic, "_DENSE_CACHE_LIMIT", 0)
+    obj = make_logistic("+1 1:1 2:1\n-1 1:0.5 4:2\n+1 2:2\n-1 1:1 2:1 3:1\n"
+                        "+1 3:-1\n-1 4:0.25\n+1 1:3 4:1\n-1 2:-1\n+1 3:2 4:2\n",
+                        lam=0.1)
+    assert (obj._dense is not None) == dense
+    return obj
+
+
+ORACLES = ["quadratic", "quadratic_noisy", "logistic_dense", "logistic_sparse",
+           "augmented", "batched"]
+
+
+def make_oracle(kind, monkeypatch):
+    if kind == "quadratic":
+        return Quadratic([1.0, 3.0, 0.5, 2.0], shift=[0.2, -0.1, 0.0, 1.0])
+    if kind == "quadratic_noisy":
+        return Quadratic([1.0, 3.0, 0.5, 2.0], shift=[0.2, -0.1, 0.0, 1.0],
+                         sigma=0.8)
+    if kind == "augmented":
+        return Augmented(_logistic_rows(True, monkeypatch), 0.3,
+                         [0.2, -0.1, 0.0, 0.5])
+    if kind == "batched":
+        return BatchedOracle(_logistic_rows(True, monkeypatch), 3)
+    return _logistic_rows(kind == "logistic_dense", monkeypatch)
+
+
+def with_buffers(obj, W, bundle):
+    """``stoch_grad_multi`` into nan-filled work arrays; checks that the
+    result is the leading rows of ``out``."""
+    out = np.full((len(bundle), obj.dim), np.nan)
+    scratch = np.full_like(out, np.nan)
+    g = obj.stoch_grad_multi(W, bundle, out=out, scratch=scratch)
+    assert g.base is out or g is out
+    np.testing.assert_array_equal(g, out[:len(g)])
+    return g.copy()
+
+
+@pytest.mark.parametrize("kind", ORACLES)
+def test_buffered_call_matches_plain_call(kind, monkeypatch):
+    obj = make_oracle(kind, monkeypatch)
+    W = np.random.default_rng(3).normal(size=(4, obj.dim))
+    ids = obj.stream_workers(4)
+    plain, bundle = StreamBundle(11, ids), StreamBundle(11, ids)
+    for _ in range(2):  # the second call draws the next slots in both
+        np.testing.assert_array_equal(with_buffers(obj, W, bundle),
+                                      obj.stoch_grad_multi(W, plain))
+    assert bundle.counter == plain.counter
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic_noisy",
+                                  "logistic_dense", "logistic_sparse",
+                                  "augmented"])
+@pytest.mark.parametrize("points", [1, 2, 6])
+def test_shared_point_rows_match_repeated_rows(kind, points, monkeypatch):
+    """G point rows for 6 streams: row g serves streams [g*6/G, (g+1)*6/G),
+    bit for bit as if repeated, with and without work arrays."""
+    obj = make_oracle(kind, monkeypatch)
+    W = np.random.default_rng(5).normal(size=(points, obj.dim))
+    ids = np.arange(6)
+    want = obj.stoch_grad_multi(np.repeat(W, 6 // points, axis=0),
+                                StreamBundle(2, ids))
+    np.testing.assert_array_equal(
+        obj.stoch_grad_multi(W, StreamBundle(2, ids)), want)
+    np.testing.assert_array_equal(with_buffers(obj, W, StreamBundle(2, ids)),
+                                  want)
+    with pytest.raises(ValueError, match="do not split evenly"):
+        obj.stoch_grad_multi(np.zeros((4, obj.dim)), StreamBundle(2, ids))
+
+
+def test_gather_stays_in_range_on_the_rejection_path(monkeypatch):
+    """Logistic gathers with ``np.take(mode="clip")``, which would clamp an
+    index of n or more without a word: every index that
+    ``StreamBundle.indices`` returns, from the rejection loop too, lies in
+    [0, n)."""
+    rejected = []
+    reject = StreamBundle._reject
+
+    def spy(self, *args):
+        rejected.append(args)
+        return reject(self, *args)
+
+    monkeypatch.setattr(StreamBundle, "_reject", spy)
+    n = 2 ** 62 + 1  # a quarter of all words lie above the largest multiple
+    idx = StreamBundle(5, np.arange(64)).indices(n, 4)
+    assert rejected
+    assert idx.min() >= 0 and idx.max() < n
+
+    # the same gather on a small dataset, its indices from the rejection loop
+    def via_rejection(self, n, count=1):
+        start = self._take_slots(count)
+        threshold = np.uint64((1 << 64) // n * n & ((1 << 64) - 1))
+        return reject(self, start, count, np.uint64(n), threshold)
+
+    obj = _logistic_rows(True, monkeypatch)
+    W = np.random.default_rng(8).normal(size=(32, obj.dim))
+    want = obj.stoch_grad_multi(W, StreamBundle(9, np.arange(32)))
+    monkeypatch.setattr(StreamBundle, "indices", via_rejection)
+    np.testing.assert_array_equal(
+        with_buffers(obj, W, StreamBundle(9, np.arange(32))), want)
+
+
+@pytest.mark.parametrize("kind", ORACLES)
+def test_plain_call_still_rejects_bad_points(kind, monkeypatch):
+    """Without work arrays the point is checked: nan, inf and a wrong
+    dimension raise the ValueError of ``Objective._check_point``."""
+    obj = make_oracle(kind, monkeypatch)
+    dim = obj.dim
+    bundle = StreamBundle(0, obj.stream_workers(1))
+    for bad, message in ((np.r_[np.nan, np.zeros(dim - 1)], "non-finite"),
+                         (np.r_[np.zeros(dim - 1), -np.inf], "non-finite"),
+                         (np.zeros(dim + 1), f"dimension {dim + 1}, objective has {dim}")):
+        with pytest.raises(ValueError, match=message):
+            obj.stoch_grad_multi(bad[None, :], bundle)
