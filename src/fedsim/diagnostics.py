@@ -74,7 +74,7 @@ def potential_psi(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
     """Decentralized potential: mean_m F(w_ag^m) - F* + (mu/2) ||w_bar - w*||**2,
     on (M, dim) worker arrays as a driver callback receives them."""
     w_star = np.atleast_1d(np.asarray(w_star, dtype=np.float64))
-    values = np.array([obj.eval(row) for row in w_ag])
+    values = obj.eval_many(w_ag)
     d = worker_mean(w) - w_star
     return float(np.mean(values) - f_star + 0.5 * mu * (d * d).sum())
 

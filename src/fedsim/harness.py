@@ -2,15 +2,19 @@
 
 The harness turns a flat configuration into suboptimality curves.  For each
 cell (algorithm, M, K, eta, seed) it runs the corresponding driver with an
-evaluation callback that measures F(eval point) - F* on a fixed step cadence,
-then tunes eta per (algorithm, M, K) by the best suboptimality attained over
-evaluations, taking the median across seeds.  The cells of one (algorithm,
-M, K) group run together through the one step kernel
-(``algorithms.run_replicas``, onto which ``algorithms._run_minibatch`` maps
-the minibatch baselines), as many (eta, seed) replicas per call as fit under
-``ROW_BUDGET`` state rows, with every cell's bits the same as a run of its
-own.  A deterministic full-gradient accelerated descent precomputes F* once
-per (dataset, regularization) pair and caches it beside the outputs.
+evaluation callback that takes the eval point on a fixed step cadence, and
+records F(eval point) - F* there; it then tunes eta per (algorithm, M, K) by
+the best suboptimality attained over evaluations, taking the median across
+seeds.  The cells of one (algorithm, M, K) group run together through the
+one step kernel (``algorithms.run_replicas``, onto which
+``algorithms._run_minibatch`` maps the minibatch baselines), as many (eta,
+seed) replicas per call as fit under ``ROW_BUDGET`` state rows, with every
+cell's bits the same as a run of its own.  Evaluations are deferred to the
+end of the group: the callback only queues the points, and one
+``Objective.eval_many`` call evaluates all of them, so F is computed in one
+pass over the data per batch of points instead of one pass per point.  A
+deterministic full-gradient accelerated descent precomputes F* once per
+(dataset, regularization) pair and caches it beside the outputs.
 
 Evaluation points: accelerated methods report the worker average of the
 ``w_ag`` family, FedAvg the worker average of ``w`` and minibatch SGD its
@@ -383,19 +387,24 @@ def _step_rule(algorithm: str, eta: float, mu: float, k: int):
 def run_group(obj: Objective, algorithm: str, m: int, k: int,
               replicas: Sequence[Tuple[float, int]], t: int, eval_every: int,
               f_star: float) -> List[CellResult]:
-    """Run the (eta, seed) replicas of one (algorithm, M, K) group with the
-    standard evaluation callback; one CellResult per replica, in order.
+    """Run the (eta, seed) replicas of one (algorithm, M, K) group and record
+    F(eval point) - F* every ``eval_every`` steps; one CellResult per
+    replica, in order.
 
     Every algorithm runs its replicas in chunks through the one step kernel:
     ``run_replicas`` for the federated algorithms, ``_run_minibatch`` for the
     minibatch baselines, each call holding as many replicas as fit under
-    ``ROW_BUDGET`` state rows, and at least one.  Divergence (non-finite
-    iterates) and schedule infeasibility at large eta both yield +inf
-    suboptimality from the failure point on, so tuning naturally discards
-    them.  Evaluation never consumes random draws, and F at the start point,
-    which every replica shares, is evaluated once per group.  Floating-point
-    warnings are ignored here, whatever the caller's ``np.errstate``:
-    divergence is an expected outcome that the records report.
+    ``ROW_BUDGET`` state rows, and at least one.  The kernel callback only
+    queues the evaluation points; F is evaluated after the last chunk, in
+    one ``obj.eval_many`` call over every point of the group and FedAvg's
+    decay-weighted averages, with the replicas' common start point entered
+    once.  Each value is that of ``obj.eval`` at its point, so the records
+    do not depend on the chunking.  Divergence (non-finite iterates), a
+    non-finite evaluation point and schedule infeasibility at large eta all
+    yield +inf suboptimality, so tuning naturally discards them.
+    Evaluation never consumes random draws.  Floating-point warnings are
+    ignored here, whatever the caller's ``np.errstate``: divergence is an
+    expected outcome that the records report.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm '{algorithm}'")
@@ -404,28 +413,39 @@ def run_group(obj: Objective, algorithm: str, m: int, k: int,
     mu = obj.mu_est
     cells = [CellResult(algorithm, m, k, float(eta), seed)
              for eta, seed in replicas]
+    batch: List[np.ndarray] = []  # (rows, dim) blocks of evaluation points
+    queued = 0  # rows in ``batch``
+    # (cell, record index or None for the weighted average, batch row)
+    slots: List[Tuple[CellResult, Optional[int], int]] = []
+    start: List[int] = []  # batch row of the replicas' common start point
 
-    def sub_at(point: np.ndarray) -> float:
-        gap = obj.eval(point) - f_star
-        return gap if math.isfinite(gap) else math.inf
-
-    origin: list = []  # [point, sub_at(point)] of the replicas' common start
-
-    def sub_at_start(point: np.ndarray) -> float:
-        if not (origin and np.array_equal(origin[0], point)):
-            origin[:] = [point.copy(), sub_at(point)]
-        return origin[1]
+    def enqueue(points: np.ndarray) -> range:
+        """Append the rows of ``points``, which the caller no longer
+        writes, to the batch; return their batch rows."""
+        nonlocal queued
+        batch.append(points)
+        queued += len(points)
+        return range(queued - len(points), queued)
 
     def observer(group: List[CellResult]):
-        """Callback recording the eval point of ``group[r]`` for each live r."""
+        """Callback queueing the eval point of ``group[r]`` for each live r."""
         def observe(step: int, live, w: np.ndarray,
                     w_ag: Optional[np.ndarray]) -> None:
             if step % eval_every == 0:
                 state = w_ag if kind == "avg_ag" else w
-                points = replica_mean(state, state.shape[0] // len(live))
-                at = sub_at_start if step == 0 else sub_at
-                for r, point in zip(live, points):
-                    group[r].records.append(EvalRecord(step, at(point), kind))
+                # a new array, not a view of the state the kernel updates
+                means = replica_mean(state, state.shape[0] // len(live))
+                if step == 0:
+                    # every replica starts at the same point
+                    if not start:
+                        start.extend(enqueue(means[:1]))
+                    rows = start * len(live)
+                else:
+                    rows = enqueue(means)
+                for r, row in zip(live, rows):
+                    cell = group[r]
+                    slots.append((cell, len(cell.records), row))
+                    cell.records.append(EvalRecord(step, math.nan, kind))
         return observe
 
     def diverge(cell: CellResult) -> None:
@@ -444,16 +464,36 @@ def run_group(obj: Objective, algorithm: str, m: int, k: int,
         minibatch = algorithm in _MINIBATCH
         run = _run_minibatch if minibatch else run_replicas
         per_call = max(1, ROW_BUDGET // (m * k if minibatch else m))
-        for start in range(0, len(runnable), per_call):
-            chunk = runnable[start:start + per_call]
-            result = run(obj, m, t, k, rules[start:start + per_call],
+        for first in range(0, len(runnable), per_call):
+            chunk = runnable[first:first + per_call]
+            result = run(obj, m, t, k, rules[first:first + per_call],
                          [c.seed for c in chunk], callback=observer(chunk))
+            rho = None if result.rho_avg_w is None else enqueue(result.rho_avg_w)
             for i, cell in enumerate(chunk):
                 if result.diverged[i] is not None:
                     diverge(cell)
-                elif result.rho_avg_w is not None:
-                    cell.rho_suboptimality = sub_at(result.rho_avg_w[i])
+                elif rho is not None:
+                    slots.append((cell, None, rho[i]))
+        subs = _suboptimalities(obj, np.concatenate(batch), f_star) if batch else []
+        for cell, index, row in slots:
+            if index is None:
+                cell.rho_suboptimality = subs[row]
+            else:
+                cell.records[index] = cell.records[index]._replace(
+                    suboptimality=subs[row])
     return cells
+
+
+def _suboptimalities(obj: Objective, points: np.ndarray,
+                     f_star: float) -> List[float]:
+    """F(point) - F* for each row of ``points``; +inf where the gap is not
+    finite, and without evaluating F where the point is not."""
+    finite = np.isfinite(points).all(axis=1)
+    gaps = np.full(len(points), math.inf)
+    if finite.any():
+        gaps[finite] = obj.eval_many(points[finite]) - f_star
+    gaps[~np.isfinite(gaps)] = math.inf
+    return gaps.tolist()
 
 
 def run_cell(obj: Objective, algorithm: str, m: int, k: int, eta: float,

@@ -54,7 +54,10 @@ def _finalize_array(z: np.ndarray) -> np.ndarray:
 
 
 def stream_key(seed: int, worker_id: int) -> int:
-    """Derive the 64-bit key identifying stream (seed, worker_id)."""
+    """Derive the 64-bit key identifying stream (seed, worker_id).
+
+    The scalar reference for the keys that ``StreamBundle`` derives in
+    uint64 arrays."""
     s = _mix_int((int(seed) & _MASK) + _GOLDEN)
     w = _mix_int(((int(worker_id) & _MASK) + 1) * _GOLDEN)
     return _mix_int(s ^ w)
@@ -96,16 +99,18 @@ class StreamBundle:
     def __init__(self, seed, worker_ids, counter: int = 0):
         ids = np.asarray(worker_ids, dtype=np.int64).ravel()
         if np.ndim(seed) == 0:
-            seeds = [int(seed)] * ids.size
+            seeds = np.full(ids.size, int(seed) & _MASK, dtype=np.uint64)
         else:
-            seeds = [int(s) for s in seed]
-        if len(seeds) != ids.size:
-            raise ValueError(f"{len(seeds)} seeds for {ids.size} worker ids")
+            seeds = np.array([int(s) & _MASK for s in seed], dtype=np.uint64)
+        if seeds.size != ids.size:
+            raise ValueError(f"{seeds.size} seeds for {ids.size} worker ids")
         self.worker_ids = ids
         self.counter = int(counter)
-        self._keys = np.array(
-            [stream_key(s, int(m)) for s, m in zip(seeds, ids)],
-            dtype=np.uint64).reshape(-1, 1)
+        # stream_key's steps on uint64 arrays, which wrap mod 2**64 as its
+        # masked ints do; int64 -> uint64 wraps a negative id the same way
+        s = _finalize_array(seeds + _U_GOLDEN)
+        w = _finalize_array((ids.astype(np.uint64) + _U1) * _U_GOLDEN)
+        self._keys = _finalize_array(s ^ w).reshape(-1, 1)
 
     def __len__(self) -> int:
         return self._keys.shape[0]

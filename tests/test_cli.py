@@ -341,6 +341,30 @@ def test_sweep_whole_grid_infeasible_exits_3(tmp_path, capsys):
     assert "nan" in out or "inf" in out
 
 
+def test_sweep_survives_an_overflowing_worker_mean(tmp_path, capsys, monkeypatch):
+    """A cell whose worker mean overflows records +inf; the sweep goes on,
+    writes its artifacts and exits 0 on the rows that stay finite."""
+    from fedsim.harness import OptimumResult
+    from fedsim.objectives import Quadratic
+
+    obj = Quadratic([1.0], shift=[0.89e308])
+    monkeypatch.setattr(cli, "build_objective", lambda cfg: (obj, None))
+    monkeypatch.setattr(cli, "cached_optimum", lambda *args: OptimumResult(
+        obj.shift.copy(), 0.0, 0, 0.0))
+    cfg = write_config(tmp_path, SMALL_CONFIG.replace("etas = 0.1",
+                                                      "etas = 1.5, 1.0")
+                       .replace("T = 8", "T = 4")
+                       .replace("eval_every = 4", "eval_every = 1"))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["sweep", "--config", cfg, "--out", str(out_dir),
+                              "--deterministic-output"], capsys)
+    assert (code, err) == (0, "")
+    rows = (out_dir / "records.csv").read_text().splitlines()[1:]
+    assert {"fedavg,2,2,1.5,0,1,inf", "fedavg,2,2,1.0,0,1,0.0"} <= set(rows)
+    assert (out_dir / "sweep.csv").read_text().splitlines()[1] == \
+        "fedavg,2,2,1.0,0.0"
+
+
 # ---------------------------------------------------------------------------
 # instability
 

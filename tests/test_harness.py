@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 import fedsim.harness as harness
-from fedsim.algorithms import agd_run, mb_sgd_run
+from fedsim.algorithms import agd_run, mb_sgd_run, replica_mean
 from fedsim.dataio import parse_libsvm
 from fedsim.harness import (
     ALGORITHMS,
@@ -458,9 +458,78 @@ def test_group_evaluates_its_start_point_once(monkeypatch):
     cells = harness.run_group(obj, "fedac1", 3, 4, replicas, 8, 4, 0.0)
     assert len(points) == 1 + len(replicas) * 2
     assert sum(not p.any() for p in points) == 1
+    assert len({p.tobytes() for p in points}) == len(points)
     for cell, (eta, seed) in zip(cells, replicas):
         assert cell.records == run_cell(obj, "fedac1", 3, 4, eta, 8, seed, 4,
                                         0.0).records
+
+
+def test_group_records_are_f_at_the_kernel_points(monkeypatch):
+    """The deferred batch gives each record F - F* at the point the kernel
+    callback saw, and each FedAvg cell's weighted average F - F* at the
+    point the kernel returned, through chunks and mid-run divergence."""
+    monkeypatch.setattr(harness, "ROW_BUDGET", 4)  # two M=2 replicas per call
+    obj, _ = build_objective(small_cfg(synthetic_n=300, synthetic_dim=20,
+                                       synthetic_nnz=5, lam=1.0))
+    f_star = compute_optimum(obj).f_star
+    t, eval_every = 256, 32
+    seen, rhos = {}, {}
+
+    def capture(obj_, m, t_, k, steps, seeds, callback, run=harness.run_replicas):
+        def spy(step, live, w, w_ag):
+            if step % eval_every == 0:
+                for r, point in zip(live, replica_mean(w, m)):
+                    seen.setdefault((steps[r], seeds[r]), []).append(
+                        (step, point.copy()))
+            callback(step, live, w, w_ag)
+        result = run(obj_, m, t_, k, steps, seeds, callback=spy)
+        for r, key in enumerate(zip(steps, seeds)):
+            rhos[key] = result.rho_avg_w[r].copy()
+        return result
+
+    monkeypatch.setattr(harness, "run_replicas", capture)
+    replicas = [(eta, seed) for eta in (0.1, 1.0, 100.0) for seed in (0, 1)]
+    cells = harness.run_group(obj, "fedavg", 2, 4, replicas, t, eval_every,
+                              f_star)
+
+    def sub(point):
+        if not np.isfinite(point).all():
+            return math.inf
+        with np.errstate(over="ignore"):
+            gap = obj.eval(point) - f_star
+        return gap if math.isfinite(gap) else math.inf
+
+    for cell in cells:
+        key = (cell.eta, cell.seed)
+        want = [EvalRecord(step, sub(p), "avg_w") for step, p in seen[key]]
+        want += [EvalRecord(step, math.inf, "avg_w")
+                 for step in range(len(want) * eval_every, t + 1, eval_every)]
+        assert cell.records == want
+        assert cell.rho_suboptimality == (None if cell.diverged
+                                          else sub(rhos[key]))
+    # eta = 100 blows up after about 150 steps: evaluated first, inf after
+    assert [c.diverged for c in cells] == [False] * 4 + [True] * 2
+    for cell in cells[4:]:
+        finite = [r.suboptimality < math.inf for r in cell.records]
+        assert finite[0] and not finite[-1]
+
+
+def test_overflowing_worker_mean_records_inf():
+    """Finite rows whose worker mean overflows give a non-finite evaluation
+    point: +inf, not a crash, and the rest of the batch is unaffected."""
+    cells = harness.run_group(Quadratic([1.0], shift=[1.7e308]), "fedavg",
+                              2, 2, [(0.6, 0)], 4, 1, 0.0)
+    assert cells[0].diverged
+    assert [r.suboptimality for r in cells[0].records] == [math.inf] * 5
+    # eta = 1.5 overshoots to rows of 1.335e308 at step 1, whose mean
+    # overflows; eta = 1 lands on the optimum, where the mean is finite
+    obj = Quadratic([1.0], shift=[0.89e308])
+    both = harness.run_group(obj, "fedavg", 2, 2, [(1.5, 0), (1.0, 0)], 4, 1,
+                             0.0)
+    assert both[0].records[1].suboptimality == math.inf
+    assert [r.suboptimality for r in both[1].records] == [math.inf] + [0.0] * 4
+    assert both[1].records == run_cell(obj, "fedavg", 2, 2, 1.0, 4, 0, 1,
+                                       0.0).records
 
 
 def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import expit
 
-from fedsim.dataio import parse_libsvm
+from fedsim.dataio import Dataset, parse_libsvm
 from fedsim.objectives import (
     Augmented,
     BatchedOracle,
     Logistic,
     Quadratic,
+    _log1p_exp,
     smoothness_bounds,
 )
 from fedsim.rng import RngStream, StreamBundle
@@ -530,3 +532,112 @@ def test_plain_call_still_rejects_bad_points(kind, monkeypatch):
                          (np.zeros(dim + 1), f"dimension {dim + 1}, objective has {dim}")):
         with pytest.raises(ValueError, match=message):
             obj.stoch_grad_multi(bad[None, :], bundle)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+
+
+def one_point_value(obj, w):
+    """Logistic F at one point, as one whole-matrix product: the formula that
+    ``eval_many`` must reproduce bit for bit."""
+    zw = obj._dense @ w if obj._dense is not None else obj.X @ w
+    loss = _log1p_exp(-(obj.labels * zw)).mean()
+    return float(loss + 0.5 * obj.lam * (w * w).sum())
+
+
+def random_logistic(n, dim, seed=0):
+    """n rows with about half of dim features set, so that a product summed
+    in another order shows in the last bits.  The 1280-row products the
+    tests take split on 4-row boundaries at 1, 2, 4 or 8 BLAS threads, and
+    the 129-row ones are too small for OpenBLAS to thread, so whole-matrix
+    and blocked products agree at any thread count."""
+    rng = np.random.default_rng(seed)
+    x = sp.random(n, dim, density=0.5, format="csr", random_state=rng,
+                  data_rvs=rng.standard_normal)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return Logistic(Dataset(X=x, labels=labels), lam=0.05)
+
+
+BLOCKINGS = [
+    (1280, 192, 128),   # blocks of 192 rows, the last of 128
+    (129, 64, 65),      # a one-row remainder joins the block before it
+    (1280, 4096, 1280),  # one block
+    (1280, 1001, 320),  # rounded down to 960 rows, the last block of 320
+]
+
+
+@pytest.mark.parametrize("n, block_rows, last", BLOCKINGS)
+def test_row_blocks_give_the_whole_matrix_margins(n, block_rows, last,
+                                                  monkeypatch):
+    """A gemv per row block gives the whole-matrix gemv's margins bit for
+    bit.  The loss mean hides most one-ulp margin changes, so the rule is
+    checked on the margins themselves."""
+    dim = 23
+    monkeypatch.setattr(Logistic, "_EVAL_BLOCK_BYTES", block_rows * 8 * dim)
+    obj = random_logistic(n, dim)
+    blocks = list(obj._row_blocks())
+    starts, stops = zip(*blocks)
+    assert starts[0] == 0 and stops[-1] == n and starts[1:] == stops[:-1]
+    assert stops[-1] - starts[-1] == last
+    out = np.empty(n)
+    for w in np.random.default_rng(1).normal(size=(8, dim)):
+        for a, b in blocks:
+            np.matmul(obj._dense[a:b], w, out=out[a:b])
+        np.testing.assert_array_equal(out, obj._dense @ w)
+
+
+@pytest.mark.parametrize("n, block_rows, last", BLOCKINGS)
+@pytest.mark.parametrize("count", [1, 16, 37])
+def test_logistic_eval_many_is_the_one_point_formula(n, block_rows, last, count,
+                                                     monkeypatch):
+    dim = 23
+    monkeypatch.setattr(Logistic, "_EVAL_BLOCK_BYTES", block_rows * 8 * dim)
+    obj = random_logistic(n, dim)
+    rng = np.random.default_rng(count)
+    points = rng.normal(size=(count, dim)) * np.geomspace(1e-3, 1e3, count)[:, None]
+    values = obj.eval_many(points)
+    assert values.shape == (count,)
+    for w, value in zip(points, values):
+        assert value == one_point_value(obj, w) == obj.eval(w)
+
+
+def test_logistic_eval_many_saturating_margins():
+    """Margins beyond 745 in size underflow exp to 0 on one side and leave
+    max(t, 0) to carry the loss on the other."""
+    obj = random_logistic(200, 9, seed=4)
+    w = np.full(9, 1e8)
+    points = np.stack([w, -w, 0.5 * w, np.zeros(9)])
+    margins = obj.labels * (obj._dense @ w)
+    assert (margins > 745).sum() > 50 and (margins < -745).sum() > 50
+    values = obj.eval_many(points)
+    assert np.isfinite(values).all()
+    assert values.tolist() == [one_point_value(obj, p) for p in points]
+
+
+def test_logistic_eval_many_sparse_path(monkeypatch):
+    monkeypatch.setattr(Logistic, "_DENSE_CACHE_LIMIT", 0)
+    obj = random_logistic(300, 9, seed=5)
+    assert obj._dense is None
+    points = np.random.default_rng(6).normal(size=(19, 9))
+    assert obj.eval_many(points).tolist() == \
+        [one_point_value(obj, p) for p in points] == [obj.eval(p) for p in points]
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic_noisy", "augmented",
+                                  "batched"])
+def test_eval_many_default_loops_over_eval(kind, monkeypatch):
+    obj = make_oracle(kind, monkeypatch)
+    points = np.random.default_rng(7).normal(size=(5, obj.dim))
+    assert obj.eval_many(points).tolist() == [obj.eval(p) for p in points]
+    assert obj.eval_many(np.empty((0, obj.dim))).shape == (0,)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_logistic_eval_many_checks_points(dense, monkeypatch):
+    obj = _logistic_rows(dense, monkeypatch)
+    assert obj.eval_many(np.empty((0, obj.dim))).shape == (0,)
+    for bad in (np.zeros(obj.dim), np.zeros((2, obj.dim + 1)),
+                np.r_[np.zeros((1, obj.dim)), np.full((1, obj.dim), np.inf)]):
+        with pytest.raises(ValueError):
+            obj.eval_many(bad)

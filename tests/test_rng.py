@@ -127,6 +127,20 @@ def test_stream_key_distinct():
     assert len(keys) == 400
 
 
+def test_bundle_keys_equal_stream_key():
+    """The vectorized keys are the scalar ``stream_key`` for seeds that wrap
+    mod 2**64 (negative, 2**63 and up, beyond 2**64) and large worker ids,
+    with one seed per row and with one seed for the whole bundle."""
+    seeds = [0, 1, -1, 2**63, 2**64 - 1, 2**70 + 3]
+    ids = [0, 2**40, 2**63 - 1]
+    pairs = [(s, w) for s in seeds for w in ids]
+    bundle = StreamBundle([s for s, _ in pairs], [w for _, w in pairs])
+    assert bundle._keys.ravel().tolist() == [stream_key(s, w) for s, w in pairs]
+    for seed in seeds:
+        assert StreamBundle(seed, ids)._keys.ravel().tolist() == \
+            [stream_key(seed, w) for w in ids]
+
+
 def test_bundle_keyed_by_seed_worker_pairs():
     pairs = [(3, 0), (3, 1), (8, 0), (2**64 - 1, 4)]
     bundle = StreamBundle([s for s, _ in pairs], [m for _, m in pairs])
