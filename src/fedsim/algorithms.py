@@ -23,8 +23,12 @@ All drivers share conventions:
   minibatch baselines onto it, and ``mb_sgd_run`` and ``mb_acsgd_run`` are
   its one-replica calls.
 
-Results are a pure function of ``(config, seed)``: rerunning with any thread
-layout, or beside any other replicas, reproduces them exactly.
+A trajectory is a pure function of ``(config, seed)``: rerunning with any
+sweep thread count, or beside any other replicas, reproduces it exactly.
+The drivers use no BLAS.  The evaluations of F and the optimum F* do, and a
+multi-threaded BLAS splits a gemv's rows between its threads, which for some
+dataset sizes moves the last bits of F; byte-stable artifacts across hosts
+need ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .objectives import BatchedOracle, Objective, _takes_buffers
+from .objectives import BatchedOracle, Objective
 from .rng import StreamBundle
 
 Callback = Callable[[int, np.ndarray, Optional[np.ndarray]], None]
@@ -267,7 +271,6 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     reps, dim = len(seeds), obj.dim
     ids = obj.stream_workers(m)
     bundle = StreamBundle([s for s in seeds for _ in ids], np.tile(ids, reps))
-    buffered = _takes_buffers(obj)
     w = np.tile(_start_row(obj, w0), (reps * m, 1))
 
     def column(values) -> np.ndarray:
@@ -292,14 +295,10 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
         observe = lambda step, w, w_ag: callback(step, live, w, w_ag)
 
     def work():
-        """``w_md`` (FedAc only), the oracle's keyword work arrays and the
-        step's temporary for the current rows."""
-        rows, streams = w.shape[0], len(bundle)
+        """``w_md`` (FedAc only) and the oracle's ``out`` and ``scratch``
+        for the current rows."""
         w_md = np.empty_like(w) if accelerated else None
-        if not buffered:
-            return w_md, {}, np.empty_like(w)
-        out, scratch = np.empty((streams, dim)), np.empty((streams, dim))
-        return w_md, {"out": out, "scratch": scratch}, scratch[:rows]
+        return w_md, np.empty((len(bundle), dim)), np.empty((len(bundle), dim))
 
     def sync(state: np.ndarray) -> np.ndarray:
         """Replace each replica's rows by their mean; return the means."""
@@ -307,14 +306,14 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
         state.reshape(-1, m, dim)[...] = means[:, None, :]
         return means
 
-    w_md, buffers, tmp = work()
+    w_md, out, scratch = work()
     for step in range(t):
         _observe(observe, step, w, w_ag)
         synced = (step + 1) % k == 0
         # a replica's M rows as one row of the (R, M*dim) views, so that
         # its (R, 1) hyperparameter column scales one long run per replica
         by_rep = len(live), -1
-        W, TMP = w.reshape(by_rep), tmp.reshape(by_rep)
+        W, TMP = w.reshape(by_rep), scratch[:len(w)].reshape(by_rep)
         if accelerated:
             inv_b, c_b, inv_a, c_a, eta, gamma = cols
             AG, MD = w_ag.reshape(by_rep), w_md.reshape(by_rep)
@@ -322,7 +321,8 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
             np.multiply(inv_b, W, out=MD)
             np.multiply(c_b, AG, out=TMP)
             np.add(MD, TMP, out=MD)
-            G = obj.stoch_grad_multi(w_md, bundle, **buffers).reshape(by_rep)
+            G = obj.stoch_grad_multi(w_md, bundle, out=out,
+                                     scratch=scratch).reshape(by_rep)
             # w_ag = w_md - eta * g
             np.multiply(eta, G, out=TMP)
             np.subtract(MD, TMP, out=AG)
@@ -337,7 +337,8 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
             if weighted:
                 acc = decay * acc + replica_mean(w, m)
                 acc_norm = decay * acc_norm + 1.0
-            G = obj.stoch_grad_multi(w, bundle, **buffers).reshape(by_rep)
+            G = obj.stoch_grad_multi(w, bundle, out=out,
+                                     scratch=scratch).reshape(by_rep)
             # w = w - eta * g
             np.multiply(cols[0], G, out=TMP)
             np.subtract(W, TMP, out=W)
@@ -362,7 +363,7 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
         live = live[keep]
         if not live.size:
             break
-        w_md, buffers, tmp = work()
+        w_md, out, scratch = work()
     if live.size:
         _observe(observe, t, w, w_ag)
     final_w = np.full((reps, dim), np.nan)

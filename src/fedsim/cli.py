@@ -197,6 +197,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     start = time.perf_counter()
+    if args.threads < 1:
+        raise UsageError("--threads must be >= 1")
     cfg = _load_layers(args, _SWEEP_FLAGS)
     out = resolve_out_dir(args.out, cfg)
     out.mkdir(parents=True, exist_ok=True)

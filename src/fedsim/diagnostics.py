@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -350,10 +350,6 @@ class PiecewiseCurvature1D(Objective):
         if len(self._a) and bool(((self._a <= x) & (x <= self._b)).any()):
             return self.big_l
         return self.base_mu
-
-    def stoch_grad_multi(self, W, bundle):
-        W = np.atleast_2d(np.asarray(W, dtype=np.float64))
-        return np.stack([self.grad(row) for row in W])
 
 
 def _min_pairwise_distance(points: np.ndarray) -> float:

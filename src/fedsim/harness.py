@@ -123,12 +123,15 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"minibatch baselines step in units of K: eval_every="
                         f"{self.eval_every} must be a multiple of K={k}")
-        if not self.etas or any(e <= 0 for e in self.etas):
-            raise ConfigError("eta grid must be nonempty and positive")
+        if not self.etas or any(not (0 < e < math.inf) for e in self.etas):
+            raise ConfigError("eta grid must be nonempty, positive and finite")
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
         if not (self.lam > 0):
             raise ConfigError(f"lam must be positive, got {self.lam}")
+        if self.opt_tol is not None and not (0 < self.opt_tol < math.inf):
+            raise ConfigError(
+                f"opt_tol must be positive and finite, got {self.opt_tol}")
         if self.dataset == "synthetic":
             if self.synthetic_n < 1 or self.synthetic_dim < 1:
                 raise ConfigError("synthetic dataset needs n >= 1 and dim >= 1")

@@ -18,15 +18,16 @@ members use ``np.mean`` over the leading axis.  Keeping one canonical order
 is what allows the bitwise-equivalence guarantees between the batched and
 per-worker code paths.
 
-The step kernel passes ``stoch_grad_multi`` two caller-owned work arrays,
-``out`` and ``scratch``, and the built-in oracles compute in them without
-allocating or re-checking the point; an oracle whose ``stoch_grad_multi``
-takes only ``(W, bundle)`` is called without them (see ``_takes_buffers``).
+Every oracle implements one protocol, ``stoch_grad_multi(W, bundle, *,
+out=None, scratch=None)``.  The step kernel passes two caller-owned work
+arrays, ``out`` and ``scratch``, and the oracle computes in them without
+allocating or re-checking the point.  A call without them, from outside the
+kernel, has its point checked and fresh arrays allocated by
+``Objective._work`` on the first line of the oracle.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,12 +47,6 @@ class GradSample(NamedTuple):
 def _log1p_exp(t: np.ndarray) -> np.ndarray:
     """Numerically stable log(1 + exp(t)) = log1p(exp(-|t|)) + max(t, 0)."""
     return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
-
-
-def _takes_buffers(oracle) -> bool:
-    """Whether ``oracle.stoch_grad_multi`` accepts the ``out`` and
-    ``scratch`` work arrays."""
-    return "scratch" in inspect.signature(oracle.stoch_grad_multi).parameters
 
 
 def _by_point(points: np.ndarray, a: np.ndarray):
@@ -119,11 +114,21 @@ class Objective:
 
         ``out`` and ``scratch`` are C-contiguous (B, dim) float64 work arrays
         from a trusted caller, given together or not at all.  The result is
-        then written into the leading rows of ``out`` and returned as a view
-        of them, ``scratch`` is overwritten, and ``W`` is not checked: the
-        caller guarantees a finite point of the right dimension.
+        written into the leading rows of ``out`` and returned as a view of
+        them, and ``scratch`` is overwritten.  Given, ``W`` is not checked:
+        the caller guarantees a finite point of the right dimension.  Not
+        given, ``_work`` checks ``W`` and allocates both.
         """
         raise NotImplementedError
+
+    def _work(self, W, bundle: StreamBundle, out, scratch):
+        """``stoch_grad_multi``'s point and work arrays: the caller's, or,
+        for a call without work arrays, the checked point and fresh
+        (len(bundle), dim) arrays."""
+        if out is None:
+            W, out = self._check_point(W), np.empty((len(bundle), self.dim))
+            scratch = np.empty_like(out)
+        return W, out, scratch
 
     def stream_workers(self, m: int) -> np.ndarray:
         """Worker ids whose streams a driver should allocate for M logical workers."""
@@ -175,9 +180,7 @@ class Quadratic(Objective):
         return self.spectrum * (w - self.shift)
 
     def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
-        if out is None:
-            W = self._check_point(W)
-            out = np.empty((len(bundle), self.dim))
+        W, out, _ = self._work(W, bundle, out, scratch)
         pts, blocks = _by_point(W, out)
         np.subtract(pts, self.shift, out=blocks)
         np.multiply(self.spectrum, out, out=out)
@@ -304,10 +307,7 @@ class Logistic(Objective):
         return GradSample(loss, g + self.lam * w)
 
     def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
-        if out is None:
-            W = self._check_point(W)
-            out = np.empty((len(bundle), self.dim))
-            scratch = np.empty_like(out)
+        W, out, scratch = self._work(W, bundle, out, scratch)
         pts, blocks = _by_point(W, out)
         idx = bundle.indices(self.n, 1)[:, 0]
         rows = scratch
@@ -340,7 +340,6 @@ class Augmented(Objective):
         if w0.size != inner.dim:
             raise ValueError("anchor length does not match inner objective")
         self.inner = inner
-        self._inner_buffers = _takes_buffers(inner)
         self.lam = float(lam)
         self.w0 = w0
         self.dim = inner.dim
@@ -366,16 +365,8 @@ class Augmented(Objective):
         )
 
     def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
-        if out is None:
-            W = self._check_point(W)
-            out = np.empty((len(bundle), self.dim))
-            scratch = np.empty_like(out)
-        if self._inner_buffers:
-            g = self.inner.stoch_grad_multi(W, bundle, out=out, scratch=scratch)
-        else:
-            g = self.inner.stoch_grad_multi(W, bundle)
-            out[:len(g)] = g
-            g = out[:len(g)]
+        W, out, scratch = self._work(W, bundle, out, scratch)
+        g = self.inner.stoch_grad_multi(W, bundle, out=out, scratch=scratch)
         pts, blocks = _by_point(W, g)
         pull = np.subtract(pts, self.w0, out=scratch[:len(pts), None, :])
         np.multiply(self.lam, pull, out=pull)
@@ -399,7 +390,6 @@ class BatchedOracle(Objective):
         if batch < 1:
             raise ValueError("batch must be >= 1")
         self.inner = inner
-        self._inner_buffers = _takes_buffers(inner)
         self.batch = int(batch)
         self.dim = inner.dim
         self.mu_est = inner.mu_est
@@ -418,21 +408,13 @@ class BatchedOracle(Objective):
         return np.arange(m * self.batch, dtype=np.int64)
 
     def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
-        W = np.asarray(W, dtype=np.float64)
-        if W.ndim == 1:
-            W = W[None, :]
-        m = W.shape[0]
+        W, out, scratch = self._work(W, bundle, out, scratch)
+        m = W.size // self.dim
         if len(bundle) != m * self.batch:
             raise ValueError("bundle size does not match workers * batch")
-        if out is None or not self._inner_buffers:
-            g = self.inner.stoch_grad_multi(np.repeat(W, self.batch, axis=0),
-                                            bundle)
-        else:
-            # the members of a worker's batch share its row of W
-            g = self.inner.stoch_grad_multi(W, bundle, out=out, scratch=scratch)
+        # the members of a worker's batch share its row of W
+        g = self.inner.stoch_grad_multi(W, bundle, out=out, scratch=scratch)
         g = g.reshape(m, self.batch, self.dim)
-        if out is None:
-            return np.mean(g, axis=1)
         # np.mean is this sum divided by the count
         total = np.add.reduce(g, axis=1, out=scratch[:m])
         return np.divide(total, self.batch, out=out[:m])

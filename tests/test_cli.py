@@ -325,6 +325,37 @@ def test_sweep_stdout_and_artifacts_thread_invariant(tmp_path, capsys):
     assert artifacts[0] == artifacts[1]
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_thread(threads, tmp_path, capsys):
+    code, out, err = run_cli(
+        ["sweep", "--config", write_config(tmp_path), "--out",
+         str(tmp_path / "out"), "--threads", threads], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: usage: --threads must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("etas", ["0.1,nan", "inf", "0.1,-inf"])
+@pytest.mark.parametrize("algorithm", ["fedavg", "fedac1"])
+def test_sweep_rejects_a_non_finite_eta(etas, algorithm, tmp_path, capsys):
+    code, out, err = run_cli(
+        ["sweep", "--config", write_config(tmp_path), "--out",
+         str(tmp_path / "out"), "--etas", etas, "--algorithms", algorithm],
+        capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage: eta grid must be nonempty, positive "
+                          "and finite")
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_run_rejects_a_bad_opt_tol(tol, tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_CONFIG + f"opt_tol = {tol}\n")
+    code, out, err = run_cli(
+        ["run", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage: opt_tol must be positive and finite")
+
+
 def test_sweep_whole_grid_infeasible_exits_3(tmp_path, capsys):
     # lam is the strong-convexity estimate; gamma * mu >= 1 makes the
     # fedac2 coupling weight infeasible at every eta on the grid

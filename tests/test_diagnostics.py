@@ -308,11 +308,6 @@ def test_piecewise_gradient_matches_finite_differences():
         assert f.grad([x])[0] == pytest.approx(fd, abs=1e-6)
 
 
-def test_piecewise_stochastic_oracle_is_deterministic():
-    f = PiecewiseCurvature1D(0.04, 1.0, [(0.5, 0.1)])
-    np.testing.assert_array_equal(f.stoch_grad_multi([0.7], None)[0], f.grad([0.7]))
-
-
 # ---------------------------------------------------------------------------
 # instability construction
 

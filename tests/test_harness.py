@@ -201,8 +201,13 @@ def test_config_rejects_bad_shapes():
         small_cfg(algorithms=("nope",))
     with pytest.raises(ConfigError):
         small_cfg(etas=())
-    with pytest.raises(ConfigError):
-        small_cfg(etas=(0.1, -0.5))
+    for etas in ((0.1, -0.5), (0.1, float("nan")), (float("inf"),)):
+        with pytest.raises(ConfigError):
+            small_cfg(etas=etas)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            small_cfg(opt_tol=tol)
+    assert small_cfg(opt_tol=1e-9).opt_tol == 1e-9
     with pytest.raises(ConfigError):
         small_cfg(seeds=())
     with pytest.raises(ConfigError):

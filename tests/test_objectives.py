@@ -347,22 +347,30 @@ def test_multi_shared_point_broadcast():
     np.testing.assert_array_equal(g, np.full((3, 1), 3.0))
 
 
-def test_batched_oracle_averages_member_gradients():
-    inner = Quadratic([1.0, 2.0], sigma=1.0)
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_batched_oracle_averages_member_gradients(kind, workers):
+    """Row m is ``np.mean`` of the reference gradients of worker m's batch
+    members at its point, bit for bit."""
+    if kind == "quadratic":
+        inner = Quadratic([1.0, 2.0], sigma=1.0)
+    else:
+        inner = make_logistic("+1 1:1 2:1\n-1 1:0.5\n+1 2:2\n-1 1:1 2:1\n",
+                              lam=0.1)
     batch = 4
     oracle = BatchedOracle(inner, batch)
-    w = np.array([0.7, -0.3])
-    ids = oracle.stream_workers(1)
-    np.testing.assert_array_equal(ids, np.arange(batch))
+    W = np.random.default_rng(17).normal(size=(workers, 2))
+    ids = oracle.stream_workers(workers)
+    np.testing.assert_array_equal(ids, np.arange(workers * batch))
 
-    bundle = StreamBundle(seed=13, worker_ids=ids)
-    g = oracle.stoch_grad_multi(w, bundle)
-
-    members = np.stack(
-        [reference_stoch_grad(inner, w, RngStream(seed=13, worker_id=j))
-         for j in range(batch)]
-    )
-    np.testing.assert_array_equal(g[0], np.mean(members, axis=0))
+    g = oracle.stoch_grad_multi(W, StreamBundle(seed=13, worker_ids=ids))
+    assert g.shape == (workers, 2)
+    for m in range(workers):
+        members = np.stack(
+            [reference_stoch_grad(inner, W[m],
+                                  RngStream(seed=13, worker_id=m * batch + j))
+             for j in range(batch)])
+        np.testing.assert_array_equal(g[m], np.mean(members, axis=0))
 
 
 def test_batched_oracle_deterministic_passthrough():
