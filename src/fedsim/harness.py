@@ -278,8 +278,11 @@ def compute_optimum(obj: Objective, tol: Optional[float] = None,
     Stops when the gradient norm at the query point drops to ``tol``
     (default 1e-12 * (1 + |F|), tracking the current value); raises
     OptimumError with the achieved norm if ``max_iter`` updates do not get
-    there.  An already-optimal start returns after zero updates.
+    there.  An already-optimal start returns after zero updates.  A ``tol``
+    that is not finite and positive raises ValueError.
     """
+    if tol is not None and not (0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     agd = AgdStep(obj.l_est, obj.mu_est)
     w = np.zeros(obj.dim)
     w_ag = np.zeros(obj.dim)

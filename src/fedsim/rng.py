@@ -14,9 +14,19 @@ internally consumes.  Words within a slot are addressed as
 with its neighbours.  Gaussians use two words (Box-Muller), uniforms one,
 index draws one word per rejection round (rejection is astronomically rare
 for any practical range).
+
+Because a variate depends only on its slot, ``StreamBundle.indices`` draws
+single-slot index variates ahead, in blocks: a call at slot ``c`` that
+misses the cached block draws slots ``[c, c + S)`` for every row in one
+vectorized pass, and the calls at the following slots read their slot's
+variates from it.  The counter still advances by exactly one per call, the
+block is looked up by absolute slot and range ``n``, and draws of other
+kinds in between (or a counter moved by hand) change no variate.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -30,6 +40,12 @@ _SLOT_SHIFT = 32
 _MAX_REJECTION_ROUNDS = 128
 
 _INV_2_53 = 2.0 ** -53
+
+# single-slot index draws are served from blocks of at most this many slots,
+# holding at most this many words; a bundle too wide for two slots per block
+# draws one slot per call
+_BLOCK_SLOTS = 64
+_BLOCK_WORDS = 1 << 14
 
 # the same constants as numpy scalars, built once: uint64 array arithmetic
 # with them wraps silently
@@ -84,6 +100,55 @@ def _to_unit_open(words: np.ndarray) -> np.ndarray:
     return ((words >> _U11) + _U1).astype(np.float64) * _INV_2_53
 
 
+def _index_range(n) -> int:
+    """``n`` as a python int, checked to be a valid index range [1, 2**64 - 1]."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"index range must be an integer, got {n!r}") from None
+    if not 1 <= n <= _MASK:
+        raise ValueError(f"index range must be in [1, 2**64 - 1], got {n}")
+    return n
+
+
+def _uniform_ints(keys: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """Uniform integers in [0, n) for every (key, slot) pair, where ``idx``
+    holds the slots' first word indices; shape the broadcast of the inputs.
+
+    Uses rejection against the largest multiple of n below 2**64, so the
+    distribution is exactly uniform with no modulo bias.  When every first
+    word is accepted (always, if n divides 2**64), the result is taken from
+    those words directly; otherwise the rejection rounds start over from the
+    same slots and give the same variates.
+    """
+    nn = np.uint64(n)
+    # threshold == 0 means n divides 2**64 exactly: accept everything
+    threshold = np.uint64((((1 << 64) // n) * n) & _MASK)
+    w = _words(keys, idx)
+    if not threshold or np.maximum.reduce(w, axis=None) < threshold:
+        return (w % nn).astype(np.int64)
+    return _reject(keys, idx, nn, threshold)
+
+
+def _reject(keys: np.ndarray, idx: np.ndarray, nn: np.uint64,
+            threshold: np.uint64) -> np.ndarray:
+    """The general rejection loop behind ``_uniform_ints``."""
+    shape = np.broadcast_shapes(keys.shape, idx.shape)
+    out = np.empty(shape, dtype=np.int64)
+    pending = np.ones(shape, dtype=bool)
+    for word in range(_MAX_REJECTION_ROUNDS):
+        w = _words(keys, idx + np.uint64(word))
+        if threshold:
+            ok = pending & (w < threshold)
+        else:
+            ok = pending.copy()
+        out[ok] = (w[ok] % nn).astype(np.int64)
+        pending &= ~ok
+        if not pending.any():
+            return out
+    raise RuntimeError("rejection sampling failed to terminate")  # pragma: no cover
+
+
 class StreamBundle:
     """A family of streams advancing their counters in lockstep, one per row.
 
@@ -94,7 +159,8 @@ class StreamBundle:
     the corresponding ``RngStream(seed, worker_id)`` would produce on its own.
     """
 
-    __slots__ = ("worker_ids", "counter", "_keys")
+    __slots__ = ("worker_ids", "counter", "_keys",
+                 "_block", "_block_n", "_block_first")
 
     def __init__(self, seed, worker_ids, counter: int = 0):
         ids = np.asarray(worker_ids, dtype=np.int64).ravel()
@@ -111,6 +177,8 @@ class StreamBundle:
         s = _finalize_array(seeds + _U_GOLDEN)
         w = _finalize_array((ids.astype(np.uint64) + _U1) * _U_GOLDEN)
         self._keys = _finalize_array(s ^ w).reshape(-1, 1)
+        # index variates drawn ahead: slots [first, first + len) for range n
+        self._block, self._block_n, self._block_first = None, 0, 0
 
     def __len__(self) -> int:
         return self._keys.shape[0]
@@ -120,6 +188,7 @@ class StreamBundle:
         order; the kept streams go on from the shared counter unchanged."""
         self.worker_ids = self.worker_ids[rows]
         self._keys = self._keys[rows]
+        self._block = None
 
     def _take_slots(self, count: int) -> int:
         start = self.counter
@@ -144,40 +213,28 @@ class StreamBundle:
     def indices(self, n: int, count: int = 1) -> np.ndarray:
         """Shape (rows, count) uniform integers in [0, n); advances counter by count.
 
-        Uses rejection against the largest multiple of n below 2**64, so the
-        distribution is exactly uniform with no modulo bias.  When every
-        first word is accepted (always, if n divides 2**64), the result is
-        taken from those words directly; otherwise the rejection rounds
-        start over from the same slots and give the same variates.
+        ``n`` must be an integer in [1, 2**64 - 1]; otherwise ValueError,
+        and the counter does not move.  A single-slot call is served from a
+        block of up to ``_BLOCK_SLOTS`` slots, drawn for every row at once
+        when the call's slot or ``n`` falls outside the cached block; the
+        returned array is a copy, never the block itself.
         """
-        if n < 1:
-            raise ValueError(f"index range must be >= 1, got {n}")
-        start = self._take_slots(count)
-        nn = np.uint64(n)
-        threshold = np.uint64((((1 << 64) // n) * n) & _MASK)
-        # threshold == 0 means n divides 2**64 exactly: accept everything
-        w = _words(self._keys, _slot_word_idx(start, count, 0))
-        if not threshold or np.maximum.reduce(w, axis=None) < threshold:
-            return (w % nn).astype(np.int64)
-        return self._reject(start, count, nn, threshold)
-
-    def _reject(self, start: int, count: int, nn: np.uint64,
-                threshold: np.uint64) -> np.ndarray:
-        """The general rejection loop behind ``indices``."""
-        out = np.empty((len(self), count), dtype=np.int64)
-        pending = np.ones((len(self), count), dtype=bool)
-        for word in range(_MAX_REJECTION_ROUNDS):
-            idx = _slot_word_idx(start, count, word)
-            w = _words(self._keys, idx)
-            if threshold:
-                ok = pending & (w < threshold)
-            else:
-                ok = pending.copy()
-            out[ok] = (w[ok] % nn).astype(np.int64)
-            pending &= ~ok
-            if not pending.any():
-                return out
-        raise RuntimeError("rejection sampling failed to terminate")  # pragma: no cover
+        n = _index_range(n)
+        rows = len(self)
+        span = min(_BLOCK_SLOTS, _BLOCK_WORDS // max(rows, 1))
+        if count != 1 or span < 2:
+            start = self._take_slots(count)
+            return _uniform_ints(self._keys, _slot_word_idx(start, count, 0), n)
+        c = self.counter
+        block = self._block
+        col = c - self._block_first
+        if block is None or n != self._block_n or not 0 <= col < len(block):
+            # (span, rows): each slot's variates are one contiguous row
+            block = self._block = _uniform_ints(
+                self._keys.T, _slot_word_idx(c, span, 0)[:, None], n)
+            self._block_n, self._block_first, col = n, c, 0
+        self.counter = c + 1
+        return block[col, :, None].copy()
 
 
 class RngStream:

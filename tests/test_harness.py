@@ -37,7 +37,9 @@ from fedsim.harness import (
     write_sweep_csv,
     write_sweep_json,
 )
+from fedsim import rng
 from fedsim.objectives import Logistic, Quadratic
+from fedsim.rng import StreamBundle
 
 
 def small_cfg(**overrides):
@@ -108,6 +110,22 @@ def test_optimum_requires_strong_convexity():
     obj = Quadratic([1.0], mu_est=0.0)
     with pytest.raises(ValueError):
         compute_optimum(obj)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_optimum_rejects_bad_tolerance(tmp_path, tol):
+    """A tolerance the gradient norm can never meet fails at once instead of
+    running to the iteration cap; the cache adds no entry for it."""
+    ds = make_synthetic_logistic(200, 20, seed=1)
+    obj = Logistic(ds, 1e-2)
+    with pytest.raises(ValueError, match="tol"):
+        # the cap makes an unchecked tolerance fail fast with OptimumError
+        compute_optimum(obj, tol=tol, max_iter=1000)
+    cache = tmp_path / "optima.json"
+    with pytest.raises(ValueError, match="tol"):
+        cached_optimum(obj, ds, 1e-2, tol, cache)
+    assert not cache.exists()
+    assert compute_optimum(obj, tol=1e-6).grad_norm <= 1e-6
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
@@ -517,6 +535,32 @@ def test_group_records_are_f_at_the_kernel_points(monkeypatch):
     for cell in cells[4:]:
         finite = [r.suboptimality < math.inf for r in cell.records]
         assert finite[0] and not finite[-1]
+
+
+def test_block_drawn_indices_leave_group_records_unchanged(monkeypatch):
+    """A group whose eta = 100 replicas diverge mid-block, so that the
+    bundle drops rows between block boundaries, records what it records
+    with one index slot drawn per step."""
+    obj, _ = build_objective(small_cfg(synthetic_n=300, synthetic_dim=20,
+                                       synthetic_nnz=5, lam=1.0))
+    replicas = [(eta, seed) for eta in (0.1, 1.0, 100.0) for seed in (0, 1)]
+    kept_at = []
+    keep = StreamBundle.keep
+
+    def spy(self, rows):
+        kept_at.append(self.counter)
+        keep(self, rows)
+
+    monkeypatch.setattr(StreamBundle, "keep", spy)
+
+    def group():
+        return harness.run_group(obj, "fedavg", 2, 4, replicas, 256, 32, 0.0)
+
+    blocked = group()
+    assert [c.diverged for c in blocked] == [False] * 4 + [True] * 2
+    assert kept_at and all(c % rng._BLOCK_SLOTS for c in kept_at)
+    monkeypatch.setattr(rng, "_BLOCK_SLOTS", 1)
+    assert group() == blocked
 
 
 def test_overflowing_worker_mean_records_inf():

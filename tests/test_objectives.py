@@ -14,6 +14,7 @@ from fedsim.objectives import (
     _log1p_exp,
     smoothness_bounds,
 )
+from fedsim import rng
 from fedsim.rng import RngStream, StreamBundle
 
 
@@ -502,13 +503,13 @@ def test_gather_stays_in_range_on_the_rejection_path(monkeypatch):
     ``StreamBundle.indices`` returns, from the rejection loop too, lies in
     [0, n)."""
     rejected = []
-    reject = StreamBundle._reject
+    reject = rng._reject
 
-    def spy(self, *args):
+    def spy(*args):
         rejected.append(args)
-        return reject(self, *args)
+        return reject(*args)
 
-    monkeypatch.setattr(StreamBundle, "_reject", spy)
+    monkeypatch.setattr(rng, "_reject", spy)
     n = 2 ** 62 + 1  # a quarter of all words lie above the largest multiple
     idx = StreamBundle(5, np.arange(64)).indices(n, 4)
     assert rejected
@@ -518,7 +519,8 @@ def test_gather_stays_in_range_on_the_rejection_path(monkeypatch):
     def via_rejection(self, n, count=1):
         start = self._take_slots(count)
         threshold = np.uint64((1 << 64) // n * n & ((1 << 64) - 1))
-        return reject(self, start, count, np.uint64(n), threshold)
+        return reject(self._keys, rng._slot_word_idx(start, count, 0),
+                      np.uint64(n), threshold)
 
     obj = _logistic_rows(True, monkeypatch)
     W = np.random.default_rng(8).normal(size=(32, obj.dim))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from fedsim import rng
 from fedsim.rng import (
     RngStream,
     StreamBundle,
+    _reject,
     _slot_word_idx,
     _words,
     stream_key,
@@ -179,7 +181,144 @@ def test_indices_fast_path_matches_rejection_loop(n):
     first = _words(general._keys, _slot_word_idx(3, 32, 0))
     if n == 2**63 + 1:  # about half of the first words are rejected
         assert 0.4 < (first >= threshold).mean() < 0.6
-    want = general._reject(general._take_slots(32), 32, np.uint64(n), threshold)
+    start = general._take_slots(32)
+    want = _reject(general._keys, _slot_word_idx(start, 32, 0), np.uint64(n),
+                   threshold)
     assert np.array_equal(got, want)
     assert fast.counter == general.counter == 35
     assert got.min() >= 0 and (got.astype(np.uint64) < np.uint64(n)).all()
+
+
+# ---------------------------------------------------------------------------
+# single-slot index draws served from blocks drawn ahead
+
+
+def reference_indices(seed, ids, n, slots):
+    """(len(slots), rows) index variates, each slot drawn on its own by a
+    fresh one-row stream through the plain multi-slot path (count > 1)."""
+    return np.array([[RngStream(seed, w, counter=s).indices(n, 2)[0]
+                      for w in ids] for s in slots], dtype=np.int64)
+
+
+def single_slot_draws(bundle, n, count):
+    """``count`` single-slot index draws, stacked to (count, rows)."""
+    return np.array([bundle.indices(n, 1)[:, 0] for _ in range(count)])
+
+
+def test_single_slot_draws_cross_block_boundaries():
+    ids = [0, 1, 5, 9]
+    bundle = StreamBundle(11, ids, counter=5)
+    got = single_slot_draws(bundle, 1000, 150)
+    assert bundle.counter == 155
+    assert np.array_equal(got, reference_indices(11, ids, 1000, range(5, 155)))
+
+
+def test_other_draws_between_index_calls():
+    """Uniforms and gaussians drawn between index calls take their own slots
+    and see the same variates as a plain stream; so do the index calls."""
+    ids = [2, 3, 7]
+    bundle = StreamBundle(4, ids)
+    for _ in range(40):
+        slot = bundle.counter
+        first = bundle.indices(97, 1)
+        u = bundle.uniforms(2)
+        second = bundle.indices(97, 1)
+        g = bundle.gaussians(1)
+        assert np.array_equal(np.hstack([first, second]).T,
+                              reference_indices(4, ids, 97, [slot, slot + 3]))
+        for row, w in enumerate(ids):
+            assert np.array_equal(u[row], RngStream(4, w, slot + 1).uniforms(2))
+            assert np.array_equal(g[row], RngStream(4, w, slot + 4).gaussians(1))
+    assert bundle.counter == 40 * 5
+
+
+def test_index_range_change_between_calls():
+    ids = [0, 1]
+    bundle = StreamBundle(8, ids)
+    ranges = [7, 8000, 2**40, 7, 7, 3] * 25
+    got = [bundle.indices(n, 1)[:, 0] for n in ranges]
+    assert bundle.counter == len(ranges)
+    for slot, (n, row) in enumerate(zip(ranges, got)):
+        assert np.array_equal(row, reference_indices(8, ids, n, [slot])[0])
+
+
+def test_counter_moved_backwards_and_past_the_block():
+    ids = [1, 4, 6]
+    stream = RngStream(3, 2)
+    bundle = StreamBundle(3, ids)
+    single_slot_draws(bundle, 50, 10)
+    for start, count in ((3, 5), (0, 70), (500, 3), (20, 4), (1000, 130)):
+        bundle.counter = stream.counter = start
+        got = single_slot_draws(bundle, 50, count)
+        assert bundle.counter == start + count
+        want = reference_indices(3, ids, 50, range(start, start + count))
+        assert np.array_equal(got, want)
+        solo = [stream.indices(50, 1)[0] for _ in range(count)]
+        assert solo == reference_indices(3, [2], 50, range(start, start + count)
+                                         ).ravel().tolist()
+        assert stream.counter == start + count
+
+
+def test_keep_in_the_middle_of_a_block():
+    ids = [0, 1, 2, 3]
+    bundle = StreamBundle(21, ids)
+    first = single_slot_draws(bundle, 640, 10)
+    bundle.keep(np.array([True, False, True, True]))
+    then = single_slot_draws(bundle, 640, 70)
+    assert bundle.counter == 80
+    assert np.array_equal(first, reference_indices(21, ids, 640, range(10)))
+    assert np.array_equal(then, reference_indices(21, [0, 2, 3], 640,
+                                                  range(10, 80)))
+
+
+def test_single_slot_draws_through_the_rejection_loop():
+    """n = 2**63 + 1 rejects about half of all words, so every block goes
+    through the general rejection loop."""
+    n = 2**63 + 1
+    ids = [0, 3]
+    bundle = StreamBundle(17, ids, counter=40)
+    got = single_slot_draws(bundle, n, 100)
+    assert bundle.counter == 140
+    assert np.array_equal(got, reference_indices(17, ids, n, range(40, 140)))
+    assert (got.astype(np.uint64) < np.uint64(n)).all()
+
+
+@pytest.mark.parametrize("rows, blocked", [(32, True), (33, False)])
+def test_bundle_wider_than_the_word_budget_draws_plainly(monkeypatch, rows,
+                                                         blocked):
+    """A bundle too wide for two slots per block takes the plain path, one
+    slot per call, with the same variates and counter."""
+    monkeypatch.setattr(rng, "_BLOCK_WORDS", 64)
+    ids = np.arange(rows)
+    bundle = StreamBundle(5, ids)
+    plain = StreamBundle(5, ids)
+    got = single_slot_draws(bundle, 1000, 5)
+    assert (bundle._block is not None) == blocked
+    assert np.array_equal(got, plain.indices(1000, 5).T)
+    assert bundle.counter == plain.counter == 5
+
+
+def test_writing_into_a_returned_draw_changes_no_later_draw():
+    bundle = StreamBundle(9, [0, 1, 2])
+    got = bundle.indices(100, 1)
+    got[:] = -1
+    again = bundle.indices(100, 1)
+    again[:] = -1
+    bundle.counter = 0
+    assert np.array_equal(single_slot_draws(bundle, 100, 2),
+                          reference_indices(9, [0, 1, 2], 100, range(2)))
+
+
+@pytest.mark.parametrize("n", [2**64, 0, -3, 1.5, 8.0, "7", None])
+def test_rejected_index_range_consumes_no_slot(n):
+    bundle = StreamBundle(2, [0, 1])
+    bundle.indices(10, 1)
+    block = bundle._block
+    with pytest.raises(ValueError):
+        bundle.indices(n, 1)
+    with pytest.raises(ValueError):
+        bundle.indices(n, 3)
+    assert bundle.counter == 1
+    assert bundle._block is block
+    assert np.array_equal(single_slot_draws(bundle, 10, 1),
+                          reference_indices(2, [0, 1], 10, [1]))

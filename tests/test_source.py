@@ -1,11 +1,14 @@
 """Static checks on the package source."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "fedsim"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "fedsim"
 # __init__.py imports to re-export, so its names are used by its importers
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 
@@ -35,3 +38,19 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_a_mistyped_marker_fails_collection(tmp_path):
+    """Under the project's pytest settings a marker that is not registered,
+    such as ``slwo`` for ``slow``, is an error, not a warning that lets the
+    test run under ``-m "not slow"``."""
+    test = tmp_path / "test_typo.py"
+    test.write_text("import pytest\n\n@pytest.mark.slwo\ndef test_x():\n"
+                    "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), str(test)],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode != 0
+    assert "'slwo' not found in `markers`" in run.stdout + run.stderr
