@@ -24,7 +24,7 @@ All drivers share conventions:
   its one-replica calls.
 
 A trajectory is a pure function of ``(config, seed)``: rerunning with any
-sweep thread count, or beside any other replicas, reproduces it exactly.
+sweep worker count, or beside any other replicas, reproduces it exactly.
 The drivers use no BLAS.  The evaluations of F and the optimum F* do, and a
 multi-threaded BLAS splits a gemv's rows between its threads, which for some
 dataset sizes moves the last bits of F; byte-stable artifacts across hosts

@@ -91,7 +91,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="flat key = value config file")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for independent (algorithm, M, K) "
+                   help="worker processes for independent (algorithm, M, K) "
                         "groups; any count writes the same bytes (default 1)")
     p.add_argument("--algorithms", default=None, help="comma list override")
     p.add_argument("--M", default=None, help="comma list override")

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -509,18 +509,39 @@ def run_cell(obj: Objective, algorithm: str, m: int, k: int, eta: float,
                      f_star)[0]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the cap on sweep workers."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _adopt(run_one) -> None:
+    """Pool initializer: the forked worker's ``tune_and_sweep`` group runner."""
+    global _run_one
+    _run_one = run_one
+
+
+def _run_adopted(group):
+    return _run_one(group)
+
+
 def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
                    threads: int = 1) -> Tuple[List[CellResult], List[SweepRow]]:
     """Run the full sweep and tune eta per (algorithm, M, K).
 
     Each (algorithm, M, K) group runs all its (eta, seed) replicas through
-    ``run_group``.  Groups run independently (optionally on a thread pool)
-    and cells are always assembled in canonical nested order (algorithm, M,
-    K, eta, seed), so the output is identical for any thread count.  Per
-    cell the best-over-time suboptimality is taken, then the median across
-    seeds; the eta minimizing that median wins, ties going to the smaller
-    eta.  If every eta diverges the row is flagged with best_eta = nan.
+    ``run_group``.  ``threads`` (an integer >= 1, else ConfigError) caps the
+    worker processes: above 1, where the ``fork`` start method exists,
+    min(threads, usable CPUs, groups) forked workers run the groups; they
+    inherit ``obj`` copy-on-write and send back only the cells.  Cells are
+    always assembled in canonical nested order (algorithm, M, K, eta, seed),
+    so the output is identical for any worker count.  Per cell the
+    best-over-time suboptimality is taken, then the median across seeds; the
+    eta minimizing that median wins, ties going to the smaller eta.  If
+    every eta diverges the row is flagged with best_eta = nan.
     """
+    if not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     etas = tuple(sorted(cfg.etas))
     replicas = [(eta, seed) for eta in etas for seed in cfg.seeds]
     groups = [(alg, m, k) for alg in cfg.algorithms for m in cfg.m_list
@@ -530,9 +551,14 @@ def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
         alg, m, k = group
         return run_group(obj, alg, m, k, replicas, cfg.t, cfg.eval_every, f_star)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, groups))
+    workers = min(threads, _usable_cpus(), len(groups))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # largest M*K first; no BLAS re-pin: F's bits depend on its threads
+        ranked = sorted(groups, key=lambda g: -g[1] * g[2])
+        with multiprocessing.get_context("fork").Pool(
+                workers, _adopt, (one,)) as pool:
+            done = dict(zip(ranked, pool.map(_run_adopted, ranked, 1)))
+        results = [done[group] for group in groups]
     else:
         results = [one(group) for group in groups]
 

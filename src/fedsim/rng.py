@@ -125,7 +125,7 @@ def _uniform_ints(keys: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     # threshold == 0 means n divides 2**64 exactly: accept everything
     threshold = np.uint64((((1 << 64) // n) * n) & _MASK)
     w = _words(keys, idx)
-    if not threshold or np.maximum.reduce(w, axis=None) < threshold:
+    if not threshold or w.max(initial=0) < threshold:
         return (w % nn).astype(np.int64)
     return _reject(keys, idx, nn, threshold)
 
@@ -191,6 +191,8 @@ class StreamBundle:
         self._block = None
 
     def _take_slots(self, count: int) -> int:
+        if not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"count must be an integer >= 0, got {count!r}")
         start = self.counter
         self.counter = start + count
         return start
@@ -213,11 +215,12 @@ class StreamBundle:
     def indices(self, n: int, count: int = 1) -> np.ndarray:
         """Shape (rows, count) uniform integers in [0, n); advances counter by count.
 
-        ``n`` must be an integer in [1, 2**64 - 1]; otherwise ValueError,
-        and the counter does not move.  A single-slot call is served from a
-        block of up to ``_BLOCK_SLOTS`` slots, drawn for every row at once
-        when the call's slot or ``n`` falls outside the cached block; the
-        returned array is a copy, never the block itself.
+        ``n`` must be an integer in [1, 2**64 - 1] and ``count`` one >= 0
+        (as for every draw); otherwise ValueError, and the counter does not
+        move.  A single-slot call is served from a block of up to
+        ``_BLOCK_SLOTS`` slots, drawn for every row at once when the call's
+        slot or ``n`` falls outside the cached block; the returned array is
+        a copy, never the block itself.
         """
         n = _index_range(n)
         rows = len(self)

@@ -10,7 +10,7 @@ run in seconds on one core:
 * per-step contraction of the decentralized potential on random quadratics,
 * the piecewise-curvature instability experiment against its closed forms,
 * finite-difference validation of every gradient implementation,
-* byte-identical artifacts across thread counts.
+* byte-identical artifacts across sweep worker-process counts.
 """
 
 from __future__ import annotations

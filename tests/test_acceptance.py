@@ -10,7 +10,7 @@ under ``pytest -s``):
 5. finite-difference validation of every gradient implementation,
 6. golden statistics of the census income dataset (a9a),
 7. the desk-scale speedup sweep and its qualitative ordering,
-8. byte-identical sweep artifacts across thread counts.
+8. byte-identical sweep artifacts across sweep worker counts.
 
 Criteria 6 and 7 look for dataset files under ``$FEDSIM_DATA`` or
 ``<repo>/data``.  6 reports a distinct SKIP status when a9a is absent;
@@ -240,13 +240,13 @@ def artifact_bytes(cells, rows, tmp_path, tag):
 @pytest.mark.slow
 def test_acceptance_8_thread_and_repeat_determinism(speedup, tmp_path):
     with criterion(8, speedup.note):
-        # the sweep is the only threaded path: rerun it single-threaded and
-        # require byte-identical artifacts
+        # the sweep is the only path with worker processes: rerun it
+        # serially and require byte-identical artifacts
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             cells1, rows1 = tune_and_sweep(speedup.cfg, speedup.obj,
                                            speedup.f_star, threads=1)
         assert artifact_bytes(cells1, rows1, tmp_path, "serial") == \
-            artifact_bytes(speedup.cells, speedup.rows, tmp_path, "threaded")
+            artifact_bytes(speedup.cells, speedup.rows, tmp_path, "pooled")
 
         # the remaining criteria are single-threaded computations: repeat
         # representative ones and require exact equality

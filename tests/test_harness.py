@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import statistics
 from pathlib import Path
 
@@ -441,16 +442,6 @@ def test_sweep_runtime_divergence_keeps_pre_divergence_best():
     assert rows[0].best_suboptimality == 0.5
 
 
-def test_sweep_thread_count_invariance():
-    cfg = small_cfg(algorithms=("fedavg", "fedac1"), etas=(0.05, 0.2),
-                    seeds=(0, 1), m_list=(1, 2))
-    obj = Quadratic([1.0, 2.0], shift=[1.0, -1.0], sigma=0.5)
-    cells1, rows1 = tune_and_sweep(cfg, obj, f_star=0.0, threads=1)
-    cells4, rows4 = tune_and_sweep(cfg, obj, f_star=0.0, threads=4)
-    assert rows1 == rows4
-    assert records_to_rows(cells1) == records_to_rows(cells4)
-
-
 def diverging_grid(**overrides):
     """M in {1, 3}, K in {1, 4}, two seeds; eta = 1 diverges mid-run, and
     eta = 5 makes both FedAc schedules infeasible."""
@@ -667,6 +658,96 @@ def test_sweep_owns_the_floating_point_policy(tmp_path, objective):
         again = run_cell(obj, bad.algorithm, bad.m, bad.k, bad.eta, cfg.t,
                          bad.seed, cfg.eval_every, 0.0)
     assert again.diverged and again.records == bad.records
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+
+def pooled(monkeypatch, cpus=4):
+    """Let ``tune_and_sweep`` fork up to ``cpus`` workers on any host."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+
+
+def groups_in_workers_only(monkeypatch):
+    """Make ``run_group`` fail in this process, so a sweep that succeeds
+    ran every group in a forked worker."""
+    parent, real = os.getpid(), harness.run_group
+
+    def run_group(*args):
+        assert os.getpid() != parent, "a group ran in the calling process"
+        return real(*args)
+    monkeypatch.setattr(harness, "run_group", run_group)
+
+
+def test_sweep_thread_count_invariance(tmp_path, monkeypatch):
+    """Forked workers, whatever the host's CPU count, give the serial
+    sweep's cells and bytes, diverged cells and FedAvg's decay-weighted
+    averages included."""
+    cfg, obj = diverging_grid()
+    cells1, rows1 = tune_and_sweep(cfg, obj, f_star=0.0, threads=1)
+    pooled(monkeypatch)
+    groups_in_workers_only(monkeypatch)
+    cells4, rows4 = tune_and_sweep(cfg, obj, f_star=0.0, threads=4)
+    assert any(c.diverged for c in cells1)
+    assert any(c.rho_suboptimality is not None and not c.diverged
+               for c in cells1)
+    assert cells4 == cells1 and rows4 == rows1
+    assert artifact_bytes(cells4, rows4, tmp_path, "pooled") == \
+        artifact_bytes(cells1, rows1, tmp_path, "serial")
+
+
+class WorkerFailure(RuntimeError):
+    pass
+
+
+def test_pooled_sweep_raises_a_worker_exception_with_its_type(monkeypatch):
+    parent = os.getpid()
+
+    def run_group(*args):
+        raise WorkerFailure(f"raised in process {os.getpid()}")
+    pooled(monkeypatch)
+    monkeypatch.setattr(harness, "run_group", run_group)
+    with pytest.raises(WorkerFailure) as info:
+        tune_and_sweep(small_cfg(m_list=(1, 2, 3)), Quadratic([1.0]),
+                       f_star=0.0, threads=2)
+    assert str(info.value) != f"raised in process {parent}"
+
+
+def test_sweep_without_fork_runs_in_process(monkeypatch):
+    pooled(monkeypatch)
+    monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    pids, real = [], harness.run_group
+    monkeypatch.setattr(harness, "run_group",
+                        lambda *args: pids.append(os.getpid()) or real(*args))
+    cfg = small_cfg(m_list=(1, 2), etas=(0.1, 0.2))
+    cells, rows = tune_and_sweep(cfg, Quadratic([1.0, 2.0]), f_star=0.0,
+                                 threads=4)
+    assert pids == [os.getpid()] * 2
+    assert (cells, rows) == tune_and_sweep(cfg, Quadratic([1.0, 2.0]),
+                                           f_star=0.0, threads=1)
+
+
+def test_pooled_sweep_leaves_the_callers_errstate(monkeypatch):
+    cfg, obj = diverging_grid(algorithms=("fedac1", "fedavg"))
+    pooled(monkeypatch)
+    with np.errstate(all="raise", under="warn"):
+        before = np.geterr()
+        cells, _ = tune_and_sweep(cfg, obj, f_star=0.0, threads=2)
+        assert np.geterr() == before
+    assert any(c.diverged for c in cells)
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, "2", None])
+def test_sweep_rejects_a_bad_worker_count_before_running(threads,
+                                                         monkeypatch):
+    def run_group(*args):
+        raise AssertionError("a group ran")
+    monkeypatch.setattr(harness, "run_group", run_group)
+    with pytest.raises(ConfigError, match="threads"):
+        tune_and_sweep(small_cfg(), Quadratic([1.0]), f_star=0.0,
+                       threads=threads)
 
 
 # ---------------------------------------------------------------------------

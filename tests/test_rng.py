@@ -322,3 +322,41 @@ def test_rejected_index_range_consumes_no_slot(n):
     assert bundle._block is block
     assert np.array_equal(single_slot_draws(bundle, 10, 1),
                           reference_indices(2, [0, 1], 10, [1]))
+
+
+@pytest.mark.parametrize("count", [-2, -1, 1.5, 2.0, "3", None])
+def test_rejected_count_consumes_no_slot(count):
+    """Every draw checks ``count`` before it takes a slot: a negative one
+    must not rewind the counter, and a non-integer must not move it."""
+    bundle = StreamBundle(1, [0, 1], counter=5)
+    for draw in (lambda: bundle.indices(10, count),
+                 lambda: bundle.uniforms(count),
+                 lambda: bundle.gaussians(count)):
+        with pytest.raises(ValueError, match="count"):
+            draw()
+        assert bundle.counter == 5
+    assert np.array_equal(bundle.indices(10, 2),
+                          reference_indices(1, [0, 1], 10, [5, 6]).T)
+    assert bundle.counter == 7
+
+
+@pytest.mark.parametrize("ids, count", [([], 3), ([], 1), ([0, 1], 0), ([], 0)])
+def test_zero_size_index_draw_is_empty(ids, count):
+    """A draw of no variates, for want of rows or of slots, returns an empty
+    (rows, count) array as ``uniforms`` does, and takes ``count`` slots."""
+    bundle = StreamBundle(1, ids, counter=4)
+    got = bundle.indices(10, count)
+    assert got.shape == (len(ids), count) and got.dtype == np.int64
+    assert bundle.uniforms(count).shape == (len(ids), count)
+    assert bundle.counter == 4 + 2 * count
+    if ids:
+        assert np.array_equal(bundle.indices(10, 1),
+                              reference_indices(1, ids, 10, [4 + 2 * count]).T)
+
+
+def test_empty_bundle_keeps_its_counter_across_single_slot_draws():
+    bundle = StreamBundle(1, [])
+    for _ in range(3):
+        assert bundle.indices(10).shape == (0, 1)
+    assert bundle.counter == 3
+    assert bundle.gaussians(2).shape == (0, 2) and bundle.counter == 5
