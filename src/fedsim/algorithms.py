@@ -18,7 +18,7 @@ All drivers share conventions:
   that keeps a state copies it.  Drivers never draw randomness for
   evaluation, so observation cannot perturb trajectories.
 * ``run_replicas`` is the one step kernel: it runs any number of
-  (hyperparameters, seed) replicas side by side.  ``fedac_run`` and
+  (hyperparameters, K, seed) replicas side by side.  ``fedac_run`` and
   ``fedavg_run`` are its one-replica calls; ``_run_minibatch`` maps the
   minibatch baselines onto it, and ``mb_sgd_run`` and ``mb_acsgd_run`` are
   its one-replica calls.
@@ -222,7 +222,7 @@ class ReplicaResult:
 ReplicaCallback = Callable[[int, np.ndarray, np.ndarray, Optional[np.ndarray]], None]
 
 
-def run_replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
+def run_replicas(obj: Objective, m: int, t: int, k, steps: Sequence,
                  seeds: Sequence[int], w0=None,
                  callback: Optional[ReplicaCallback] = None,
                  mu: Optional[float] = None) -> ReplicaResult:
@@ -231,8 +231,11 @@ def run_replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     Replica r draws from the streams ``(seeds[r], worker)`` and steps with
     ``steps[r]``: a ``Hyper`` runs FedAc (see ``fedac_run``), a plain step
     size runs FedAvg (see ``fedavg_run``, whose ``mu`` sets the decay of the
-    weighted average).  Every replica follows the same float expressions as
-    a run of its own, with its hyperparameters held as (R, 1) columns, so
+    weighted average).  ``k`` is the sync interval of every replica, or one
+    K per replica: after step s, the replicas whose K divides s + 1 average
+    and broadcast their rows, each run of consecutive replicas with equal K
+    as one block of rows.  Every replica follows the same float expressions
+    as a run of its own, with its hyperparameters held as (R, 1) columns, so
     each replica is bit-identical to the run it stands for.
 
     ``callback(t, live, W, W_ag)`` is invoked before step t and at t = T
@@ -241,14 +244,19 @@ def run_replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     iterates go non-finite at step s is recorded in ``diverged`` and its
     rows are dropped from step s + 1 on.
     """
-    return _replicas(obj, m, t, k, steps, seeds, w0, callback, mu, True)
+    return _replicas(obj, m, t, k, steps, seeds, w0, callback,
+                     obj.mu_est if mu is None else mu)
 
 
-def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
+def _replicas(obj: Objective, m: int, t: int, k, steps: Sequence,
               seeds: Sequence[int], w0, callback: Optional[ReplicaCallback],
-              mu: Optional[float], weighted: bool) -> ReplicaResult:
-    """The body of ``run_replicas``.  ``weighted=False`` skips FedAvg's
+              mu: Optional[float], batch: int = 1) -> ReplicaResult:
+    """The body of ``run_replicas``.  ``mu=None`` skips FedAvg's
     decay-weighted average, which the minibatch baselines discard.
+    ``batch`` > 1 runs minibatch SGD: each of the M state rows queries
+    ``batch`` streams, and the step averages the candidates ``w - eta*g_j``
+    back into the row, which is FedAvg on M*batch workers at K = 1 without
+    its equal rows.
 
     Every step is written in place, in the operation order of the plain
     expressions, into arrays allocated once and again only when replicas
@@ -256,20 +264,21 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     oracle's ``out`` and ``scratch``, whose leading rows double as the
     step's one temporary.
     """
-    _validate_run_args(m, t, k)
     if not seeds or len(steps) != len(seeds):
         raise ValueError(f"need one step rule per seed, got {len(steps)} "
                          f"for {len(seeds)}")
+    reps, dim = len(seeds), obj.dim
+    ks = np.full(reps, k) if np.ndim(k) == 0 else np.asarray(k)
+    if ks.shape != (reps,):
+        raise ValueError(f"need one K per seed, got {ks.size} for {reps}")
+    _validate_run_args(m, t, ks.min())
     accelerated = isinstance(steps[0], Hyper)
     for rule in steps:
         if isinstance(rule, Hyper) != accelerated:
             raise ValueError("steps must be all Hyper or all step sizes")
         if not accelerated and not (rule > 0):
             raise ValueError(f"eta must be positive, got {rule}")
-    if mu is None:
-        mu = obj.mu_est
-    reps, dim = len(seeds), obj.dim
-    ids = obj.stream_workers(m)
+    ids = obj.stream_workers(m * batch)
     bundle = StreamBundle([s for s in seeds for _ in ids], np.tile(ids, reps))
     w = np.tile(_start_row(obj, w0), (reps * m, 1))
 
@@ -285,9 +294,10 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     else:
         w_ag = None
         cols = [column(steps)]
-        decay = np.array([1.0 - 0.5 * eta * mu for eta in steps])[:, None]
-        acc = np.zeros((reps, dim))
-        acc_norm = np.zeros((reps, 1))
+        if mu is not None:
+            decay = np.array([1.0 - 0.5 * eta * mu for eta in steps])[:, None]
+            acc = np.zeros((reps, dim))
+            acc_norm = np.zeros((reps, 1))
     live = np.arange(reps)
     diverged: List[Optional[Tuple[int, int]]] = [None] * reps
     observe = None
@@ -295,10 +305,16 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
         observe = lambda step, w, w_ag: callback(step, live, w, w_ag)
 
     def work():
-        """``w_md`` (FedAc only) and the oracle's ``out`` and ``scratch``
-        for the current rows."""
+        """``w_md`` (FedAc only), the oracle's ``out`` and ``scratch`` for
+        the current rows, and the (K, rows) blocks of equal K that sync; a
+        minibatch SGD step averages by itself and has none."""
         w_md = np.empty_like(w) if accelerated else None
-        return w_md, np.empty((len(bundle), dim)), np.empty((len(bundle), dim))
+        ends = [r for r in range(len(ks) + 1)
+                if r in (0, len(ks)) or ks[r] != ks[r - 1]]
+        blocks = [] if batch > 1 else [(int(ks[a]), slice(a * m, b * m))
+                                       for a, b in zip(ends, ends[1:])]
+        return (w_md, np.empty((len(bundle), dim)),
+                np.empty((len(bundle), dim)), blocks)
 
     def sync(state: np.ndarray) -> np.ndarray:
         """Replace each replica's rows by their mean; return the means."""
@@ -306,10 +322,10 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
         state.reshape(-1, m, dim)[...] = means[:, None, :]
         return means
 
-    w_md, out, scratch = work()
+    w_md, out, scratch, blocks = work()
     for step in range(t):
         _observe(observe, step, w, w_ag)
-        synced = (step + 1) % k == 0
+        due = [rows for kb, rows in blocks if (step + 1) % kb == 0]
         # a replica's M rows as one row of the (R, M*dim) views, so that
         # its (R, 1) hyperparameter column scales one long run per replica
         by_rep = len(live), -1
@@ -332,23 +348,37 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
             np.add(W, TMP, out=W)
             np.multiply(gamma, G, out=TMP)
             np.subtract(W, TMP, out=W)
-            now_w, now_ag = (sync(w), sync(w_ag)) if synced else (w, w_ag)
         else:
-            if weighted:
+            if mu is not None:
                 acc = decay * acc + replica_mean(w, m)
                 acc_norm = decay * acc_norm + 1.0
             G = obj.stoch_grad_multi(w, bundle, out=out,
                                      scratch=scratch).reshape(by_rep)
-            # w = w - eta * g
-            np.multiply(cols[0], G, out=TMP)
-            np.subtract(W, TMP, out=W)
-            now_w, now_ag = sync(w) if synced else w, None
-        # a synced step checks the block means: its rows are their copies,
-        # so a blow-up there is reported at worker 0
-        if np.isfinite(now_w).all() and (
-                now_ag is None or np.isfinite(now_ag).all()):
+            if batch == 1:
+                # w = w - eta * g
+                np.multiply(cols[0], G, out=TMP)
+                np.subtract(W, TMP, out=W)
+            else:
+                # w = mean_j(w - eta * g_j), the candidates in ``scratch``
+                cand = scratch.reshape(len(w), batch, dim)
+                np.multiply(cols[0], G, out=cand.reshape(by_rep))
+                np.subtract(w[:, None, :], cand, out=cand)
+                np.divide(np.add.reduce(cand, axis=1, out=w), batch, out=w)
+        state = (w,) if w_ag is None else (w, w_ag)
+        if blocks and len(due) == len(blocks):
+            # every replica syncs: check the block means; the rows are
+            # their copies, so a blow-up there is reported at worker 0
+            now, per = [sync(a) for a in state], 1
+        else:
+            # a synced block's rows are copies of its mean, so it reports
+            # worker 0 here too
+            for rows in due:
+                for a in state:
+                    sync(a[rows])
+            now, per = state, m
+        if all(np.isfinite(a).all() for a in now):
             continue
-        bad = _bad_workers(now_w, now_ag, 1 if synced else m)
+        bad = _bad_workers(now[0], now[1] if len(now) > 1 else None, per)
         for r, worker in zip(live, bad):
             if worker is not None:
                 diverged[r] = (step, worker)
@@ -357,13 +387,14 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
         w = w[rows]
         w_ag = None if w_ag is None else w_ag[rows]
         cols = [c[keep] for c in cols]
+        ks = ks[keep]
         bundle.keep(np.repeat(keep, ids.size))
-        if not accelerated:
+        if not accelerated and mu is not None:
             decay, acc, acc_norm = decay[keep], acc[keep], acc_norm[keep]
         live = live[keep]
         if not live.size:
             break
-        w_md, out, scratch = work()
+        w_md, out, scratch, blocks = work()
     if live.size:
         _observe(observe, t, w, w_ag)
     final_w = np.full((reps, dim), np.nan)
@@ -371,7 +402,7 @@ def _replicas(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     final_w[live] = replica_mean(w, m)
     final_ag[live] = final_w[live] if w_ag is None else replica_mean(w_ag, m)
     rho = None
-    if not accelerated and weighted:
+    if not accelerated and mu is not None:
         rho = np.full((reps, dim), np.nan)
         rho[live] = acc / acc_norm
     return ReplicaResult(final_w, final_ag, ids.size * t, diverged, rho)
@@ -427,9 +458,10 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
                    seeds: Sequence[int], w0=None,
                    callback: Optional[ReplicaCallback] = None) -> ReplicaResult:
     """Minibatch baselines as one ``run_replicas`` call: replica r takes T/K
-    steps on the streams ``(seeds[r], 0..M*K-1)``.  A step size runs
-    minibatch SGD, FedAvg on M*K workers with K = 1; a ``Hyper`` runs
-    accelerated minibatch SGD, one worker on a ``BatchedOracle`` of M*K.
+    steps on the streams ``(seeds[r], 0..M*K-1)`` from one state row.  A
+    step size runs minibatch SGD, FedAvg on M*K workers with K = 1 held as
+    the one row they share; a ``Hyper`` runs accelerated minibatch SGD, one
+    worker on a ``BatchedOracle`` of M*K.
 
     Steps are parallel steps: the callback sees chain step s as s*K, with
     one row per live replica, and divergence at chain step s is recorded at
@@ -440,23 +472,20 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     if t % k != 0:
         raise ValueError(f"K must divide T, got T={t} K={k}")
     rounds, batch = t // k, m * k
+    oracle = obj
     if steps and isinstance(steps[0], Hyper):
-        oracle, workers = BatchedOracle(obj, batch), 1
-    else:
-        oracle, workers = obj, batch
+        oracle, batch = BatchedOracle(obj, batch), 1
     final_w, final_ag = np.full((2, len(seeds), obj.dim), np.nan)
 
     def observe(step, live, w, w_ag):
-        # report a synced block's first row: its mean can be an ulp off the rows
-        w = w[::workers]
         if step == rounds:
             final_w[live] = w
             final_ag[live] = w if w_ag is None else w_ag
         if callback is not None:
             callback(step * k, live, w, w_ag)
 
-    res = _replicas(oracle, workers, rounds, 1, steps, seeds, w0, observe,
-                    None, False)
+    res = _replicas(oracle, 1, rounds, 1, steps, seeds, w0, observe, None,
+                    batch)
     diverged = [None if d is None else ((d[0] + 1) * k - 1, d[1])
                 for d in res.diverged]
     return ReplicaResult(final_w, final_ag, t, diverged)

@@ -5,16 +5,19 @@ cell (algorithm, M, K, eta, seed) it runs the corresponding driver with an
 evaluation callback that takes the eval point on a fixed step cadence, and
 records F(eval point) - F* there; it then tunes eta per (algorithm, M, K) by
 the best suboptimality attained over evaluations, taking the median across
-seeds.  The cells of one (algorithm, M, K) group run together through the
-one step kernel (``algorithms.run_replicas``, onto which
-``algorithms._run_minibatch`` maps the minibatch baselines), as many (eta,
-seed) replicas per call as fit under ``ROW_BUDGET`` state rows, with every
-cell's bits the same as a run of its own.  Evaluations are deferred to the
-end of the group: the callback only queues the points, and one
-``Objective.eval_many`` call evaluates all of them, so F is computed in one
-pass over the data per batch of points instead of one pass per point.  A
-deterministic full-gradient accelerated descent precomputes F* once per
-(dataset, regularization) pair and caches it beside the outputs.
+seeds.  The cells of one group run together through the one step kernel
+(``algorithms.run_replicas``, onto which ``algorithms._run_minibatch`` maps
+the minibatch baselines), as many (eta, seed) replicas per call as fit
+under ``ROW_BUDGET`` state rows, with every cell's bits the same as a run
+of its own.  A group of the federated algorithms is one (algorithm, M)
+with every K, the sync interval being a per-replica column; the minibatch
+baselines, which take T/K chain steps, group per (algorithm, M, K).
+Evaluations are deferred to the end of the group: the callback only queues
+the points, and one ``Objective.eval_many`` call evaluates all of them, so
+F is computed in one pass over the data per batch of points instead of one
+pass per point.  A deterministic full-gradient accelerated descent
+precomputes F* once per (dataset, regularization) pair and caches it
+beside the outputs.
 
 Evaluation points: accelerated methods report the worker average of the
 ``w_ag`` family, FedAvg the worker average of ``w`` and minibatch SGD its
@@ -52,8 +55,9 @@ _ACCELERATED = {"fedac1", "fedac2", "fedac_vanilla", "mb_acsgd"}
 _MINIBATCH = {"mb_sgd", "mb_acsgd"}
 
 # state rows per kernel call (M per replica, M*K for the minibatch chains);
-# far more rows in flight ran slower than one replica at a time
-ROW_BUDGET = 1024
+# far more rows in flight ran slower than one replica at a time, and at M=64
+# calls of 256 rows ran faster than calls of 1024
+ROW_BUDGET = 256
 
 # 13-point learning-rate grid used for tuning unless overridden
 DEFAULT_ETA_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
@@ -390,16 +394,19 @@ def _step_rule(algorithm: str, eta: float, mu: float, k: int):
     return eta
 
 
-def run_group(obj: Objective, algorithm: str, m: int, k: int,
+def run_group(obj: Objective, algorithm: str, m: int, k,
               replicas: Sequence[Tuple[float, int]], t: int, eval_every: int,
               f_star: float) -> List[CellResult]:
-    """Run the (eta, seed) replicas of one (algorithm, M, K) group and record
+    """Run the (eta, seed) replicas of one (algorithm, M) group and record
     F(eval point) - F* every ``eval_every`` steps; one CellResult per
-    replica, in order.
+    replica, in order.  ``k`` is the sync interval of every replica or one K
+    per replica; the minibatch baselines take one K per group, since they
+    take T/K chain steps.
 
     Every algorithm runs its replicas in chunks through the one step kernel:
-    ``run_replicas`` for the federated algorithms, ``_run_minibatch`` for the
-    minibatch baselines, each call holding as many replicas as fit under
+    ``run_replicas`` for the federated algorithms, whose replicas of
+    different K share a call, ``_run_minibatch`` for the minibatch
+    baselines, each call holding as many replicas as fit under
     ``ROW_BUDGET`` state rows, and at least one.  The kernel callback only
     queues the evaluation points; F is evaluated after the last chunk, in
     one ``obj.eval_many`` call over every point of the group and FedAvg's
@@ -414,11 +421,16 @@ def run_group(obj: Objective, algorithm: str, m: int, k: int,
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm '{algorithm}'")
+    ks = [k] * len(replicas) if np.ndim(k) == 0 else list(k)
+    minibatch = algorithm in _MINIBATCH
+    if len(ks) != len(replicas) or (minibatch and len(set(ks)) > 1):
+        raise ConfigError(f"{algorithm} needs one K per replica, and one K "
+                          f"in all for the minibatch baselines, got {k!r}")
     kind = "avg_ag" if algorithm in _ACCELERATED else "avg_w"
     expected = range(0, t + 1, eval_every)
     mu = obj.mu_est
-    cells = [CellResult(algorithm, m, k, float(eta), seed)
-             for eta, seed in replicas]
+    cells = [CellResult(algorithm, m, int(kc), float(eta), seed)
+             for (eta, seed), kc in zip(replicas, ks)]
     batch: List[np.ndarray] = []  # (rows, dim) blocks of evaluation points
     queued = 0  # rows in ``batch``
     # (cell, record index or None for the weighted average, batch row)
@@ -463,17 +475,17 @@ def run_group(obj: Objective, algorithm: str, m: int, k: int,
         runnable, rules = [], []
         for cell in cells:
             try:
-                rules.append(_step_rule(algorithm, cell.eta, mu, k))
+                rules.append(_step_rule(algorithm, cell.eta, mu, cell.k))
                 runnable.append(cell)
             except (ScheduleError, ValueError):
                 diverge(cell)
-        minibatch = algorithm in _MINIBATCH
         run = _run_minibatch if minibatch else run_replicas
-        per_call = max(1, ROW_BUDGET // (m * k if minibatch else m))
+        per_call = max(1, ROW_BUDGET // (m * ks[0] if minibatch else m))
         for first in range(0, len(runnable), per_call):
             chunk = runnable[first:first + per_call]
-            result = run(obj, m, t, k, rules[first:first + per_call],
-                         [c.seed for c in chunk], callback=observer(chunk))
+            result = run(obj, m, t, ks[0] if minibatch else [c.k for c in chunk],
+                         rules[first:first + per_call], [c.seed for c in chunk],
+                         callback=observer(chunk))
             rho = None if result.rho_avg_w is None else enqueue(result.rho_avg_w)
             for i, cell in enumerate(chunk):
                 if result.diverged[i] is not None:
@@ -529,10 +541,13 @@ def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
                    threads: int = 1) -> Tuple[List[CellResult], List[SweepRow]]:
     """Run the full sweep and tune eta per (algorithm, M, K).
 
-    Each (algorithm, M, K) group runs all its (eta, seed) replicas through
-    ``run_group``.  ``threads`` (an integer >= 1, else ConfigError) caps the
-    worker processes: above 1, where the ``fork`` start method exists,
-    min(threads, usable CPUs, groups) forked workers run the groups; they
+    Each (algorithm, M) group of ``fedac1``, ``fedac2``, ``fedac_vanilla``
+    and ``fedavg`` runs the (eta, seed) replicas of every K through one
+    ``run_group``, K a per-replica column; the minibatch baselines, which
+    take T/K chain steps, run one group per (algorithm, M, K).  ``threads``
+    (an integer >= 1, else ConfigError) caps the worker processes: above 1,
+    where the ``fork`` start method exists, min(threads, usable CPUs,
+    groups) forked workers run the groups, largest M*max(K) first; they
     inherit ``obj`` copy-on-write and send back only the cells.  Cells are
     always assembled in canonical nested order (algorithm, M, K, eta, seed),
     so the output is identical for any worker count.  Per cell the
@@ -544,17 +559,19 @@ def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     etas = tuple(sorted(cfg.etas))
     replicas = [(eta, seed) for eta in etas for seed in cfg.seeds]
-    groups = [(alg, m, k) for alg in cfg.algorithms for m in cfg.m_list
-              for k in cfg.k_list]
+    groups = [(alg, m, ks) for alg in cfg.algorithms for m in cfg.m_list
+              for ks in ([(k,) for k in cfg.k_list] if alg in _MINIBATCH
+                         else [cfg.k_list])]
 
     def one(group):
-        alg, m, k = group
-        return run_group(obj, alg, m, k, replicas, cfg.t, cfg.eval_every, f_star)
+        alg, m, ks = group
+        return run_group(obj, alg, m, [k for k in ks for _ in replicas],
+                         replicas * len(ks), cfg.t, cfg.eval_every, f_star)
 
     workers = min(threads, _usable_cpus(), len(groups))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # largest M*K first; no BLAS re-pin: F's bits depend on its threads
-        ranked = sorted(groups, key=lambda g: -g[1] * g[2])
+        # no BLAS re-pin: F's bits depend on its threads
+        ranked = sorted(groups, key=lambda g: -g[1] * max(g[2]))
         with multiprocessing.get_context("fork").Pool(
                 workers, _adopt, (one,)) as pool:
             done = dict(zip(ranked, pool.map(_run_adopted, ranked, 1)))
@@ -562,16 +579,18 @@ def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
     else:
         results = [one(group) for group in groups]
 
-    cells, rows = [], []
-    for (alg, m, k), group_cells in zip(groups, results):
-        cells.extend(group_cells)
+    cells = [cell for group_cells in results for cell in group_cells]
+    rows = []
+    for first in range(0, len(cells), len(replicas)):
+        tuned = cells[first:first + len(replicas)]
         best_eta, best_med = math.nan, math.inf
         for i, eta in enumerate(etas):
-            per_seed = group_cells[i * len(cfg.seeds):(i + 1) * len(cfg.seeds)]
+            per_seed = tuned[i * len(cfg.seeds):(i + 1) * len(cfg.seeds)]
             med = statistics.median(c.best() for c in per_seed)
             if med < best_med:
                 best_eta, best_med = eta, med
-        rows.append(SweepRow(alg, m, k, best_eta, best_med))
+        rows.append(SweepRow(tuned[0].algorithm, tuned[0].m, tuned[0].k,
+                             best_eta, best_med))
     return cells, rows
 
 

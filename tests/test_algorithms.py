@@ -465,6 +465,90 @@ def test_run_replicas_validation():
         run_replicas(obj, 1, 4, 1, [0.1, 0.0], [0, 1])
     with pytest.raises(ValueError):
         run_replicas(obj, 0, 4, 1, [0.1], [0])
+    with pytest.raises(ValueError, match="one K per seed"):
+        run_replicas(obj, 1, 4, [1, 2, 4], [0.1, 0.2], [0, 1])
+    with pytest.raises(ValueError):
+        run_replicas(obj, 1, 4, [1, 0], [0.1, 0.2], [0, 1])
+
+
+def mixed_k_replicas(accelerated, ks):
+    """Two replicas per K, the Ks in contiguous blocks in the given order:
+    (K column, step rules, seeds)."""
+    etas, seeds = [0.05, 0.2], [0, 7]
+    column, steps = [], []
+    for k in ks:
+        column += [k] * len(etas)
+        steps += [schedule_fedac1(e, 1.0, k) for e in etas] if accelerated \
+            else etas
+    return column, steps, seeds * len(ks)
+
+
+def assert_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("ks", [(1, 2, 4), (2, 3)])
+def test_mixed_k_call_equals_per_k_calls(accelerated, m, ks):
+    """One call over replicas of several K gives each K's own call: the
+    finals, FedAvg's weighted averages and every callback view, bit for
+    bit; 2 and 3 also sync apart."""
+    t, w0 = 12, [1.0, -1.0]
+    column, steps, seeds = mixed_k_replicas(accelerated, ks)
+    cap = ReplicaCapture()
+    res = run_replicas(Spike(), m, t, column, steps, seeds, w0=w0,
+                       callback=cap)
+    assert res.diverged == [None] * len(seeds)
+    assert res.gradient_calls == m * t
+    assert [c[0] for c in cap.calls] == list(range(t + 1))
+    for i, k in enumerate(ks):
+        reps = slice(2 * i, 2 * i + 2)
+        rows = slice(2 * i * m, (2 * i + 2) * m)
+        own_cap = ReplicaCapture()
+        own = run_replicas(Spike(), m, t, k, steps[reps], seeds[reps], w0=w0,
+                           callback=own_cap)
+        assert_bits(res.final_avg_w[reps], own.final_avg_w)
+        assert_bits(res.final_avg_w_ag[reps], own.final_avg_w_ag)
+        if accelerated:
+            assert res.rho_avg_w is None
+        else:
+            assert_bits(res.rho_avg_w[reps], own.rho_avg_w)
+        assert len(own_cap.calls) == len(cap.calls)
+        for mixed, alone in zip(cap.calls, own_cap.calls):
+            assert_bits(mixed[2][rows], alone[2])
+            if accelerated:
+                assert_bits(mixed[3][rows], alone[3])
+            else:
+                assert mixed[3] is None and alone[3] is None
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+@pytest.mark.parametrize("call", [3, 7])
+def test_mixed_k_divergence_reports_the_pair_of_a_run_alone(accelerated,
+                                                           call):
+    """Among replicas of K = 1, 4, 8 and 2 (M = 3, T = 8), workers 1 and 2
+    of the K = 4 and K = 8 replicas blow up at step ``call``.  At step 3 the
+    K = 4 replica syncs and reports worker 0 while the K = 8 one, on a local
+    step, reports worker 1; at step 7 every replica syncs.  Each report is
+    that of the replica's run alone, and the others run on unchanged."""
+    m, t, ks = 3, 8, [1, 4, 8, 2]
+    etas, seeds = [0.05, 0.1, 0.2, 0.1], [3, 4, 5, 6]
+    steps = [schedule_fedac1(e, 1.0, k) for e, k in zip(etas, ks)] \
+        if accelerated else etas
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_replicas(Spike(rows=[4, 5, 7, 8], call=call), m, t, ks,
+                           steps, seeds)
+        alone = [run_replicas(Spike(rows=[1, 2] if r in (1, 2) else [],
+                                    call=call),
+                              m, t, ks[r], steps[r:r + 1], seeds[r:r + 1])
+                 for r in range(4)]
+    assert res.diverged == [a.diverged[0] for a in alone]
+    assert res.diverged == [None, (call, 0), (call, 1 if call == 3 else 0),
+                            None]
+    for r in (0, 3):
+        assert_bits(res.final_avg_w[r], alone[r].final_avg_w[0])
+        assert_bits(res.final_avg_w_ag[r], alone[r].final_avg_w_ag[0])
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +569,24 @@ def test_mb_sgd_one_step_to_optimum():
     obj = Quadratic([1.0], sigma=0.0)
     res = mb_sgd_run(obj, m=1, t=1, k=1, eta=1.0, seed=0, w0=[1.0])
     assert res.final_avg_w[0] == 0.0
+
+
+def test_mb_sgd_holds_one_state_row_per_replica():
+    """The M*K streams of an mb_sgd replica query its one state row through
+    the oracle's shared-point form, in each of the T/K steps."""
+    seen = []
+
+    class Spy(Quadratic):
+        def stoch_grad_multi(self, W, bundle, **work):
+            seen.append((W.shape, len(bundle)))
+            return super().stoch_grad_multi(W, bundle, **work)
+
+    obj = Spy([1.0, 2.0], shift=[0.3, -0.6], sigma=1.0)
+    res = _run_minibatch(obj, 3, 8, 4, [0.1, 0.2], [0, 1])
+    assert seen == [((2, 2), 24)] * 2
+    for r, (eta, seed) in enumerate([(0.1, 0), (0.2, 1)]):
+        np.testing.assert_array_equal(
+            res.final_avg_w[r], mb_sgd_run(obj, 3, 8, 4, eta, seed).final_avg_w)
 
 
 def test_mb_sgd_k_must_divide_t():

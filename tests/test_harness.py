@@ -554,6 +554,23 @@ def test_block_drawn_indices_leave_group_records_unchanged(monkeypatch):
     assert group() == blocked
 
 
+def test_group_takes_one_k_per_replica():
+    """A federated group runs replicas of several K in one call, each cell
+    as run alone; the minibatch baselines take one K per group, and a K
+    column of the wrong length is refused."""
+    obj = Quadratic([1.0, 2.0], shift=[0.5, -1.0], sigma=0.5)
+    replicas = [(0.1, 0), (0.2, 1), (0.1, 1)]
+    cells = harness.run_group(obj, "fedac1", 3, [1, 4, 2], replicas, 8, 4,
+                              0.0)
+    assert [c.k for c in cells] == [1, 4, 2]
+    for cell, k, (eta, seed) in zip(cells, [1, 4, 2], replicas):
+        assert cell == run_cell(obj, "fedac1", 3, k, eta, 8, seed, 4, 0.0)
+    with pytest.raises(ConfigError, match="one K"):
+        harness.run_group(obj, "mb_sgd", 3, [1, 4, 2], replicas, 8, 4, 0.0)
+    with pytest.raises(ConfigError, match="one K"):
+        harness.run_group(obj, "fedavg", 3, [1, 4], replicas, 8, 4, 0.0)
+
+
 def test_overflowing_worker_mean_records_inf():
     """Finite rows whose worker mean overflows give a non-finite evaluation
     point: +inf, not a crash, and the rest of the batch is unaffected."""
@@ -574,12 +591,15 @@ def test_overflowing_worker_mean_records_inf():
 
 def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
     """The grouped sweep writes the bytes of per-cell runs at the default
-    row budget, where each group is one kernel call, and at 5 rows, where
-    groups split into chunks, down to one replica per call."""
+    row budget, where each federated (algorithm, M) group, K a per-replica
+    column, and each minibatch (algorithm, M, K) group is one kernel call,
+    and at 5 rows, where groups split into chunks, down to one replica per
+    call."""
     calls = []
     for name in ("run_replicas", "_run_minibatch"):
         def counted(*args, run=getattr(harness, name), name=name, **kwargs):
-            calls.append((name, args[1], args[3], len(args[5])))
+            k = args[3] if name == "_run_minibatch" else tuple(args[3])
+            calls.append((name, args[1], k, len(args[5])))
             return run(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
     cfg, obj = diverging_grid()
@@ -616,7 +636,11 @@ def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
                     ("_run_minibatch", 1, 4, 1), ("_run_minibatch", 3, 4, 1)} \
                 <= set(calls)
         else:
-            assert len(calls) == len(rows)
+            federated = [c for c in calls if c[0] == "run_replicas"]
+            assert len(federated) == 4 * len(cfg.m_list)
+            assert all(set(k) == set(cfg.k_list) for _, _, k, _ in federated)
+            assert len(calls) - len(federated) == \
+                2 * len(cfg.m_list) * len(cfg.k_list)
         # the grid exercises every path: mid-run divergence, infeasible
         # schedules, FedAvg's decay-weighted average and clean runs
         finite = [sum(r.suboptimality < math.inf for r in c.records)

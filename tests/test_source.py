@@ -11,6 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "fedsim"
 # __init__.py imports to re-export, so its names are used by its importers
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+# lines of src/fedsim/*.py (as ``wc -l`` counts them) that the package may
+# not exceed; a change that leaves fewer lines lowers it
+SOURCE_LINES = 3611
 
 
 def unused_imports(tree: ast.Module):
@@ -54,3 +57,9 @@ def test_a_mistyped_marker_fails_collection(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert run.returncode != 0
     assert "'slwo' not found in `markers`" in run.stdout + run.stderr
+
+
+def test_source_size_ratchet():
+    lines = sum(p.read_text().count("\n") for p in SOURCE.glob("*.py"))
+    assert lines <= SOURCE_LINES, \
+        f"src/fedsim has {lines} lines, more than the {SOURCE_LINES} allowed"
