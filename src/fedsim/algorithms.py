@@ -258,6 +258,10 @@ def _replicas(obj: Objective, m: int, t: int, k, steps: Sequence,
     back into the row, which is FedAvg on M*batch workers at K = 1 without
     its equal rows.
 
+    After each step the due blocks of equal K sync in place and every row
+    is checked: a synced replica's rows are copies of its mean, so a
+    blow-up there reports worker 0.  M = 1 builds no blocks.
+
     Every step is written in place, in the operation order of the plain
     expressions, into arrays allocated once and again only when replicas
     drop out: the state (``w``, and ``w_ag`` under FedAc), ``w_md`` and the
@@ -306,26 +310,19 @@ def _replicas(obj: Objective, m: int, t: int, k, steps: Sequence,
 
     def work():
         """``w_md`` (FedAc only), the oracle's ``out`` and ``scratch`` for
-        the current rows, and the (K, rows) blocks of equal K that sync; a
-        minibatch SGD step averages by itself and has none."""
+        the current rows, and the (K, rows) blocks of equal K that sync,
+        none at M = 1 (which minibatch SGD's ``batch`` > 1 implies)."""
         w_md = np.empty_like(w) if accelerated else None
         ends = [r for r in range(len(ks) + 1)
                 if r in (0, len(ks)) or ks[r] != ks[r - 1]]
-        blocks = [] if batch > 1 else [(int(ks[a]), slice(a * m, b * m))
-                                       for a, b in zip(ends, ends[1:])]
+        blocks = [] if m == 1 else [(int(ks[a]), slice(a * m, b * m))
+                                    for a, b in zip(ends, ends[1:])]
         return (w_md, np.empty((len(bundle), dim)),
                 np.empty((len(bundle), dim)), blocks)
-
-    def sync(state: np.ndarray) -> np.ndarray:
-        """Replace each replica's rows by their mean; return the means."""
-        means = replica_mean(state, m)
-        state.reshape(-1, m, dim)[...] = means[:, None, :]
-        return means
 
     w_md, out, scratch, blocks = work()
     for step in range(t):
         _observe(observe, step, w, w_ag)
-        due = [rows for kb, rows in blocks if (step + 1) % kb == 0]
         # a replica's M rows as one row of the (R, M*dim) views, so that
         # its (R, 1) hyperparameter column scales one long run per replica
         by_rep = len(live), -1
@@ -365,20 +362,15 @@ def _replicas(obj: Objective, m: int, t: int, k, steps: Sequence,
                 np.subtract(w[:, None, :], cand, out=cand)
                 np.divide(np.add.reduce(cand, axis=1, out=w), batch, out=w)
         state = (w,) if w_ag is None else (w, w_ag)
-        if blocks and len(due) == len(blocks):
-            # every replica syncs: check the block means; the rows are
-            # their copies, so a blow-up there is reported at worker 0
-            now, per = [sync(a) for a in state], 1
-        else:
-            # a synced block's rows are copies of its mean, so it reports
-            # worker 0 here too
-            for rows in due:
+        for kb, rows in blocks:
+            if (step + 1) % kb == 0:
                 for a in state:
-                    sync(a[rows])
-            now, per = state, m
-        if all(np.isfinite(a).all() for a in now):
+                    block = a[rows]
+                    block.reshape(-1, m, dim)[...] = \
+                        replica_mean(block, m)[:, None, :]
+        if all(np.isfinite(a).all() for a in state):
             continue
-        bad = _bad_workers(now[0], now[1] if len(now) > 1 else None, per)
+        bad = _bad_workers(w, w_ag, m)
         for r, worker in zip(live, bad):
             if worker is not None:
                 diverged[r] = (step, worker)
@@ -465,7 +457,8 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
 
     Steps are parallel steps: the callback sees chain step s as s*K, with
     one row per live replica, and divergence at chain step s is recorded at
-    ``(s+1)*K - 1``, the end of its round.  ``gradient_calls`` is T, as in
+    ``(s+1)*K - 1``, the end of its round.  The final averages are the
+    kernel's, of one row per replica.  ``gradient_calls`` is T, as in
     ``RunResult``; there is no decay-weighted average.
     """
     _validate_run_args(m, t, k)
@@ -475,20 +468,14 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     oracle = obj
     if steps and isinstance(steps[0], Hyper):
         oracle, batch = BatchedOracle(obj, batch), 1
-    final_w, final_ag = np.full((2, len(seeds), obj.dim), np.nan)
-
-    def observe(step, live, w, w_ag):
-        if step == rounds:
-            final_w[live] = w
-            final_ag[live] = w if w_ag is None else w_ag
-        if callback is not None:
-            callback(step * k, live, w, w_ag)
-
+    observe = None
+    if callback is not None:
+        observe = lambda step, live, w, w_ag: callback(step * k, live, w, w_ag)
     res = _replicas(oracle, 1, rounds, 1, steps, seeds, w0, observe, None,
                     batch)
     diverged = [None if d is None else ((d[0] + 1) * k - 1, d[1])
                 for d in res.diverged]
-    return ReplicaResult(final_w, final_ag, t, diverged)
+    return ReplicaResult(res.final_avg_w, res.final_avg_w_ag, t, diverged)
 
 
 def mb_sgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,

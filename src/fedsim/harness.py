@@ -12,8 +12,9 @@ under ``ROW_BUDGET`` state rows, with every cell's bits the same as a run
 of its own.  A group of the federated algorithms is one (algorithm, M)
 with every K, the sync interval being a per-replica column; the minibatch
 baselines, which take T/K chain steps, group per (algorithm, M, K).
-Evaluations are deferred to the end of the group: the callback only queues
-the points, and one ``Objective.eval_many`` call evaluates all of them, so
+Evaluations are deferred to the end of the group: the callback only writes
+the points into the group's table of eval points, one row per cell and
+eval step, and one ``Objective.eval_many`` call evaluates all of them, so
 F is computed in one pass over the data per batch of points instead of one
 pass per point.  A deterministic full-gradient accelerated descent
 precomputes F* once per (dataset, regularization) pair and caches it
@@ -131,6 +132,11 @@ class ExperimentConfig:
             raise ConfigError("eta grid must be nonempty, positive and finite")
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
+        for key, values in (("algorithms", self.algorithms), ("M", self.m_list),
+                            ("K", self.k_list), ("etas", self.etas),
+                            ("seeds", self.seeds)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} lists a value twice: {values}")
         if not (self.lam > 0):
             raise ConfigError(f"lam must be positive, got {self.lam}")
         if self.opt_tol is not None and not (0 < self.opt_tol < math.inf):
@@ -330,14 +336,21 @@ def cached_optimum(obj: Objective, dataset: Dataset, lam: float,
         "iterations": result.iterations,
         "grad_norm": result.grad_norm,
     }
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
+    _replace_text(cache_path, json.dumps(cache, sort_keys=True))
+    return result
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: to a temporary file beside
+    it, then renamed over it, so a reader sees the old file or the new one
+    and never a part of it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(cache, sort_keys=True))
-        os.replace(tmp, cache_path)
+        tmp.write_text(text)
+        os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    return result
 
 
 class EvalRecord(NamedTuple):
@@ -408,13 +421,15 @@ def run_group(obj: Objective, algorithm: str, m: int, k,
     different K share a call, ``_run_minibatch`` for the minibatch
     baselines, each call holding as many replicas as fit under
     ``ROW_BUDGET`` state rows, and at least one.  The kernel callback only
-    queues the evaluation points; F is evaluated after the last chunk, in
-    one ``obj.eval_many`` call over every point of the group and FedAvg's
-    decay-weighted averages, with the replicas' common start point entered
-    once.  Each value is that of ``obj.eval`` at its point, so the records
-    do not depend on the chunking.  Divergence (non-finite iterates), a
-    non-finite evaluation point and schedule infeasibility at large eta all
-    yield +inf suboptimality, so tuning naturally discards them.
+    writes the evaluation points into one nan-filled (cells, T/eval_every
+    + 2, dim) table, whose last column takes FedAvg's decay-weighted
+    averages; F is evaluated after the last chunk, in one ``obj.eval_many``
+    call over the table's finite rows, with the replicas' common start
+    point entered once.  Each value is that of ``obj.eval`` at its point,
+    so the records do not depend on the chunking.  Divergence (non-finite
+    iterates), a non-finite evaluation point and schedule infeasibility at
+    large eta all leave non-finite rows, which yield +inf suboptimality,
+    so tuning naturally discards them.
     Evaluation never consumes random draws.  Floating-point warnings are
     ignored here, whatever the caller's ``np.errstate``: divergence is an
     expected outcome that the records report.
@@ -427,83 +442,59 @@ def run_group(obj: Objective, algorithm: str, m: int, k,
         raise ConfigError(f"{algorithm} needs one K per replica, and one K "
                           f"in all for the minibatch baselines, got {k!r}")
     kind = "avg_ag" if algorithm in _ACCELERATED else "avg_w"
-    expected = range(0, t + 1, eval_every)
     mu = obj.mu_est
     cells = [CellResult(algorithm, m, int(kc), float(eta), seed)
              for (eta, seed), kc in zip(replicas, ks)]
-    batch: List[np.ndarray] = []  # (rows, dim) blocks of evaluation points
-    queued = 0  # rows in ``batch``
-    # (cell, record index or None for the weighted average, batch row)
-    slots: List[Tuple[CellResult, Optional[int], int]] = []
-    start: List[int] = []  # batch row of the replicas' common start point
+    # per cell: the eval point of each eval step, then FedAvg's weighted
+    # average; nan where no run wrote one
+    points = np.full((len(cells), t // eval_every + 2, obj.dim), np.nan)
 
-    def enqueue(points: np.ndarray) -> range:
-        """Append the rows of ``points``, which the caller no longer
-        writes, to the batch; return their batch rows."""
-        nonlocal queued
-        batch.append(points)
-        queued += len(points)
-        return range(queued - len(points), queued)
-
-    def observer(group: List[CellResult]):
-        """Callback queueing the eval point of ``group[r]`` for each live r."""
+    def observer(rows: np.ndarray):
+        """Callback writing the eval point of cell ``rows[r]`` for each
+        live r into ``points``."""
         def observe(step: int, live, w: np.ndarray,
                     w_ag: Optional[np.ndarray]) -> None:
             if step % eval_every == 0:
                 state = w_ag if kind == "avg_ag" else w
-                # a new array, not a view of the state the kernel updates
-                means = replica_mean(state, state.shape[0] // len(live))
-                if step == 0:
-                    # every replica starts at the same point
-                    if not start:
-                        start.extend(enqueue(means[:1]))
-                    rows = start * len(live)
-                else:
-                    rows = enqueue(means)
-                for r, row in zip(live, rows):
-                    cell = group[r]
-                    slots.append((cell, len(cell.records), row))
-                    cell.records.append(EvalRecord(step, math.nan, kind))
+                points[rows[live], step // eval_every] = replica_mean(
+                    state, state.shape[0] // len(live))
         return observe
-
-    def diverge(cell: CellResult) -> None:
-        cell.diverged = True
-        cell.records.extend(EvalRecord(ts, math.inf, kind)
-                            for ts in expected[len(cell.records):])
 
     with np.errstate(all="ignore"):
         runnable, rules = [], []
-        for cell in cells:
+        for i, cell in enumerate(cells):
             try:
                 rules.append(_step_rule(algorithm, cell.eta, mu, cell.k))
-                runnable.append(cell)
+                runnable.append(i)
             except (ScheduleError, ValueError):
-                diverge(cell)
+                cell.diverged = True
         run = _run_minibatch if minibatch else run_replicas
         per_call = max(1, ROW_BUDGET // (m * ks[0] if minibatch else m))
         for first in range(0, len(runnable), per_call):
-            chunk = runnable[first:first + per_call]
-            result = run(obj, m, t, ks[0] if minibatch else [c.k for c in chunk],
-                         rules[first:first + per_call], [c.seed for c in chunk],
+            chunk = np.array(runnable[first:first + per_call])
+            result = run(obj, m, t, ks[0] if minibatch else [ks[i] for i in chunk],
+                         rules[first:first + per_call],
+                         [cells[i].seed for i in chunk],
                          callback=observer(chunk))
-            rho = None if result.rho_avg_w is None else enqueue(result.rho_avg_w)
-            for i, cell in enumerate(chunk):
-                if result.diverged[i] is not None:
-                    diverge(cell)
-                elif rho is not None:
-                    slots.append((cell, None, rho[i]))
-        subs = _suboptimalities(obj, np.concatenate(batch), f_star) if batch else []
-        for cell, index, row in slots:
-            if index is None:
-                cell.rho_suboptimality = subs[row]
-            else:
-                cell.records[index] = cell.records[index]._replace(
-                    suboptimality=subs[row])
+            if result.rho_avg_w is not None:
+                points[chunk, -1] = result.rho_avg_w
+            for i, bad in zip(chunk, result.diverged):
+                cells[i].diverged = bad is not None
+        # every replica starts at the same point: F is taken there once
+        points[runnable[1:], 0] = np.nan
+        gaps = _suboptimalities(obj, points.reshape(-1, obj.dim),
+                                f_star).reshape(points.shape[:2])
+        gaps[runnable, 0] = gaps[runnable[:1], 0]
+    for cell, row in zip(cells, gaps.tolist()):
+        cell.records = [EvalRecord(ts, sub, kind)
+                        for ts, sub in zip(range(0, t + 1, eval_every), row)]
+        if algorithm == "fedavg" and not cell.diverged:
+            cell.rho_suboptimality = row[-1]
     return cells
 
 
 def _suboptimalities(obj: Objective, points: np.ndarray,
-                     f_star: float) -> List[float]:
+                     f_star: float) -> np.ndarray:
     """F(point) - F* for each row of ``points``; +inf where the gap is not
     finite, and without evaluating F where the point is not."""
     finite = np.isfinite(points).all(axis=1)
@@ -511,7 +502,7 @@ def _suboptimalities(obj: Objective, points: np.ndarray,
     if finite.any():
         gaps[finite] = obj.eval_many(points[finite]) - f_star
     gaps[~np.isfinite(gaps)] = math.inf
-    return gaps.tolist()
+    return gaps
 
 
 def run_cell(obj: Objective, algorithm: str, m: int, k: int, eta: float,
@@ -624,8 +615,7 @@ def _fmt(value) -> str:
 def _write_lines(path, lines: Sequence[str]) -> None:
     path = Path(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
+        _replace_text(path, "\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -855,6 +855,34 @@ def test_callback_state_is_read_only(driver):
     np.testing.assert_array_equal(observed.final_avg_w_ag, plain.final_avg_w_ag)
 
 
+@pytest.mark.parametrize("driver", ["fedac1", "fedavg", "mb_sgd", "mb_acsgd"])
+@pytest.mark.parametrize("objective", ["quadratic", "logistic"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_negative_zero_start_at_m1_changes_no_result(driver, objective, k):
+    """At M = 1 no rows are averaged, so -0.0 start coordinates may reach
+    the callback as -0.0; the finals and FedAvg's weighted average are
+    those of the +0.0 start, byte for byte."""
+    if objective == "quadratic":
+        obj = Quadratic([1.0, 2.0, 0.5], shift=[0.3, -0.6, 0.0], sigma=1.0)
+    else:
+        obj = small_logistic()
+    runs = {
+        "fedac1": lambda w0: fedac_run(
+            obj, 1, 16, k, schedule_fedac1(0.1, obj.mu_est, k), 3, w0),
+        "fedavg": lambda w0: fedavg_run(obj, 1, 16, k, 0.1, 3, w0),
+        "mb_sgd": lambda w0: mb_sgd_run(obj, 1, 16, k, 0.1, 3, w0),
+        "mb_acsgd": lambda w0: mb_acsgd_run(obj, 1, 16, k, 0.1, 3, w0),
+    }
+    plus = runs[driver](np.zeros(obj.dim))
+    some = np.zeros(obj.dim)
+    some[::2] = -0.0
+    for w0 in (np.full(obj.dim, -0.0), some):
+        got = runs[driver](w0)
+        for name in ("final_avg_w", "final_avg_w_ag", "rho_avg_w"):
+            a, b = getattr(got, name), getattr(plus, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
 KERNEL_DRIVERS = {
     "fedac1": lambda obj, cb: fedac_run(obj, 4, 32, 8,
                                         schedule_fedac1(0.1, obj.mu_est, 8), 3,

@@ -347,6 +347,14 @@ def test_sweep_rejects_a_non_finite_eta(etas, algorithm, tmp_path, capsys):
                           "and finite")
 
 
+def test_sweep_rejects_a_repeated_k(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["sweep", "--config", write_config(tmp_path), "--out",
+         str(tmp_path / "out"), "--K", "4,4"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage: K lists a value twice")
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_run_rejects_a_bad_opt_tol(tol, tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CONFIG + f"opt_tol = {tol}\n")

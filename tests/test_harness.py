@@ -233,6 +233,11 @@ def test_config_rejects_bad_shapes():
         small_cfg(lam=0.0)
     with pytest.raises(ConfigError):
         small_cfg(m_list=(0,))
+    for key, values in (("algorithms", ("fedavg", "fedavg")),
+                        ("m_list", (2, 1, 2)), ("k_list", (4, 4)),
+                        ("etas", (0.1, 0.5, 0.1)), ("seeds", (0, 0))):
+        with pytest.raises(ConfigError, match="twice"):
+            small_cfg(**{key: values})
 
 
 def test_config_minibatch_needs_eval_aligned_to_k():
@@ -870,6 +875,23 @@ def test_json_writers_mirror_schema(tmp_path):
     sweep_payload = json.loads(sweep_path.read_text())
     assert sweep_payload == [{"algorithm": "fedavg", "M": 1, "K": 2,
                               "best_eta": 0.1, "best_suboptimality": 0.5}]
+
+
+def test_failed_artifact_write_leaves_the_old_file(tmp_path, monkeypatch):
+    """A write that fails before its rename leaves the old artifact whole
+    and no temporary file, and names the path it could not write."""
+    path = tmp_path / "records.csv"
+    write_records_csv(make_cells(), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match=f"cannot write {path}: no space"):
+        write_records_csv(make_cells()[:1], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
 
 
 def test_read_rejects_wrong_header(tmp_path):

@@ -13,7 +13,7 @@ SOURCE = ROOT / "src" / "fedsim"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 # lines of src/fedsim/*.py (as ``wc -l`` counts them) that the package may
 # not exceed; a change that leaves fewer lines lowers it
-SOURCE_LINES = 3611
+SOURCE_LINES = 3588
 
 
 def unused_imports(tree: ast.Module):
