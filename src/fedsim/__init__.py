@@ -18,7 +18,7 @@ from .dataio import (DataFormatError, Dataset, DatasetStats, dataset_stats,
 from .diagnostics import (ConstructionError, InstabilityRegionError,
                           InstabilityResult, InstabilityVerdict,
                           NormBoundReport, NormBoundRow,
-                          PiecewiseCurvature1D, PotentialReport, TransferMatrix,
+                          PiecewiseCurvature1D, PotentialReport,
                           construct_instability_objective,
                           instability_experiment, norm_bound_fedac1,
                           norm_bound_draws, norm_bound_fedac2,

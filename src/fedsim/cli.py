@@ -226,8 +226,10 @@ def cmd_sweep(args) -> int:
 def cmd_instability(args) -> int:
     if args.K < 0:
         raise UsageError("--K must be >= 0")
-    if args.eps < 0:
-        raise UsageError("--eps must be >= 0")
+    if not 0 <= args.eps < np.inf:
+        raise UsageError("--eps must be finite and >= 0")
+    if not np.isfinite(args.kappa):
+        raise UsageError("--kappa must be finite")
     objective, w0, w0_ag, delta = construct_instability_objective(
         args.kappa, 1.0, args.K)
     result = instability_experiment(objective, w0, w0_ag, args.kappa, 1.0,
@@ -257,8 +259,8 @@ def cmd_instability(args) -> int:
 def cmd_norm_bounds(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
-    if not (0 < args.mu <= args.L):
-        raise UsageError("need 0 < mu <= L")
+    if not (0 < args.mu <= args.L < np.inf):
+        raise UsageError("need 0 < mu <= L < inf")
     u = RngStream(args.seed, 0).uniforms(2 * args.samples).reshape(args.samples, 2)
     gammas, etas = norm_bound_draws(u, args.mu, args.L)
     report = norm_bound_sweep(args.mu, args.L, list(zip(gammas, etas)))

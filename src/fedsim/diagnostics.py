@@ -8,11 +8,12 @@ Three groups of tools:
   discrepancy statistics.
 
 * The 2x2 transfer matrices governing how the difference between two
-  noise-free accelerated chains evolves per local step, together with the
-  similarity transform under which their spectral norm stays uniformly close
-  to 1.  The d-dimensional block matrices are simultaneously diagonalizable
-  in the curvature, so the scalar-curvature 2x2 case checked here covers the
-  general one.
+  noise-free accelerated chains evolves per local step, as (..., 2, 2)
+  arrays over broadcast arguments, together with the similarity transform
+  under which their spectral norm stays uniformly close to 1, taken over
+  whole stacks at once.  The d-dimensional block matrices are
+  simultaneously diagonalizable in the curvature, so the scalar-curvature
+  2x2 case checked here covers the general one.
 
 * A constructive worst-case experiment for classic Nesterov AGD: a 1-D
   piecewise-curvature objective on which two trajectories started an
@@ -42,19 +43,6 @@ class PotentialReport:
     phi: float
     discrepancy_max: float
     discrepancy_mean_sq: float
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Scalar-curvature specialization of the 2x2 block difference map."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
 
 
 class ConstructionError(RuntimeError):
@@ -102,7 +90,7 @@ def potential_report(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
     )
 
 
-def transfer_matrix_fedac1(mu: float, gamma: float, eta: float, h: float) -> TransferMatrix:
+def transfer_matrix_fedac1(mu, gamma, eta, h) -> np.ndarray:
     """Per-local-step difference map for the first acceleration schedule.
 
     (1/(1+gamma mu)) [[1-eta H, gamma mu (1-eta H)],
@@ -110,15 +98,13 @@ def transfer_matrix_fedac1(mu: float, gamma: float, eta: float, h: float) -> Tra
     """
     _validate_transfer_args(mu, gamma, eta, h)
     pre = 1.0 / (1.0 + gamma * mu)
-    return TransferMatrix(
-        a11=pre * (1.0 - eta * h),
-        a12=pre * gamma * mu * (1.0 - eta * h),
-        a21=pre * (-gamma * (h - mu)),
-        a22=pre * (1.0 - gamma * gamma * mu * h),
-    )
+    return _stack_2x2(pre * (1.0 - eta * h),
+                      pre * gamma * mu * (1.0 - eta * h),
+                      pre * (-gamma * (h - mu)),
+                      pre * (1.0 - gamma * gamma * mu * h))
 
 
-def transfer_matrix_fedac2(mu: float, gamma: float, eta: float, h: float) -> TransferMatrix:
+def transfer_matrix_fedac2(mu, gamma, eta, h) -> np.ndarray:
     """Per-local-step difference map for the second acceleration schedule.
 
     Prefactor 1/(9 - gamma mu (6 + gamma mu)); entries
@@ -129,15 +115,13 @@ def transfer_matrix_fedac2(mu: float, gamma: float, eta: float, h: float) -> Tra
     _validate_transfer_args(mu, gamma, eta, h)
     gm = gamma * mu
     pre = 1.0 / (9.0 - gm * (6.0 + gm))
-    return TransferMatrix(
-        a11=pre * (3.0 - gm) * (3.0 - 2.0 * gm) * (1.0 - eta * h),
-        a12=pre * 3.0 * gm * (1.0 - gm) * (1.0 - eta * h),
-        a21=pre * (3.0 - 2.0 * gm) * (2.0 * gm - (3.0 - gm) * gamma * h),
-        a22=pre * 3.0 * (1.0 - gm) * ((3.0 - gm) - gamma * gamma * mu * h),
-    )
+    return _stack_2x2(pre * (3.0 - gm) * (3.0 - 2.0 * gm) * (1.0 - eta * h),
+                      pre * 3.0 * gm * (1.0 - gm) * (1.0 - eta * h),
+                      pre * (3.0 - 2.0 * gm) * (2.0 * gm - (3.0 - gm) * gamma * h),
+                      pre * 3.0 * (1.0 - gm) * ((3.0 - gm) - gamma * gamma * mu * h))
 
 
-def transfer_matrix_from_hyper(hyper, h: float) -> TransferMatrix:
+def transfer_matrix_from_hyper(hyper, h) -> np.ndarray:
     """Difference map for arbitrary (eta, gamma, alpha, beta), derived directly
     from one local step of the coupled update.
 
@@ -146,56 +130,63 @@ def transfer_matrix_from_hyper(hyper, h: float) -> TransferMatrix:
     """
     inv_a = 1.0 / hyper.alpha
     inv_b = 1.0 / hyper.beta
-    row_md = np.array([1.0 - inv_b, inv_b])  # w_md difference in (d_ag, d_w) basis
+    md_ag, md_w = 1.0 - inv_b, inv_b  # w_md difference in (d_ag, d_w) basis
     c_ag = 1.0 - hyper.eta * h
     c_w = inv_a - hyper.gamma * h
-    return TransferMatrix(
-        a11=c_ag * row_md[0],
-        a12=c_ag * row_md[1],
-        a21=c_w * row_md[0],
-        a22=c_w * row_md[1] + (1.0 - inv_a),
-    )
+    return _stack_2x2(c_ag * md_ag, c_ag * md_w, c_w * md_ag,
+                      c_w * md_w + (1.0 - inv_a))
+
+
+def _stack_2x2(a11, a12, a21, a22) -> np.ndarray:
+    """(..., 2, 2) matrices from entries broadcast against each other."""
+    entries = np.broadcast_arrays(a11, a12, a21, a22)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
 def _validate_transfer_args(mu, gamma, eta, h):
-    if gamma <= 0 or eta <= 0:
+    if not np.all((gamma > 0) & (eta > 0)):
         raise ValueError(f"gamma and eta must be positive, got {gamma}, {eta}")
-    if h < mu:
+    if not np.all(h >= mu):
         raise ValueError(f"curvature {h} below strong-convexity {mu}")
 
 
-def spectral_norm_2x2(b: np.ndarray) -> float:
-    """Largest singular value of a 2x2 matrix via the closed-form Gram eigenvalue."""
-    g = b.T @ b
-    half_tr = 0.5 * (g[0, 0] + g[1, 1])
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    disc = max(half_tr * half_tr - det, 0.0)
-    return math.sqrt(max(half_tr + math.sqrt(disc), 0.0))
+def spectral_norm_2x2(b: np.ndarray):
+    """Largest singular value of each 2x2 matrix in a (..., 2, 2) stack via
+    the closed-form Gram eigenvalue."""
+    g = np.swapaxes(b, -1, -2) @ b
+    g00, g01, g10, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    half_tr = 0.5 * (g00 + g11)
+    disc = np.maximum(half_tr * half_tr - (g00 * g11 - g01 * g10), 0.0)
+    return np.sqrt(np.maximum(half_tr + np.sqrt(disc), 0.0))
 
 
-def transformed_norm(a: TransferMatrix, gamma: float, eta: float) -> float:
-    """Spectral norm of X^-1 A X with X = [[eta/gamma, 0], [1, 1]]."""
-    if gamma <= 0 or eta <= 0:
+def transformed_norm(a: np.ndarray, gamma, eta):
+    """Spectral norm of X^-1 A X with X = [[eta/gamma, 0], [1, 1]], for a
+    (..., 2, 2) stack ``a`` and ``gamma``, ``eta`` broadcast against its
+    leading dimensions."""
+    if not np.all((gamma > 0) & (eta > 0)):
         raise ValueError(f"gamma and eta must be positive, got {gamma}, {eta}")
     r = eta / gamma
-    x = np.array([[r, 0.0], [1.0, 1.0]])
-    x_inv = np.array([[1.0 / r, 0.0], [-1.0 / r, 1.0]])
-    return spectral_norm_2x2(x_inv @ a.as_array() @ x)
+    x = _stack_2x2(r, 0.0, 1.0, 1.0)
+    x_inv = _stack_2x2(1.0 / r, 0.0, -1.0 / r, 1.0)
+    return spectral_norm_2x2(x_inv @ a @ x)
 
 
-def norm_bound_fedac1(mu: float, gamma: float, eta: float) -> float:
+def norm_bound_fedac1(mu, gamma, eta):
     """Uniform-in-H bound on the transformed norm: 1 + 2 gamma**2 mu / eta
     for gamma > eta, sharpening to exactly 1 at gamma = eta."""
-    return 1.0 if gamma == eta else 1.0 + 2.0 * gamma * gamma * mu / eta
+    return np.where(gamma == eta, 1.0, 1.0 + 2.0 * gamma * gamma * mu / eta)
 
 
-def norm_bound_fedac2(mu: float, gamma: float, eta: float) -> float:
+def norm_bound_fedac2(mu, gamma, eta):
     """As above for the second schedule: 1 + gamma**2 mu / eta, or 1 at gamma = eta."""
-    return 1.0 if gamma == eta else 1.0 + gamma * gamma * mu / eta
+    return np.where(gamma == eta, 1.0, 1.0 + gamma * gamma * mu / eta)
 
 
 _TRANSFER = {"fedac1": (transfer_matrix_fedac1, norm_bound_fedac1),
              "fedac2": (transfer_matrix_fedac2, norm_bound_fedac2)}
+# a transformed norm this far above its bound still counts as within it
+_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -214,44 +205,49 @@ class NormBoundRow:
 @dataclass(frozen=True)
 class NormBoundReport:
     rows: List[NormBoundRow]
-    tolerance: float = 1e-9
 
     @property
     def violations(self) -> List[NormBoundRow]:
-        return [r for r in self.rows
-                if not r.max_norm <= r.bound + self.tolerance]
+        return [r for r in self.rows if not r.max_norm <= r.bound + _TOLERANCE]
 
     @property
     def worst_margin(self) -> float:
-        return min(r.margin for r in self.rows)
+        return min((r.margin for r in self.rows), default=math.inf)
 
 
-def norm_bound_sweep(mu: float, big_l: float, points: Sequence[Tuple[float, float]],
-                     n_h: int = 21,
-                     schedules: Sequence[str] = ("fedac1", "fedac2")) -> NormBoundReport:
+def norm_bound_sweep(mu, big_l, points, n_h: int = 21) -> NormBoundReport:
     """Maximize the transformed norm over curvatures and compare to the bounds.
 
-    ``points`` is a sequence of (gamma, eta) pairs, each required to satisfy
-    eta in (0, 1/L] and gamma in [eta, sqrt(eta/mu)].  Curvature is sampled on
-    a ``n_h``-point grid spanning [mu, L] inclusive.
+    ``points`` holds (gamma, eta) pairs with eta in (0, 1/L] and gamma in
+    [eta, sqrt(eta/mu)]; ``mu`` and ``big_l`` are scalars or one per point,
+    and a ValueError names the first point that breaks these.  Curvature is
+    sampled on an ``n_h``-point grid spanning [mu, L] inclusive, bit for bit
+    each point's own ``np.linspace`` unless some point has mu = L.  Rows run
+    point by point, ``fedac1`` then ``fedac2``.
     """
-    if not (0 < mu <= big_l):
-        raise ValueError(f"need 0 < mu <= L, got {mu}, {big_l}")
-    hs = np.linspace(mu, big_l, n_h)
-    slack = 1e-12
-    rows = []
-    for gamma, eta in points:
-        if not (0.0 < eta <= 1.0 / big_l * (1 + slack)):
-            raise ValueError(f"eta={eta} outside (0, 1/L] for L={big_l}")
-        if not (eta <= gamma <= math.sqrt(eta / mu) * (1 + slack)):
-            raise ValueError(f"gamma={gamma} outside [eta, sqrt(eta/mu)] for eta={eta}, mu={mu}")
-        for name in schedules:
-            matrix_fn, bound_fn = _TRANSFER[name]
-            worst = max(transformed_norm(matrix_fn(mu, gamma, eta, float(h)), gamma, eta)
-                        for h in hs)
-            rows.append(NormBoundRow(name, float(gamma), float(eta), worst,
-                                     bound_fn(mu, gamma, eta)))
-    return NormBoundReport(rows)
+    gamma, eta = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
+    mu, big_l = np.broadcast_arrays(mu, big_l, gamma)[:2]
+    # a warning here comes from a point that fails an earlier check
+    with np.errstate(invalid="ignore", divide="ignore"):
+        checks = [((0 < mu) & (mu <= big_l), "need 0 < mu <= L, got {mu}, {big_l}"),
+                  ((0.0 < eta) & (eta <= 1.0 / big_l * (1 + 1e-12)),
+                   "eta={eta} outside (0, 1/L] for L={big_l}"),
+                  ((eta <= gamma) & (gamma <= np.sqrt(eta / mu) * (1 + 1e-12)),
+                   "gamma={gamma} outside [eta, sqrt(eta/mu)] for eta={eta}, mu={mu}")]
+    bad = ~np.logical_and.reduce([ok for ok, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(next(text for ok, text in checks if not ok[i]).format(
+            mu=mu[i], big_l=big_l[i], gamma=gamma[i], eta=eta[i]))
+    hs = np.linspace(mu, big_l, n_h, axis=-1)
+    m, g, e = mu[:, None], gamma[:, None], eta[:, None]
+    columns = [(name, transformed_norm(matrix_fn(m, g, e, hs), g, e).max(axis=-1),
+                bound_fn(mu, gamma, eta))
+               for name, (matrix_fn, bound_fn) in _TRANSFER.items()]
+    return NormBoundReport([
+        NormBoundRow(name, float(gamma[i]), float(eta[i]), float(norms[i]),
+                     float(bounds[i]))
+        for i in range(gamma.size) for name, norms, bounds in columns])
 
 
 def sample_admissible(seed: int, count: int,

@@ -84,7 +84,8 @@ class OptimumError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep definition; every list field is a tuple in canonical order."""
+    """One sweep definition.  M, K, etas and seeds are kept as ascending
+    tuples, so list order never changes an artifact; algorithms keep theirs."""
 
     dataset: str = "synthetic"
     declared_dim: Optional[int] = None
@@ -104,6 +105,8 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for name in ("m_list", "k_list", "etas", "seeds"):
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm '{name}'")
@@ -548,8 +551,7 @@ def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
     """
     if not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
-    etas = tuple(sorted(cfg.etas))
-    replicas = [(eta, seed) for eta in etas for seed in cfg.seeds]
+    replicas = [(eta, seed) for eta in cfg.etas for seed in cfg.seeds]
     groups = [(alg, m, ks) for alg in cfg.algorithms for m in cfg.m_list
               for ks in ([(k,) for k in cfg.k_list] if alg in _MINIBATCH
                          else [cfg.k_list])]
@@ -575,7 +577,7 @@ def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
     for first in range(0, len(cells), len(replicas)):
         tuned = cells[first:first + len(replicas)]
         best_eta, best_med = math.nan, math.inf
-        for i, eta in enumerate(etas):
+        for i, eta in enumerate(cfg.etas):
             per_seed = tuned[i * len(cfg.seeds):(i + 1) * len(cfg.seeds)]
             med = statistics.median(c.best() for c in per_seed)
             if med < best_med:

@@ -106,12 +106,9 @@ def check_equivalences() -> CheckResult:
 def check_norm_bounds(samples: int = 1000, n_h: int = 21,
                       seed: int = 2024) -> CheckResult:
     def run():
-        violations = 0
-        worst_margin = math.inf
-        for mu, big_l, gamma, eta in sample_admissible(seed, samples):
-            report = norm_bound_sweep(mu, big_l, [(gamma, eta)], n_h)
-            violations += len(report.violations)
-            worst_margin = min(worst_margin, report.worst_margin)
+        draws = sample_admissible(seed, samples)
+        report = norm_bound_sweep(draws[:, 0], draws[:, 1], draws[:, 2:], n_h)
+        violations, worst_margin = len(report.violations), report.worst_margin
         detail = (f"{samples} hyperparameter draws x {n_h} curvatures x 2 "
                   f"schedules, {violations} violations, worst margin "
                   f"{worst_margin:.3e}")

@@ -355,6 +355,23 @@ def test_sweep_rejects_a_repeated_k(tmp_path, capsys):
     assert err.startswith("error: usage: K lists a value twice")
 
 
+@pytest.mark.parametrize("flag, ascending, descending", [
+    ("--K", "1,2", "2,1"), ("--M", "1,2", "2,1"), ("--seeds", "0,1", "1,0")])
+def test_sweep_artifacts_ignore_list_order(flag, ascending, descending,
+                                           tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+        "algorithms = fedavg", "algorithms = fedavg, fedac1"))
+    artifacts = []
+    for values in (ascending, descending):
+        out_dir = tmp_path / values
+        code, _, _ = run_cli(["sweep", "--config", cfg, "--out", str(out_dir),
+                              flag, values, "--deterministic-output"], capsys)
+        assert code == 0
+        artifacts.append([(out_dir / name).read_bytes()
+                          for name in ("records.csv", "sweep.csv")])
+    assert artifacts[0] == artifacts[1]
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_run_rejects_a_bad_opt_tol(tol, tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CONFIG + f"opt_tol = {tol}\n")
@@ -458,10 +475,13 @@ def test_instability_small_kappa_exits_3(capsys):
 @pytest.mark.parametrize("argv", [
     ["instability", "--K", "-1"],
     ["instability", "--eps", "-1e-9"],
+    ["instability", "--eps", "nan"],
+    ["instability", "--eps", "inf"],
+    ["instability", "--kappa", "inf"],
 ])
 def test_instability_rejects_negative_arguments(argv, capsys):
-    # -1 parses as a negative value and is rejected by the handler; -1e-9
-    # looks like a flag to the parser, which rejects it even earlier
+    # -1, nan and inf parse as values and are rejected by the handler;
+    # -1e-9 looks like a flag to the parser, which rejects it even earlier
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert "error: usage:" in err
@@ -491,6 +511,14 @@ def test_norm_bounds_rejects_zero_samples(capsys):
     code, _, err = run_cli(["norm-bounds", "--samples", "0"], capsys)
     assert code == 1
     assert err.startswith("error: usage:")
+
+
+@pytest.mark.parametrize("argv", [["--L", "inf"], ["--mu", "nan"],
+                                  ["--L", "1e400"], ["--L", "nan"]])
+def test_norm_bounds_rejects_non_finite_arguments(argv, capsys):
+    code, out, err = run_cli(["norm-bounds"] + argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: usage: need 0 < mu <= L < inf\n"
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from fedsim.algorithms import Hyper, agd_run, fedac_run, schedule_fedac1
 from fedsim.diagnostics import (
     InstabilityRegionError,
     PiecewiseCurvature1D,
-    TransferMatrix,
     construct_instability_objective,
     instability_experiment,
     norm_bound_fedac1,
+    norm_bound_draws,
     norm_bound_fedac2,
     norm_bound_sweep,
     potential_phi,
@@ -27,6 +27,7 @@ from fedsim.diagnostics import (
     transformed_norm,
 )
 from fedsim.objectives import Quadratic
+from fedsim.rng import RngStream
 
 
 def states(pairs):
@@ -91,27 +92,27 @@ def test_potential_report_discrepancy():
 
 def test_fedac1_matrix_spec_point():
     a = transfer_matrix_fedac1(1.0, 0.1, 0.1, 10.0)
-    assert a.a11 == pytest.approx(0.0, abs=1e-15)
-    assert a.a12 == pytest.approx(0.0, abs=1e-15)
-    assert a.a21 == pytest.approx(-0.9 / 1.1, rel=1e-12)
-    assert a.a22 == pytest.approx(0.9 / 1.1, rel=1e-12)
+    assert a[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert a[0, 1] == pytest.approx(0.0, abs=1e-15)
+    assert a[1, 0] == pytest.approx(-0.9 / 1.1, rel=1e-12)
+    assert a[1, 1] == pytest.approx(0.9 / 1.1, rel=1e-12)
 
 
 def test_fedac1_matrix_h_equals_mu_zeroes_a21():
     a = transfer_matrix_fedac1(0.7, 0.3, 0.05, 0.7)
-    assert a.a21 == 0.0
+    assert a[1, 0] == 0.0
 
 
 def test_fedac1_matrix_eta_h_one_zeroes_first_row():
     a = transfer_matrix_fedac1(0.5, 0.4, 0.25, 4.0)  # eta * H = 1
-    assert a.a11 == 0.0
-    assert a.a12 == 0.0
+    assert a[0, 0] == 0.0
+    assert a[0, 1] == 0.0
 
 
 def test_fedac2_matrix_eta_h_one_zeroes_first_row():
     a = transfer_matrix_fedac2(0.5, 0.4, 0.25, 4.0)
-    assert a.a11 == 0.0
-    assert a.a12 == 0.0
+    assert a[0, 0] == 0.0
+    assert a[0, 1] == 0.0
 
 
 def test_fedac2_matrix_small_gamma_mu_limit():
@@ -119,10 +120,10 @@ def test_fedac2_matrix_small_gamma_mu_limit():
     # the matrix collapses to [[1 - eta H, 0], [-gamma H, 1]]
     mu, gamma, eta, h = 1e-8, 1.0, 0.01, 5.0
     a = transfer_matrix_fedac2(mu, gamma, eta, h)
-    assert a.a11 == pytest.approx(1.0 - eta * h, rel=1e-7)
-    assert a.a12 == pytest.approx(0.0, abs=1e-7)
-    assert a.a21 == pytest.approx(-gamma * h, rel=1e-6)
-    assert a.a22 == pytest.approx(1.0, rel=1e-7)
+    assert a[0, 0] == pytest.approx(1.0 - eta * h, rel=1e-7)
+    assert a[0, 1] == pytest.approx(0.0, abs=1e-7)
+    assert a[1, 0] == pytest.approx(-gamma * h, rel=1e-6)
+    assert a[1, 1] == pytest.approx(1.0, rel=1e-7)
 
 
 def fedac1_hyper(mu, gamma, eta):
@@ -138,8 +139,8 @@ def fedac2_hyper(mu, gamma, eta):
 
 def test_fedac2_matrix_cross_checked_against_general_form():
     mu, gamma, eta, h = 1.0, 0.1, 0.1, 10.0
-    closed = transfer_matrix_fedac2(mu, gamma, eta, h).as_array()
-    general = transfer_matrix_from_hyper(fedac2_hyper(mu, gamma, eta), h).as_array()
+    closed = transfer_matrix_fedac2(mu, gamma, eta, h)
+    general = transfer_matrix_from_hyper(fedac2_hyper(mu, gamma, eta), h)
     np.testing.assert_allclose(closed, general, atol=1e-12)
 
 
@@ -151,11 +152,11 @@ def test_both_matrices_cross_checked_on_random_points(seed):
     eta = rng.uniform(0.1, 1.0) / big_l
     gamma = rng.uniform(eta, math.sqrt(eta / mu))
     h = rng.uniform(mu, big_l)
-    closed1 = transfer_matrix_fedac1(mu, gamma, eta, h).as_array()
-    general1 = transfer_matrix_from_hyper(fedac1_hyper(mu, gamma, eta), h).as_array()
+    closed1 = transfer_matrix_fedac1(mu, gamma, eta, h)
+    general1 = transfer_matrix_from_hyper(fedac1_hyper(mu, gamma, eta), h)
     np.testing.assert_allclose(closed1, general1, atol=1e-12)
-    closed2 = transfer_matrix_fedac2(mu, gamma, eta, h).as_array()
-    general2 = transfer_matrix_from_hyper(fedac2_hyper(mu, gamma, eta), h).as_array()
+    closed2 = transfer_matrix_fedac2(mu, gamma, eta, h)
+    general2 = transfer_matrix_from_hyper(fedac2_hyper(mu, gamma, eta), h)
     np.testing.assert_allclose(closed2, general2, atol=1e-12)
 
 
@@ -174,7 +175,7 @@ def test_one_step_difference_law_matches_simulation():
     mu, h, eta = 0.5, 2.0, 0.1
     obj = Quadratic([h])
     hyper = schedule_fedac1(eta, mu, 1)
-    a = transfer_matrix_fedac1(mu, hyper.gamma, eta, h).as_array()
+    a = transfer_matrix_fedac1(mu, hyper.gamma, eta, h)
 
     t = 10
     trajs = []
@@ -196,8 +197,8 @@ def test_one_step_difference_law_matches_simulation():
 
 
 def test_transformed_norm_identity_and_zero():
-    eye = TransferMatrix(1.0, 0.0, 0.0, 1.0)
-    zero = TransferMatrix(0.0, 0.0, 0.0, 0.0)
+    eye = np.eye(2)
+    zero = np.zeros((2, 2))
     for gamma, eta in [(0.1, 0.1), (0.5, 0.01), (2.0, 0.25)]:
         assert transformed_norm(eye, gamma, eta) == pytest.approx(1.0, rel=1e-12)
         assert transformed_norm(zero, gamma, eta) == 0.0
@@ -269,6 +270,96 @@ def test_norm_bound_sweep_random_admissible_points():
     for mu, big_l, gamma, eta in sample_admissible(seed=5, count=25):
         report = norm_bound_sweep(mu, big_l, [(gamma, eta)], n_h=11)
         assert not report.violations
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_transfer_matrices_on_arrays_equal_their_scalar_calls():
+    rng = np.random.default_rng(3)
+    mu = rng.uniform(0.05, 1.0, (4, 1))
+    eta = rng.uniform(0.1, 1.0, (4, 1)) / (mu * 40.0)
+    gamma = eta + rng.uniform(0.0, 1.0, (4, 1)) * (np.sqrt(eta / mu) - eta)
+    hs = mu * np.linspace(1.0, 40.0, 6)
+    for matrix_fn in (transfer_matrix_fedac1, transfer_matrix_fedac2):
+        stack = matrix_fn(mu, gamma, eta, hs)
+        assert stack.shape == (4, 6, 2, 2)
+        for i, j in np.ndindex(4, 6):
+            args = (float(mu[i, 0]), float(gamma[i, 0]), float(eta[i, 0]),
+                    float(hs[i, j]))
+            assert bits(stack[i, j]) == bits(matrix_fn(*args))
+        norms = transformed_norm(stack, gamma, eta)
+        assert norms.shape == (4, 6)
+        for i, j in np.ndindex(4, 6):
+            assert bits(norms[i, j]) == bits(transformed_norm(
+                stack[i, j], float(gamma[i, 0]), float(eta[i, 0])))
+    hyper = fedac1_hyper(0.3, 0.2, 0.05)
+    stack = transfer_matrix_from_hyper(hyper, hs[0])
+    assert stack.shape == (6, 2, 2)
+    for j, h in enumerate(hs[0]):
+        assert bits(stack[j]) == bits(transfer_matrix_from_hyper(hyper, float(h)))
+
+
+def scalar_max_norm(matrix_fn, mu, big_l, gamma, eta, n_h=21):
+    """The transformed norm maximized over the curvature grid, one 2x2
+    ``np.matmul`` at a time."""
+    mu, big_l, gamma, eta = (float(v) for v in (mu, big_l, gamma, eta))
+    r = eta / gamma
+    x = np.array([[r, 0.0], [1.0, 1.0]])
+    x_inv = np.array([[1.0 / r, 0.0], [-1.0 / r, 1.0]])
+    worst = -math.inf
+    for h in np.linspace(mu, big_l, n_h):
+        b = np.matmul(np.matmul(x_inv, matrix_fn(mu, gamma, eta, float(h))), x)
+        g = np.matmul(b.T, b)
+        half_tr = 0.5 * (g[0, 0] + g[1, 1])
+        disc = max(half_tr * half_tr - (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]), 0.0)
+        worst = max(worst, math.sqrt(max(half_tr + math.sqrt(disc), 0.0)))
+    return worst
+
+
+def cli_draws(seed, samples=200, mu=0.1, big_l=10.0):
+    """The (mu, L, gamma, eta) rows ``fedsim norm-bounds`` sweeps."""
+    u = RngStream(seed, 0).uniforms(2 * samples).reshape(samples, 2)
+    gamma, eta = norm_bound_draws(u, mu, big_l)
+    return np.column_stack([np.full(samples, mu), np.full(samples, big_l),
+                            gamma, eta])
+
+
+@pytest.mark.parametrize("draws", [sample_admissible(2024, 1000), cli_draws(0)],
+                         ids=["verify", "cli"])
+def test_array_sweep_max_norm_equals_the_scalar_reference_bitwise(draws):
+    report = norm_bound_sweep(draws[:, 0], draws[:, 1], draws[:, 2:])
+    assert len(report.rows) == 2 * len(draws)
+    for i, (mu, big_l, gamma, eta) in enumerate(draws):
+        for row, matrix_fn in zip(report.rows[2 * i:2 * i + 2],
+                                  (transfer_matrix_fedac1, transfer_matrix_fedac2)):
+            assert (row.gamma, row.eta) == (gamma, eta)
+            assert bits(row.max_norm) == bits(
+                scalar_max_norm(matrix_fn, mu, big_l, gamma, eta))
+
+
+def test_norm_bound_sweep_rows_equal_one_call_per_point():
+    draws = sample_admissible(seed=5, count=25)
+    one_call = norm_bound_sweep(draws[:, 0], draws[:, 1], draws[:, 2:], n_h=11)
+    per_point = [row for mu, big_l, gamma, eta in draws
+                 for row in norm_bound_sweep(mu, big_l, [(gamma, eta)], n_h=11).rows]
+    assert one_call.rows == per_point
+    assert [r.schedule for r in one_call.rows[:4]] == ["fedac1", "fedac2"] * 2
+
+
+@pytest.mark.parametrize("mu, big_l, points, message", [
+    (1.0, 10.0, [(0.05, 0.05), (0.01, 0.05), (0.2, 0.2)],
+     "gamma=0.01 outside [eta, sqrt(eta/mu)] for eta=0.05, mu=1.0"),
+    (1.0, [10.0, 8.0, 10.0], [(0.05, 0.05), (0.15, 0.15), (0.01, 0.05)],
+     "eta=0.15 outside (0, 1/L] for L=8.0"),
+    ([1.0, 3.0], [10.0, 2.0], [(0.05, 0.05), (0.05, 0.05)],
+     "need 0 < mu <= L, got 3.0, 2.0"),
+], ids=["gamma", "eta", "mu"])
+def test_norm_bound_sweep_names_the_first_bad_point(mu, big_l, points, message):
+    with pytest.raises(ValueError) as info:
+        norm_bound_sweep(mu, big_l, points)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
