@@ -5,7 +5,9 @@ Three groups of tools:
 * Lyapunov potentials measuring progress of a worker ensemble toward the
   optimum (a decentralized variant averaging per-worker function values, and
   a centralized variant evaluating at the averaged iterate), plus worker
-  discrepancy statistics.
+  discrepancy statistics.  They take one (M, dim) state or an (S, M, dim)
+  stack of S states, whose F values come from one ``eval_many`` call; slice
+  s of a stack's result is the call on state s, bit for bit.
 
 * The 2x2 transfer matrices governing how the difference between two
   noise-free accelerated chains evolves per local step, as (..., 2, 2)
@@ -30,19 +32,20 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import AgdStep, agd_run, worker_mean
+from .algorithms import AgdStep, agd_run
 from .objectives import Objective
 from .rng import RngStream
 
 
 @dataclass(frozen=True)
 class PotentialReport:
-    """Potentials and worker-spread statistics at one time step."""
+    """Potentials and worker-spread statistics: floats for one state, (S,)
+    arrays for a stack of S states."""
 
-    psi: float
-    phi: float
-    discrepancy_max: float
-    discrepancy_mean_sq: float
+    psi: float | np.ndarray
+    phi: float | np.ndarray
+    discrepancy_max: float | np.ndarray
+    discrepancy_mean_sq: float | np.ndarray
 
 
 class ConstructionError(RuntimeError):
@@ -57,37 +60,47 @@ class InstabilityRegionError(RuntimeError):
         super().__init__(f"step {step}: {detail}")
 
 
+def _per_state(value):
+    """A float for one state's 0-d result; a stack's (S,) array as it is."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _eval(obj: Objective, points) -> np.ndarray:
+    """F at each point of a (..., dim) array, in one ``eval_many`` call."""
+    points = np.asarray(points, dtype=np.float64)
+    return obj.eval_many(points.reshape(-1, points.shape[-1])).reshape(points.shape[:-1])
+
+
+def _potential(f_term, w: np.ndarray, weight: float, w_star, f_star: float):
+    """``f_term`` - F* + weight * ||w_bar - w*||**2 for each state of ``w``."""
+    d = np.mean(w, axis=-2) - np.atleast_1d(np.asarray(w_star, dtype=np.float64))
+    return _per_state(f_term - f_star + weight * (d * d).sum(axis=-1))
+
+
 def potential_psi(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
-                  w_star, f_star: float) -> float:
+                  w_star, f_star: float):
     """Decentralized potential: mean_m F(w_ag^m) - F* + (mu/2) ||w_bar - w*||**2,
-    on (M, dim) worker arrays as a driver callback receives them."""
-    w_star = np.atleast_1d(np.asarray(w_star, dtype=np.float64))
-    values = obj.eval_many(w_ag)
-    d = worker_mean(w) - w_star
-    return float(np.mean(values) - f_star + 0.5 * mu * (d * d).sum())
+    on (M, dim) worker arrays as a driver callback receives them (a float),
+    or on (S, M, dim) stacks of S states (an (S,) array)."""
+    return _potential(_eval(obj, w_ag).mean(axis=-1), w, 0.5 * mu, w_star, f_star)
 
 
 def potential_phi(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
-                  w_star, f_star: float) -> float:
+                  w_star, f_star: float):
     """Centralized potential: F(w_bar_ag) - F* + (mu/6) ||w_bar - w*||**2,
-    on (M, dim) worker arrays."""
-    w_star = np.atleast_1d(np.asarray(w_star, dtype=np.float64))
-    d = worker_mean(w) - w_star
-    return float(obj.eval(worker_mean(w_ag)) - f_star + mu / 6.0 * (d * d).sum())
+    on one (M, dim) state or an (S, M, dim) stack, as ``potential_psi``."""
+    return _potential(_eval(obj, np.mean(w_ag, axis=-2)), w, mu / 6.0, w_star, f_star)
 
 
 def potential_report(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
                      w_star, f_star: float) -> PotentialReport:
     """Both potentials plus max/mean-square deviation of workers from their
-    average, on (M, dim) worker arrays."""
-    center = worker_mean(w)
-    dev = np.sqrt(((w - center) ** 2).sum(axis=1))
-    return PotentialReport(
-        psi=potential_psi(w, w_ag, obj, mu, w_star, f_star),
-        phi=potential_phi(w, w_ag, obj, mu, w_star, f_star),
-        discrepancy_max=float(dev.max()),
-        discrepancy_mean_sq=float((dev * dev).mean()),
-    )
+    average, on one (M, dim) state or an (S, M, dim) stack."""
+    dev = np.sqrt(((w - np.mean(w, axis=-2, keepdims=True)) ** 2).sum(axis=-1))
+    return PotentialReport(potential_psi(w, w_ag, obj, mu, w_star, f_star),
+                           potential_phi(w, w_ag, obj, mu, w_star, f_star),
+                           _per_state(dev.max(axis=-1)),
+                           _per_state((dev * dev).mean(axis=-1)))
 
 
 def transfer_matrix_fedac1(mu, gamma, eta, h) -> np.ndarray:
@@ -317,10 +330,7 @@ class PiecewiseCurvature1D(Objective):
                                     self.bumps + [(center, half_width)])
 
     def _scalar(self, w) -> float:
-        arr = np.atleast_1d(np.asarray(w, dtype=np.float64))
-        if arr.size != 1:
-            raise ValueError("objective is one-dimensional")
-        return float(arr[0])
+        return float(self._check_point(np.reshape(w, -1))[0])
 
     def eval(self, w) -> float:
         x = self._scalar(w)

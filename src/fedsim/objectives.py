@@ -7,6 +7,11 @@ inner objective.  Each objective carries curvature estimates ``mu_est`` (strong
 convexity) and ``l_est`` (smoothness) that drive schedule and step-size
 choices downstream.
 
+Each objective defines F once: in ``eval_many`` over the rows of a (P, dim)
+array, of which ``Objective.eval`` is the one-row call, or in ``eval``, over
+which the base ``eval_many`` loops.  Every objective raises the same
+``ValueError``s for a point of the wrong shape or with non-finite entries.
+
 All stochastic draws come from caller-owned streams (see :mod:`fedsim.rng`),
 so objectives are immutable and safe to share across threads.  The number of
 stream slots consumed per oracle call is fixed and documented per kind, which
@@ -60,7 +65,7 @@ def _by_point(points: np.ndarray, a: np.ndarray):
 
 
 class Objective:
-    """Base class; subclasses fill in eval/grad/stoch_grad_multi.
+    """Base class; subclasses fill in eval_many (or eval)/grad/stoch_grad_multi.
 
     Attributes
     ----------
@@ -86,13 +91,22 @@ class Objective:
             raise ValueError("point contains non-finite entries")
         return w
 
+    def _check_rows(self, points: np.ndarray) -> np.ndarray:
+        """``_check_point`` for a (P, dim) array of points."""
+        points = self._check_point(points)
+        if points.ndim != 2:
+            raise ValueError(f"points must be (P, dim), got shape {points.shape}")
+        return points
+
     def eval(self, w: np.ndarray) -> float:
-        raise NotImplementedError
+        """F at ``w``: ``eval_many`` on ``w`` as one row."""
+        return float(self.eval_many(np.reshape(w, (1, -1)))[0])
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """F at each row of the (P, dim) ``points``, as a (P,) array; row p
-        is ``eval(points[p])`` bit for bit."""
-        return np.array([self.eval(p) for p in points], dtype=np.float64)
+        is ``eval(points[p])`` bit for bit.  This default loops over an
+        ``eval`` that the subclass overrides."""
+        return np.array([self.eval(p) for p in self._check_rows(points)], np.float64)
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -170,10 +184,9 @@ class Quadratic(Objective):
             raise ValueError("spectrum entries must lie in [mu_est, l_est]")
         self._noise_scale = self.sigma / np.sqrt(self.dim)
 
-    def eval(self, w):
-        w = self._check_point(w)
-        d = w - self.shift
-        return float(0.5 * (self.spectrum * d * d).sum())
+    def eval_many(self, points):
+        d = self._check_rows(points) - self.shift
+        return 0.5 * (self.spectrum * d * d).sum(axis=1)
 
     def grad(self, w):
         w = self._check_point(w)
@@ -227,16 +240,6 @@ class Logistic(Objective):
             # all-zero features with lam == 0: degenerate but keep l_est positive
             self.l_est = np.finfo(np.float64).tiny
 
-    def _margins(self, w: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            zw = self._dense @ w
-        else:
-            zw = self.X @ w
-        return self.labels * zw
-
-    def eval(self, w):
-        return float(self.eval_many(np.reshape(w, (1, -1)))[0])
-
     def eval_many(self, points):
         """F at each row of the (P, dim) ``points`` in one pass over the data
         per ``_EVAL_POINTS`` points, bit for bit the one-point formula
@@ -251,9 +254,7 @@ class Logistic(Objective):
         split off a 4-row boundary moves a few rows' last bits, in the
         whole-matrix product as much as in a block.
         """
-        points = self._check_point(points)
-        if points.ndim != 2:
-            raise ValueError(f"points must be (P, dim), got shape {points.shape}")
+        points = self._check_rows(points)
         n, count, step = self.n, len(points), self._EVAL_POINTS
         zw = np.empty((min(count, step), n))
         terms = np.empty_like(zw)
@@ -297,7 +298,7 @@ class Logistic(Objective):
 
     def eval_grad(self, w):
         w = self._check_point(w)
-        z = self._margins(w)
+        z = self.labels * (self.X @ w if self._dense is None else self._dense @ w)
         loss = float(_log1p_exp(-z).mean() + 0.5 * self.lam * (w * w).sum())
         coefs = (-self.labels * expit(-z)) / self.n
         if self._dense is not None:
@@ -346,23 +347,14 @@ class Augmented(Objective):
         self.mu_est = inner.mu_est + self.lam
         self.l_est = inner.l_est + self.lam
 
-    def eval(self, w):
-        w = self._check_point(w)
-        d = w - self.w0
-        return float(self.inner.eval(w) + 0.5 * self.lam * (d * d).sum())
+    def eval_many(self, points):
+        points = self._check_rows(points)
+        d = points - self.w0
+        return self.inner.eval_many(points) + 0.5 * self.lam * (d * d).sum(axis=1)
 
     def grad(self, w):
         w = self._check_point(w)
         return self.inner.grad(w) + self.lam * (w - self.w0)
-
-    def eval_grad(self, w):
-        w = self._check_point(w)
-        inner = self.inner.eval_grad(w)
-        d = w - self.w0
-        return GradSample(
-            float(inner.value + 0.5 * self.lam * (d * d).sum()),
-            inner.grad + self.lam * d,
-        )
 
     def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
         W, out, scratch = self._work(W, bundle, out, scratch)
@@ -395,8 +387,8 @@ class BatchedOracle(Objective):
         self.mu_est = inner.mu_est
         self.l_est = inner.l_est
 
-    def eval(self, w):
-        return self.inner.eval(w)
+    def eval_many(self, points):
+        return self.inner.eval_many(points)
 
     def grad(self, w):
         return self.inner.grad(w)

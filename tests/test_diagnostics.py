@@ -86,6 +86,82 @@ def test_potential_report_discrepancy():
     assert rep.phi == potential_phi(*workers, obj, 1.0, [0.0], 0.0)
 
 
+# a stack's F values come from one eval_many call over all its rows; numpy's
+# pairwise sums work in blocks of 128, so the dims reach past one block
+STACK_M = [1, 3, 4, 9, 17]
+STACK_DIMS = [1, 2, 9, 129, 300]
+
+
+def random_stack(m, dim, states=6, seed=0):
+    """A Quadratic of ``dim`` and (S, M, dim) stacks ``w``, ``w_ag`` whose
+    states span several orders of magnitude, with ``w_star`` and ``f_star``."""
+    rng = np.random.default_rng([m, dim, seed])
+    obj = Quadratic(rng.uniform(0.1, 10.0, dim), shift=rng.normal(size=dim))
+    scale = np.geomspace(1e-3, 1e3, states)[:, None, None]
+    w = obj.shift + scale * rng.normal(size=(states, m, dim))
+    w_ag = obj.shift + scale * rng.normal(size=(states, m, dim))
+    return obj, w, w_ag, obj.shift + rng.normal(size=dim) * 1e-2, 0.25
+
+
+@pytest.mark.parametrize("dim", STACK_DIMS)
+@pytest.mark.parametrize("m", STACK_M)
+def test_stacked_potentials_equal_per_state_calls(m, dim):
+    obj, w, w_ag, w_star, f_star = random_stack(m, dim)
+    args = (obj, 0.7, w_star, f_star)
+    psi, phi = potential_psi(w, w_ag, *args), potential_phi(w, w_ag, *args)
+    rep = potential_report(w, w_ag, *args)
+    assert psi.shape == phi.shape == rep.discrepancy_max.shape == (len(w),)
+    for s in range(len(w)):
+        one = potential_report(w[s], w_ag[s], *args)
+        assert type(one.psi) is float and type(one.discrepancy_max) is float
+        assert psi[s] == potential_psi(w[s], w_ag[s], *args) == one.psi
+        assert phi[s] == potential_phi(w[s], w_ag[s], *args) == one.phi
+        assert rep.psi[s] == one.psi and rep.phi[s] == one.phi
+        assert rep.discrepancy_max[s] == one.discrepancy_max
+        assert rep.discrepancy_mean_sq[s] == one.discrepancy_mean_sq
+
+
+@pytest.mark.parametrize("dim", STACK_DIMS)
+@pytest.mark.parametrize("m", STACK_M)
+def test_potentials_equal_the_per_point_formulas(m, dim):
+    """One state's potentials, against the formulas written out with one
+    ``eval`` per point and the canonical worker mean."""
+    obj, w, w_ag, w_star, f_star = random_stack(m, dim, states=2)
+    for s in range(len(w)):
+        d = np.mean(w[s], axis=0) - w_star
+        values = np.array([obj.eval(a) for a in w_ag[s]])
+        psi = float(np.mean(values) - f_star + 0.5 * 0.7 * (d * d).sum())
+        phi = float(obj.eval(np.mean(w_ag[s], axis=0)) - f_star
+                    + 0.7 / 6.0 * (d * d).sum())
+        dev = np.sqrt(((w[s] - np.mean(w[s], axis=0)) ** 2).sum(axis=1))
+        rep = potential_report(w[s], w_ag[s], obj, 0.7, w_star, f_star)
+        assert (rep.psi, rep.phi) == (psi, phi)
+        assert rep.discrepancy_max == float(dev.max())
+        assert rep.discrepancy_mean_sq == float((dev * dev).mean())
+
+
+def test_potentials_of_an_empty_stack():
+    obj, w, w_ag, w_star, f_star = random_stack(3, 2)
+    rep = potential_report(w[:0], w_ag[:0], obj, 0.7, w_star, f_star)
+    assert rep.psi.shape == rep.phi.shape == rep.discrepancy_max.shape == (0,)
+
+
+def test_recorded_trajectory_potentials_equal_per_step_calls():
+    """The record-then-evaluate pattern: states copied in the callback, then
+    one call over the trajectory, equal the per-step calls bit for bit."""
+    obj = Quadratic(np.linspace(0.5, 15.0, 6), shift=np.linspace(-1.0, 1.0, 6))
+    hyper = schedule_fedac1(1.0 / obj.l_est, 0.5, 1)
+    steps, per_step = 30, []
+    ws, w_ags = np.empty((2, steps + 1, 4, 6))
+
+    def track(step, w, w_ag):
+        ws[step], w_ags[step] = w, w_ag
+        per_step.append(potential_psi(w, w_ag, obj, 0.5, obj.shift, 0.0))
+
+    fedac_run(obj, 4, steps, 1, hyper, seed=2, w0=obj.shift + 1.0, callback=track)
+    assert potential_psi(ws, w_ags, obj, 0.5, obj.shift, 0.0).tolist() == per_step
+
+
 # ---------------------------------------------------------------------------
 # transfer matrices
 
@@ -389,6 +465,37 @@ def test_piecewise_disjointness_enforced():
         f.with_bump(0.55, 0.1)
     g = f.with_bump(0.9, 0.05)  # disjoint: fine
     assert len(g.bumps) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f.eval(np.nan), lambda f: f.eval([np.inf]),
+    lambda f: f.grad(np.inf), lambda f: f.grad([-np.inf]),
+    lambda f: f.curvature(np.nan), lambda f: f.curvature([np.nan]),
+    lambda f: f.eval_many(np.array([0.3, 0.4])),
+    lambda f: f.eval_many(np.array([0.3])),
+    lambda f: f.eval_many(np.array([[0.3], [np.nan]])),
+    lambda f: f.eval([0.3, 0.4]), lambda f: f.grad([0.3, 0.4]),
+], ids=["eval-nan", "eval-inf", "grad-inf", "grad-minus-inf", "curvature-nan",
+        "curvature-nan-row", "eval_many-1d", "eval_many-one-1d",
+        "eval_many-nan-row", "eval-two-points", "grad-two-points"])
+def test_piecewise_checks_its_point(call):
+    f = PiecewiseCurvature1D(0.04, 1.0, [(0.5, 0.1)])
+    with pytest.raises(ValueError):
+        call(f)
+
+
+def test_piecewise_takes_a_point_in_any_one_value_shape():
+    """A scalar, a (1,) point and a (1, 1) row are one point, as they are to
+    ``Objective.eval`` on any objective."""
+    f = PiecewiseCurvature1D(0.04, 1.0, [(0.5, 0.1)])
+    for x in (0.45, -2.0):
+        assert f.eval(x) == f.eval([x]) == f.eval([[x]]) == f.eval(np.float64(x))
+        assert f.grad([[x]]).tolist() == f.grad(x).tolist()
+        assert f.curvature([[x]]) == f.curvature(x)
+    assert f.eval_many(np.array([[0.45], [-2.0]])).tolist() == \
+        [f.eval(0.45), f.eval(-2.0)]
+    assert f.eval_many(np.empty((0, 1))).shape == (0,)
+    assert Quadratic([0.04]).eval([[-2.0]]) == Quadratic([0.04]).eval(-2.0)
 
 
 def test_piecewise_gradient_matches_finite_differences():

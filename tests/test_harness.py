@@ -471,8 +471,9 @@ def test_group_evaluates_its_start_point_once(monkeypatch):
     monkeypatch.setattr(harness, "ROW_BUDGET", 3)  # one M=3 replica per call
     obj = Quadratic([1.0, 2.0], shift=[0.5, -1.0], sigma=0.5)
     points = []
-    evaluate = obj.eval
-    monkeypatch.setattr(obj, "eval", lambda w: points.append(w.copy()) or evaluate(w))
+    evaluate = obj.eval_many
+    monkeypatch.setattr(obj, "eval_many",
+                        lambda p: points.extend(np.array(p)) or evaluate(p))
     replicas = [(0.1, 0), (0.2, 0), (0.1, 1)]
     cells = harness.run_group(obj, "fedac1", 3, 4, replicas, 8, 4, 0.0)
     assert len(points) == 1 + len(replicas) * 2

@@ -15,7 +15,9 @@ from fedsim.objectives import (
     smoothness_bounds,
 )
 from fedsim import rng
+from fedsim.diagnostics import PiecewiseCurvature1D
 from fedsim.rng import RngStream, StreamBundle
+from fedsim.verify import _fd_gradient
 
 
 def make_logistic(text, lam):
@@ -651,3 +653,85 @@ def test_logistic_eval_many_checks_points(dense, monkeypatch):
                 np.r_[np.zeros((1, obj.dim)), np.full((1, obj.dim), np.inf)]):
         with pytest.raises(ValueError):
             obj.eval_many(bad)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic_noisy", "augmented",
+                                  "batched", "piecewise"])
+def test_eval_many_checks_points(kind, monkeypatch):
+    """Every objective takes an empty (0, dim) array and refuses 1-D input,
+    a wrong dim and a non-finite row with the ValueErrors that
+    ``test_logistic_eval_many_checks_points`` asks of Logistic."""
+    obj = (PiecewiseCurvature1D(0.5, 4.0, [(0.3, 0.1)]) if kind == "piecewise"
+           else make_oracle(kind, monkeypatch))
+    dim = obj.dim
+    assert obj.eval_many(np.empty((0, dim))).shape == (0,)
+    for bad, message in ((np.zeros(dim), r"must be \(P, dim\)"),
+                         (np.zeros((3, 2, dim)), r"must be \(P, dim\)"),
+                         (np.zeros((2, dim + 1)), f"dimension {dim + 1}, objective"),
+                         (np.r_[np.zeros((1, dim)), np.full((1, dim), np.nan)],
+                          "non-finite"),
+                         (np.full((2, dim), -np.inf), "non-finite")):
+        with pytest.raises(ValueError, match=message):
+            obj.eval_many(bad)
+        with pytest.raises(ValueError):
+            obj.eval(bad[-1] if bad.ndim == 2 else np.r_[bad, 0.0])
+
+
+def quadratic_value(obj, w):
+    """Quadratic F at one point, written out: the per-row reference."""
+    d = w - obj.shift
+    return float(0.5 * (obj.spectrum * d * d).sum())
+
+
+def augmented_value(obj, inner_value, w):
+    d = w - obj.w0
+    return float(inner_value + 0.5 * obj.lam * (d * d).sum())
+
+
+EVAL_DIMS = [1, 2, 9, 129, 300]
+
+
+@pytest.mark.parametrize("dim", EVAL_DIMS)
+def test_eval_many_equals_the_per_row_formulas(dim):
+    """``eval_many`` of Quadratic, Augmented and BatchedOracle against the
+    one-point formulas, row by row, bit for bit."""
+    rng = np.random.default_rng(dim)
+    quad = Quadratic(rng.uniform(0.1, 10.0, dim), shift=rng.normal(size=dim))
+    points = quad.shift + rng.normal(size=(21, dim)) * np.geomspace(
+        1e-4, 1e4, 21)[:, None]
+    aug = Augmented(quad, 0.3, rng.normal(size=dim))
+    logistic = random_logistic(150, dim, seed=dim)
+    aug_logistic = Augmented(logistic, 0.2, rng.normal(size=dim))
+    expected = {
+        "quadratic": [quadratic_value(quad, w) for w in points],
+        "augmented": [augmented_value(aug, quadratic_value(quad, w), w)
+                      for w in points],
+        "augmented-logistic": [
+            augmented_value(aug_logistic, one_point_value(logistic, w), w)
+            for w in points],
+        "batched": [quadratic_value(quad, w) for w in points],
+    }
+    objs = {"quadratic": quad, "augmented": aug,
+            "augmented-logistic": aug_logistic, "batched": BatchedOracle(quad, 3)}
+    for name, obj in objs.items():
+        assert obj.eval_many(points).tolist() == expected[name], name
+        assert [obj.eval(w) for w in points] == expected[name], name
+
+
+def reference_fd_gradient(obj, w, h=1e-6):
+    """Central differences one coordinate at a time, two evals each."""
+    g = np.empty_like(w)
+    for i in range(len(w)):
+        e = np.zeros_like(w)
+        e[i] = h
+        g[i] = (obj.eval(w + e) - obj.eval(w - e)) / (2.0 * h)
+    return g
+
+
+@pytest.mark.parametrize("kind", ORACLES + ["piecewise"])
+def test_fd_gradient_equals_the_per_coordinate_stencil(kind, monkeypatch):
+    obj = (PiecewiseCurvature1D(0.5, 4.0, [(0.3, 0.1)]) if kind == "piecewise"
+           else make_oracle(kind, monkeypatch))
+    rng = np.random.default_rng(5)
+    for w in rng.normal(size=(6, obj.dim)) * np.geomspace(1e-2, 1e2, 6)[:, None]:
+        assert _fd_gradient(obj, w).tolist() == reference_fd_gradient(obj, w).tolist()
