@@ -16,7 +16,7 @@ import numpy as np
 from fedsim.algorithms import fedac_run, schedule_fedac1
 from fedsim.diagnostics import potential_phi, potential_psi
 from fedsim.objectives import Quadratic
-from fedsim.rng import RngStream
+from fedsim.rng import StreamBundle
 
 
 def main():
@@ -27,10 +27,10 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    stream = RngStream(args.seed, 0)
+    stream = StreamBundle(args.seed, [0])
     mu = 0.5
     spectrum = np.linspace(mu, mu * args.kappa, args.dim)
-    shift = stream.gaussians(args.dim)
+    shift = stream.gaussians(args.dim)[0]
     obj = Quadratic(spectrum, shift=shift, sigma=0.0)
     eta = 1.0 / obj.l_est
     hyper = schedule_fedac1(eta, mu, 1)
@@ -45,7 +45,7 @@ def main():
     def track(step, w, w_ag):
         ws[step], w_ags[step] = w, w_ag
 
-    w0 = shift + stream.gaussians(args.dim)
+    w0 = shift + stream.gaussians(args.dim)[0]
     fedac_run(obj, 4, args.steps, 1, hyper, seed=2, w0=w0, callback=track)
     psis = potential_psi(ws, w_ags, obj, mu, shift, 0.0)
     phis = potential_phi(ws, w_ags, obj, mu, shift, 0.0)

@@ -14,7 +14,7 @@ from .algorithms import (AgdTrajectory, DivergenceError, Hyper, ReplicaResult,
                          run_replicas, schedule_fedac1, schedule_fedac2,
                          schedule_vanilla, worker_mean)
 from .dataio import (DataFormatError, Dataset, DatasetStats, dataset_stats,
-                     load_dataset, parse_libsvm, row_norms_sq, serialize_libsvm)
+                     load_dataset, parse_libsvm, row_norms_sq)
 from .diagnostics import (ConstructionError, InstabilityRegionError,
                           InstabilityResult, InstabilityVerdict,
                           NormBoundReport, NormBoundRow,
@@ -37,7 +37,7 @@ from .harness import (ALGORITHMS, DEFAULT_ETA_GRID, CellResult, ConfigError,
                       write_sweep_json)
 from .objectives import (Augmented, BatchedOracle, GradSample, Logistic,
                          Objective, Quadratic, smoothness_bounds)
-from .rng import RngStream, StreamBundle
+from .rng import StreamBundle
 from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"

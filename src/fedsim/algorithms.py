@@ -18,7 +18,7 @@ All drivers share conventions:
   that keeps a state copies it.  Drivers never draw randomness for
   evaluation, so observation cannot perturb trajectories.
 * ``run_replicas`` is the one step kernel: it runs any number of
-  (hyperparameters, K, seed) replicas side by side.  ``fedac_run`` and
+  (hyperparameters, M, K, seed) replicas side by side.  ``fedac_run`` and
   ``fedavg_run`` are its one-replica calls; ``_run_minibatch`` maps the
   minibatch baselines onto it, and ``mb_sgd_run`` and ``mb_acsgd_run`` are
   its one-replica calls.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,26 +167,36 @@ def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return view
 
 
-def _observe(callback: Optional[Callback], step: int, w: np.ndarray,
-             w_ag: Optional[np.ndarray]) -> None:
-    """Hand the callback read-only views of the state.  The kernel updates
-    the state in place, so a view is valid only until the callback returns:
-    a callback that keeps a state copies it."""
-    if callback is not None:
-        callback(step, _read_only(w), _read_only(w_ag))
-
-
 def _validate_run_args(m: int, t: int, k: int) -> None:
     if m < 1 or t < 1 or k < 1:
         raise ValueError(f"M, T, K must all be >= 1, got M={m} T={t} K={k}")
 
 
-def replica_mean(a: np.ndarray, m: int) -> np.ndarray:
-    """Worker averages of stacked replicas: ``a`` is (R*M, dim), replica r
-    owning rows ``[r*M, (r+1)*M)``; row r of the (R, dim) result equals
-    ``worker_mean`` of that block bit for bit: ``np.mean`` is this sum
-    divided by the count, without the wrapper's per-call overhead."""
-    return np.add.reduce(a.reshape(-1, m, a.shape[-1]), axis=1) / m
+def _runs(*columns) -> List[Tuple[int, int]]:
+    """``(first, stop)`` of each run of replicas equal in every column."""
+    n = len(columns[0])
+    cuts = [r for r in range(n + 1)
+            if r in (0, n) or any(c[r] != c[r - 1] for c in columns)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _mean_into(blocks: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """``replica_mean`` of the (R, M, dim) ``blocks``, written into ``out``."""
+    np.add.reduce(blocks, axis=1, out=out)
+    return np.divide(out, m, out=out)
+
+
+def replica_mean(a: np.ndarray, m) -> np.ndarray:
+    """Worker averages of stacked replicas, each M rows in turn (``m`` one
+    M or one per replica): row r equals ``worker_mean`` of replica r's rows
+    bit for bit, as ``np.mean`` is this sum divided by the count, without
+    the wrapper's per-call overhead."""
+    if np.ndim(m) == 0:
+        m = [m] * (len(a) // m)
+    first, out = np.cumsum([0, *m]), np.empty((len(m), a.shape[-1]))
+    for i, j in _runs(m):
+        _mean_into(a[first[i]:first[j]].reshape(j - i, m[i], -1), m[i], out[i:j])
+    return out
 
 
 def _bad_workers(w: np.ndarray, w_ag: Optional[np.ndarray],
@@ -209,34 +219,54 @@ class ReplicaResult:
     ``diverged[r]`` is the ``(step, worker)`` at which replica r's ``w`` (or,
     if ``w`` stayed finite, its ``w_ag``) first went non-finite, or None.
     A diverged replica's rows of the final averages and of ``rho_avg_w``
-    are nan.
+    are nan.  ``gradient_calls[r]`` counts as in ``RunResult``.
     """
 
     final_avg_w: np.ndarray
     final_avg_w_ag: np.ndarray
-    gradient_calls: int
+    gradient_calls: List[int]
     diverged: List[Optional[Tuple[int, int]]]
     rho_avg_w: Optional[np.ndarray] = None
+
+
+class _Run(NamedTuple):
+    """Views of a run of replicas with equal M over its ``rows`` of the state,
+    one row of M*dim per replica: ``w`` (and FedAc's ``ag`` and ``md``), the
+    gradients ``g`` and the step's temporary ``tmp``; ``w3`` is ``w`` as
+    (R, M, dim), ``mean`` its mean-buffer rows, ``h`` its hyperparameters."""
+
+    m: int
+    rows: slice
+    w: np.ndarray
+    ag: Optional[np.ndarray]
+    md: Optional[np.ndarray]
+    tmp: np.ndarray
+    g: np.ndarray
+    w3: np.ndarray
+    mean: np.ndarray
+    h: Dict[str, np.ndarray]
 
 
 ReplicaCallback = Callable[[int, np.ndarray, np.ndarray, Optional[np.ndarray]], None]
 
 
-def run_replicas(obj: Objective, m: int, t: int, k, steps: Sequence,
+def run_replicas(obj: Objective, m, t: int, k, steps: Sequence,
                  seeds: Sequence[int], w0=None,
                  callback: Optional[ReplicaCallback] = None,
                  mu: Optional[float] = None) -> ReplicaResult:
-    """R independent M-worker runs in lockstep, as one (R*M, dim) state.
+    """R independent runs in lockstep, replica r as the next M state rows.
 
     Replica r draws from the streams ``(seeds[r], worker)`` and steps with
     ``steps[r]``: a ``Hyper`` runs FedAc (see ``fedac_run``), a plain step
     size runs FedAvg (see ``fedavg_run``, whose ``mu`` sets the decay of the
-    weighted average).  ``k`` is the sync interval of every replica, or one
-    K per replica: after step s, the replicas whose K divides s + 1 average
-    and broadcast their rows, each run of consecutive replicas with equal K
-    as one block of rows.  Every replica follows the same float expressions
-    as a run of its own, with its hyperparameters held as (R, 1) columns, so
-    each replica is bit-identical to the run it stands for.
+    weighted average).  ``m`` and ``k`` are the worker count and sync
+    interval of every replica, or one value per replica: after step s, the
+    replicas whose K divides s + 1 average and broadcast their rows, each
+    run of consecutive replicas with equal M and K as one block of rows.
+    Every replica follows the same float expressions as a run of its own,
+    its hyperparameters held as columns that scale each run of equal M as
+    one (replicas, M*dim) array, so each replica is bit-identical to the
+    run it stands for.
 
     ``callback(t, live, W, W_ag)`` is invoked before step t and at t = T
     with the indices of the replicas still running and read-only views of
@@ -248,43 +278,45 @@ def run_replicas(obj: Objective, m: int, t: int, k, steps: Sequence,
                      obj.mu_est if mu is None else mu)
 
 
-def _replicas(obj: Objective, m: int, t: int, k, steps: Sequence,
+def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
               seeds: Sequence[int], w0, callback: Optional[ReplicaCallback],
               mu: Optional[float], batch: int = 1) -> ReplicaResult:
     """The body of ``run_replicas``.  ``mu=None`` skips FedAvg's
     decay-weighted average, which the minibatch baselines discard.
-    ``batch`` > 1 runs minibatch SGD: each of the M state rows queries
+    ``batch`` > 1 runs minibatch SGD: each of the M = 1 state rows queries
     ``batch`` streams, and the step averages the candidates ``w - eta*g_j``
     back into the row, which is FedAvg on M*batch workers at K = 1 without
     its equal rows.
 
-    After each step the due blocks of equal K sync in place and every row
-    is checked: a synced replica's rows are copies of its mean, so a
+    After each step the due blocks of equal (M, K) sync in place and every
+    row is checked: a synced replica's rows are copies of its mean, so a
     blow-up there reports worker 0.  M = 1 builds no blocks.
 
     Every step is written in place, in the operation order of the plain
-    expressions, into arrays allocated once and again only when replicas
-    drop out: the state (``w``, and ``w_ag`` under FedAc), ``w_md`` and the
-    oracle's ``out`` and ``scratch``, whose leading rows double as the
-    step's one temporary.
+    expressions, into the arrays and views of ``work``, built once and again
+    only when replicas drop out.
     """
     if not seeds or len(steps) != len(seeds):
         raise ValueError(f"need one step rule per seed, got {len(steps)} "
                          f"for {len(seeds)}")
     reps, dim = len(seeds), obj.dim
-    ks = np.full(reps, k) if np.ndim(k) == 0 else np.asarray(k)
-    if ks.shape != (reps,):
-        raise ValueError(f"need one K per seed, got {ks.size} for {reps}")
-    _validate_run_args(m, t, ks.min())
+    ms, ks = (np.full(reps, v) if np.ndim(v) == 0 else np.asarray(v)
+              for v in (m, k))
+    if ms.shape != (reps,) or ks.shape != (reps,):
+        raise ValueError(f"need one M and one K per seed, got {ms.size} and "
+                         f"{ks.size} for {reps}")
+    _validate_run_args(ms.min(), t, ks.min())
     accelerated = isinstance(steps[0], Hyper)
     for rule in steps:
         if isinstance(rule, Hyper) != accelerated:
             raise ValueError("steps must be all Hyper or all step sizes")
         if not accelerated and not (rule > 0):
             raise ValueError(f"eta must be positive, got {rule}")
-    ids = obj.stream_workers(m * batch)
-    bundle = StreamBundle([s for s in seeds for _ in ids], np.tile(ids, reps))
-    w = np.tile(_start_row(obj, w0), (reps * m, 1))
+    ids = [obj.stream_workers(mr * batch) for mr in ms]
+    streams = np.array([i.size for i in ids])
+    bundle = StreamBundle([s for s, i in zip(seeds, ids) for _ in i],
+                          np.concatenate(ids))
+    w = np.tile(_start_row(obj, w0), (ms.sum(), 1))
 
     def column(values) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)[:, None]
@@ -293,111 +325,113 @@ def _replicas(obj: Objective, m: int, t: int, k, steps: Sequence,
         w_ag = w.copy()
         inv_b = column([1.0 / h.beta for h in steps])
         inv_a = column([1.0 / h.alpha for h in steps])
-        cols = [inv_b, 1.0 - inv_b, inv_a, 1.0 - inv_a,
-                column([h.eta for h in steps]), column([h.gamma for h in steps])]
+        cols = {"inv_b": inv_b, "c_b": 1.0 - inv_b, "inv_a": inv_a,
+                "c_a": 1.0 - inv_a, "eta": column([h.eta for h in steps]),
+                "gamma": column([h.gamma for h in steps])}
     else:
         w_ag = None
-        cols = [column(steps)]
+        cols = {"eta": column(steps)}
         if mu is not None:
-            decay = np.array([1.0 - 0.5 * eta * mu for eta in steps])[:, None]
+            decay = column([1.0 - 0.5 * eta * mu for eta in steps])
             acc = np.zeros((reps, dim))
             acc_norm = np.zeros((reps, 1))
+    calls = [int(n) * t for n in streams]
     live = np.arange(reps)
     diverged: List[Optional[Tuple[int, int]]] = [None] * reps
-    observe = None
-    if callback is not None:
-        observe = lambda step, w, w_ag: callback(step, live, w, w_ag)
 
     def work():
-        """``w_md`` (FedAc only), the oracle's ``out`` and ``scratch`` for
-        the current rows, and the (K, rows) blocks of equal K that sync,
-        none at M = 1 (which minibatch SGD's ``batch`` > 1 implies)."""
+        """Arrays and views for the current rows: a ``_Run`` per run of equal
+        M, and (K, M, state blocks, mean rows) per run of equal (M, K), M > 1."""
         w_md = np.empty_like(w) if accelerated else None
-        ends = [r for r in range(len(ks) + 1)
-                if r in (0, len(ks)) or ks[r] != ks[r - 1]]
-        blocks = [] if m == 1 else [(int(ks[a]), slice(a * m, b * m))
-                                    for a, b in zip(ends, ends[1:])]
-        return (w_md, np.empty((len(bundle), dim)),
-                np.empty((len(bundle), dim)), blocks)
+        out, scratch = np.empty((2, len(bundle), dim))
+        mean, first, runs = np.empty((len(live), dim)), np.cumsum([0, *ms]), []
+        for a, b in _runs(ms):
+            rows = slice(first[a], first[b])
+            grads = slice(first[a] * batch, first[b] * batch)
+            flat = [None if x is None else x[part].reshape(b - a, -1)
+                    for x, part in ((w, rows), (w_ag, rows), (w_md, rows),
+                                    (scratch, grads), (out, grads))]
+            runs.append(_Run(int(ms[a]), rows, *flat,
+                             w[rows].reshape(b - a, -1, dim), mean[a:b],
+                             {name: c[a:b] for name, c in cols.items()}))
+        blocks = [(ks[a], ms[a], [x[first[a]:first[b]].reshape(b - a, -1, dim)
+                                  for x in (w, w_ag) if x is not None],
+                   mean[a:b]) for a, b in _runs(ms, ks) if ms[a] > 1]
+        return (w_md, out, scratch, mean, runs, blocks,
+                (_read_only(w), _read_only(w_ag)))
 
-    w_md, out, scratch, blocks = work()
+    w_md, out, scratch, mean, runs, blocks, seen = work()
     for step in range(t):
-        _observe(observe, step, w, w_ag)
-        # a replica's M rows as one row of the (R, M*dim) views, so that
-        # its (R, 1) hyperparameter column scales one long run per replica
-        by_rep = len(live), -1
-        W, TMP = w.reshape(by_rep), scratch[:len(w)].reshape(by_rep)
+        if callback is not None:
+            callback(step, live, *seen)
         if accelerated:
-            inv_b, c_b, inv_a, c_a, eta, gamma = cols
-            AG, MD = w_ag.reshape(by_rep), w_md.reshape(by_rep)
-            # w_md = inv_b * w + c_b * w_ag
-            np.multiply(inv_b, W, out=MD)
-            np.multiply(c_b, AG, out=TMP)
-            np.add(MD, TMP, out=MD)
-            G = obj.stoch_grad_multi(w_md, bundle, out=out,
-                                     scratch=scratch).reshape(by_rep)
-            # w_ag = w_md - eta * g
-            np.multiply(eta, G, out=TMP)
-            np.subtract(MD, TMP, out=AG)
-            # w = c_a * w + inv_a * w_md - gamma * g
-            np.multiply(c_a, W, out=W)
-            np.multiply(inv_a, MD, out=TMP)
-            np.add(W, TMP, out=W)
-            np.multiply(gamma, G, out=TMP)
-            np.subtract(W, TMP, out=W)
+            for r in runs:
+                # w_md = inv_b * w + c_b * w_ag
+                np.multiply(r.h["inv_b"], r.w, out=r.md)
+                np.multiply(r.h["c_b"], r.ag, out=r.tmp)
+                np.add(r.md, r.tmp, out=r.md)
+            obj.stoch_grad_multi(w_md, bundle, out=out, scratch=scratch)
+            for r in runs:
+                # w_ag = w_md - eta * g
+                np.multiply(r.h["eta"], r.g, out=r.tmp)
+                np.subtract(r.md, r.tmp, out=r.ag)
+                # w = c_a * w + inv_a * w_md - gamma * g
+                np.multiply(r.h["c_a"], r.w, out=r.w)
+                np.multiply(r.h["inv_a"], r.md, out=r.tmp)
+                np.add(r.w, r.tmp, out=r.w)
+                np.multiply(r.h["gamma"], r.g, out=r.tmp)
+                np.subtract(r.w, r.tmp, out=r.w)
         else:
             if mu is not None:
-                acc = decay * acc + replica_mean(w, m)
+                for r in runs:
+                    _mean_into(r.w3, r.m, r.mean)
+                acc = decay * acc + mean
                 acc_norm = decay * acc_norm + 1.0
-            G = obj.stoch_grad_multi(w, bundle, out=out,
-                                     scratch=scratch).reshape(by_rep)
-            if batch == 1:
-                # w = w - eta * g
-                np.multiply(cols[0], G, out=TMP)
-                np.subtract(W, TMP, out=W)
-            else:
-                # w = mean_j(w - eta * g_j), the candidates in ``scratch``
-                cand = scratch.reshape(len(w), batch, dim)
-                np.multiply(cols[0], G, out=cand.reshape(by_rep))
-                np.subtract(w[:, None, :], cand, out=cand)
-                np.divide(np.add.reduce(cand, axis=1, out=w), batch, out=w)
-        state = (w,) if w_ag is None else (w, w_ag)
-        for kb, rows in blocks:
+            obj.stoch_grad_multi(w, bundle, out=out, scratch=scratch)
+            for r in runs:
+                np.multiply(r.h["eta"], r.g, out=r.tmp)
+                if batch == 1:
+                    # w = w - eta * g
+                    np.subtract(r.w, r.tmp, out=r.w)
+                else:
+                    # w = mean_j(w - eta * g_j), the candidates in ``tmp``
+                    cand = r.tmp.reshape(len(r.w), batch, dim)
+                    np.subtract(r.w[:, None, :], cand, out=cand)
+                    _mean_into(cand, batch, r.w)
+        for kb, mb, state_blocks, block_mean in blocks:
             if (step + 1) % kb == 0:
-                for a in state:
-                    block = a[rows]
-                    block.reshape(-1, m, dim)[...] = \
-                        replica_mean(block, m)[:, None, :]
-        if all(np.isfinite(a).all() for a in state):
+                for block in state_blocks:
+                    block[...] = _mean_into(block, mb, block_mean)[:, None, :]
+        if np.isfinite(w).all() and (w_ag is None or np.isfinite(w_ag).all()):
             continue
-        bad = _bad_workers(w, w_ag, m)
-        for r, worker in zip(live, bad):
+        bad = [worker for r in runs for worker in _bad_workers(
+            w[r.rows], None if w_ag is None else w_ag[r.rows], r.m)]
+        for i, worker in zip(live, bad):
             if worker is not None:
-                diverged[r] = (step, worker)
+                diverged[i] = (step, worker)
         keep = np.array([worker is None for worker in bad])
-        rows = np.repeat(keep, m)
+        rows = np.repeat(keep, ms)
         w = w[rows]
         w_ag = None if w_ag is None else w_ag[rows]
-        cols = [c[keep] for c in cols]
-        ks = ks[keep]
-        bundle.keep(np.repeat(keep, ids.size))
+        cols = {name: c[keep] for name, c in cols.items()}
+        bundle.keep(np.repeat(keep, streams))
+        ms, ks, streams = ms[keep], ks[keep], streams[keep]
         if not accelerated and mu is not None:
             decay, acc, acc_norm = decay[keep], acc[keep], acc_norm[keep]
         live = live[keep]
         if not live.size:
             break
-        w_md, out, scratch, blocks = work()
-    if live.size:
-        _observe(observe, t, w, w_ag)
-    final_w = np.full((reps, dim), np.nan)
-    final_ag = np.full((reps, dim), np.nan)
-    final_w[live] = replica_mean(w, m)
-    final_ag[live] = final_w[live] if w_ag is None else replica_mean(w_ag, m)
+        w_md, out, scratch, mean, runs, blocks, seen = work()
+    if live.size and callback is not None:
+        callback(t, live, *seen)
+    final_w, final_ag = np.full((2, reps, dim), np.nan)
+    final_w[live] = replica_mean(w, ms)
+    final_ag[live] = final_w[live] if w_ag is None else replica_mean(w_ag, ms)
     rho = None
     if not accelerated and mu is not None:
         rho = np.full((reps, dim), np.nan)
         rho[live] = acc / acc_norm
-    return ReplicaResult(final_w, final_ag, ids.size * t, diverged, rho)
+    return ReplicaResult(final_w, final_ag, calls, diverged, rho)
 
 
 def _single(result: ReplicaResult) -> RunResult:
@@ -406,7 +440,7 @@ def _single(result: ReplicaResult) -> RunResult:
         raise DivergenceError(*result.diverged[0])
     rho = None if result.rho_avg_w is None else result.rho_avg_w[0]
     return RunResult(result.final_avg_w[0], result.final_avg_w_ag[0],
-                     result.gradient_calls, rho)
+                     result.gradient_calls[0], rho)
 
 
 def _plain_callback(callback: Optional[Callback]) -> Optional[ReplicaCallback]:
@@ -475,7 +509,8 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
                     batch)
     diverged = [None if d is None else ((d[0] + 1) * k - 1, d[1])
                 for d in res.diverged]
-    return ReplicaResult(res.final_avg_w, res.final_avg_w_ag, t, diverged)
+    return ReplicaResult(res.final_avg_w, res.final_avg_w_ag, [t] * len(seeds),
+                         diverged)
 
 
 def mb_sgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,

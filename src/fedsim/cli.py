@@ -5,7 +5,8 @@ Subcommands: ``check-data`` (parse a dataset and print its stats), ``run``
 (worst-case accelerated-descent separation experiment), ``norm-bounds``
 (random search for transfer-matrix norm violations), ``verify`` (invariant
 battery).  Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
-failure or divergence, 4 verification failure.  Failures print a single
+failure or divergence, 4 verification failure, 5 a sweep worker process
+died (say, killed for memory).  Failures print a single
 ``error: <kind>: <detail>`` line on stderr.  Flag values override config-file
 values, which override defaults; ``--deterministic-output`` suppresses the
 timing lines so identical invocations print identical bytes.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -30,7 +32,7 @@ from .harness import (ConfigError, OptimumError, build_config, build_objective,
                       cached_optimum, parse_config_file, resolve_out_dir,
                       run_cell, tune_and_sweep, write_records_csv,
                       write_records_json, write_sweep_csv, write_sweep_json)
-from .rng import RngStream
+from .rng import StreamBundle
 from .verify import run_all
 
 EXIT_OK = 0
@@ -38,6 +40,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
+EXIT_WORKER = 5
 
 
 class UsageError(Exception):
@@ -91,8 +94,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="flat key = value config file")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for independent (algorithm, M, K) "
-                        "groups; any count writes the same bytes (default 1)")
+                   help="worker processes for the sweep's chunks of cells; "
+                        "any count writes the same bytes (default 1)")
     p.add_argument("--algorithms", default=None, help="comma list override")
     p.add_argument("--M", default=None, help="comma list override")
     p.add_argument("--K", default=None, help="comma list override")
@@ -261,7 +264,7 @@ def cmd_norm_bounds(args) -> int:
         raise UsageError("--samples must be >= 1")
     if not (0 < args.mu <= args.L < np.inf):
         raise UsageError("need 0 < mu <= L < inf")
-    u = RngStream(args.seed, 0).uniforms(2 * args.samples).reshape(args.samples, 2)
+    u = StreamBundle(args.seed, [0]).uniforms(2 * args.samples).reshape(-1, 2)
     gammas, etas = norm_bound_draws(u, args.mu, args.L)
     report = norm_bound_sweep(args.mu, args.L, list(zip(gammas, etas)))
     for schedule in ("fedac1", "fedac2"):
@@ -322,6 +325,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             InstabilityRegionError) as exc:
         _error_line("numerical", exc)
         return EXIT_NUMERICAL
+    except BrokenExecutor as exc:  # a sweep worker process died
+        _error_line("worker", exc)
+        return EXIT_WORKER
 
 
 def entry() -> None:

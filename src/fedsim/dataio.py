@@ -67,11 +67,6 @@ class Dataset:
     def __hash__(self):  # frozen dataclass would try to hash arrays
         return hash((self.n, self.dim))
 
-    def row_pairs(self, i: int):
-        """Sorted (index, value) pairs of sample i, 0-based indices."""
-        lo, hi = self.X.indptr[i], self.X.indptr[i + 1]
-        return list(zip(self.X.indices[lo:hi].tolist(), self.X.data[lo:hi].tolist()))
-
     def content_hash(self) -> str:
         """Hex digest of the structural content (labels, indices, values, shape)."""
         h = hashlib.sha256()
@@ -397,22 +392,6 @@ def load_dataset(path: str, declared_dim: Optional[int] = None) -> Dataset:
             return parse_libsvm(fh, declared_dim)
     except (EOFError, zlib.error) as exc:
         raise DataFormatError(None, f"{path}: truncated or corrupt gzip data ({exc})") from None
-
-
-def serialize_libsvm(ds: Dataset) -> str:
-    """Canonical text form: label then space-joined ``i+1:value`` pairs.
-
-    Values use shortest round-trip float formatting, so
-    ``parse_libsvm(serialize_libsvm(ds))`` reproduces the dataset exactly.
-    """
-    out = []
-    for i in range(ds.n):
-        parts = ["+1" if ds.labels[i] > 0 else "-1"]
-        lo, hi = ds.X.indptr[i], ds.X.indptr[i + 1]
-        for j in range(lo, hi):
-            parts.append(f"{ds.X.indices[j] + 1}:{float(ds.X.data[j])!r}")
-        out.append(" ".join(parts))
-    return "\n".join(out) + "\n"
 
 
 def dataset_stats(ds: Dataset) -> DatasetStats:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .algorithms import AgdStep, agd_run
 from .objectives import Objective
-from .rng import RngStream
+from .rng import StreamBundle
 
 
 @dataclass(frozen=True)
@@ -271,8 +271,7 @@ def sample_admissible(seed: int, count: int,
     mu and kappa are log-uniform, eta is uniform in (0, 1/L], gamma uniform in
     [eta, sqrt(eta/mu)].  Returns an array of shape (count, 4).
     """
-    stream = RngStream(seed, 0)
-    u = stream.uniforms(4 * count).reshape(count, 4)
+    u = StreamBundle(seed, [0]).uniforms(4 * count).reshape(count, 4)
     log_mu = np.log(mu_range[0]) + u[:, 0] * (np.log(mu_range[1]) - np.log(mu_range[0]))
     log_k = np.log(kappa_range[0]) + u[:, 1] * (np.log(kappa_range[1]) - np.log(kappa_range[0]))
     mu = np.exp(log_mu)

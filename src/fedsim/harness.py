@@ -5,20 +5,17 @@ cell (algorithm, M, K, eta, seed) it runs the corresponding driver with an
 evaluation callback that takes the eval point on a fixed step cadence, and
 records F(eval point) - F* there; it then tunes eta per (algorithm, M, K) by
 the best suboptimality attained over evaluations, taking the median across
-seeds.  The cells of one group run together through the one step kernel
-(``algorithms.run_replicas``, onto which ``algorithms._run_minibatch`` maps
-the minibatch baselines), as many (eta, seed) replicas per call as fit
-under ``ROW_BUDGET`` state rows, with every cell's bits the same as a run
-of its own.  A group of the federated algorithms is one (algorithm, M)
-with every K, the sync interval being a per-replica column; the minibatch
-baselines, which take T/K chain steps, group per (algorithm, M, K).
-Evaluations are deferred to the end of the group: the callback only writes
-the points into the group's table of eval points, one row per cell and
-eval step, and one ``Objective.eval_many`` call evaluates all of them, so
-F is computed in one pass over the data per batch of points instead of one
-pass per point.  A deterministic full-gradient accelerated descent
-precomputes F* once per (dataset, regularization) pair and caches it
-beside the outputs.
+seeds.  The cells of one ``run_group`` call run together through the one
+step kernel (``algorithms.run_replicas``; ``algorithms._run_minibatch``
+for the minibatch baselines) in chunks of at most ``ROW_BUDGET`` rows,
+every cell's bits the same as a run of its own; ``tune_and_sweep`` says
+which cells share a call.  Evaluations are deferred to the end of the call:
+the callback only writes the points into its table of eval points, one row
+per cell and eval step, and one ``Objective.eval_many`` call evaluates all
+of them, so F is computed in one pass over the data per batch of points
+instead of one pass per point.  A deterministic full-gradient accelerated
+descent precomputes F* once per (dataset, regularization) pair and caches
+it beside the outputs.
 
 Evaluation points: accelerated methods report the worker average of the
 ``w_ag`` family, FedAvg the worker average of ``w`` and minibatch SGD its
@@ -49,7 +46,7 @@ from .algorithms import (AgdStep, ScheduleError, _run_minibatch, replica_mean,
                          schedule_vanilla)
 from .dataio import Dataset, load_dataset
 from .objectives import Logistic, Objective
-from .rng import RngStream
+from .rng import StreamBundle
 
 ALGORITHMS = ("fedac1", "fedac2", "fedac_vanilla", "fedavg", "mb_sgd", "mb_acsgd")
 _ACCELERATED = {"fedac1", "fedac2", "fedac_vanilla", "mb_acsgd"}
@@ -59,6 +56,10 @@ _MINIBATCH = {"mb_sgd", "mb_acsgd"}
 # far more rows in flight ran slower than one replica at a time, and at M=64
 # calls of 256 rows ran faster than calls of 1024
 ROW_BUDGET = 256
+
+# bytes of eval points, a (cells, T/eval_every + 2, dim) table, that one
+# run_group call of tune_and_sweep holds, unless one cell's alone are more
+TABLE_BYTES = 2 ** 26
 
 # 13-point learning-rate grid used for tuning unless overridden
 DEFAULT_ETA_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
@@ -247,16 +248,16 @@ def make_synthetic_logistic(n: int, dim: int, seed: int, nnz: int = 14,
     that differ only in the flip rate share the same feature matrix."""
     import scipy.sparse as sp
 
-    stream = RngStream(seed, 0)
-    w_true = stream.gaussians(dim) / math.sqrt(dim)
+    stream = StreamBundle(seed, [0])
+    w_true = stream.gaussians(dim)[0] / math.sqrt(dim)
     indptr = np.zeros(n + 1, dtype=np.int64)
     cols: List[np.ndarray] = []
     labels = np.empty(n)
     for i in range(n):
-        idx = np.unique(stream.indices(dim, nnz))
+        idx = np.unique(stream.indices(dim, nnz)[0])
         cols.append(idx)
         margin = w_true[idx].sum()
-        flipped = stream.uniforms(1)[0] < flip
+        flipped = stream.uniforms(1)[0, 0] < flip
         sign = 1.0 if margin >= 0 else -1.0
         labels[i] = -sign if flipped else sign
         indptr[i + 1] = indptr[i] + len(idx)
@@ -410,44 +411,59 @@ def _step_rule(algorithm: str, eta: float, mu: float, k: int):
     return eta
 
 
-def run_group(obj: Objective, algorithm: str, m: int, k,
+def _chunks(algorithm: str, ms: Sequence[int], ks: Sequence[int]) -> List[slice]:
+    """Consecutive slices of replicas, each as many as fit under ``ROW_BUDGET``
+    rows (M per replica, M*K streams per minibatch chain), and at least one."""
+    cuts, rows = [], ROW_BUDGET
+    for i, (m, k) in enumerate(zip(ms, ks)):
+        size = m * k if algorithm in _MINIBATCH else m
+        if rows + size > ROW_BUDGET:
+            cuts.append(i)
+            rows = 0
+        rows += size
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [len(ms)])]
+
+
+def run_group(obj: Objective, algorithm: str, m, k,
               replicas: Sequence[Tuple[float, int]], t: int, eval_every: int,
               f_star: float) -> List[CellResult]:
-    """Run the (eta, seed) replicas of one (algorithm, M) group and record
-    F(eval point) - F* every ``eval_every`` steps; one CellResult per
-    replica, in order.  ``k`` is the sync interval of every replica or one K
-    per replica; the minibatch baselines take one K per group, since they
-    take T/K chain steps.
+    """Run the (eta, seed) replicas of one algorithm and record F(eval
+    point) - F* every ``eval_every`` steps; one CellResult per replica, in
+    order.  ``m`` and ``k`` are the M and K of every replica or one of each
+    per replica; the minibatch baselines take one M and one K in all, since
+    they take T/K chain steps.
 
-    Every algorithm runs its replicas in chunks through the one step kernel:
-    ``run_replicas`` for the federated algorithms, whose replicas of
-    different K share a call, ``_run_minibatch`` for the minibatch
-    baselines, each call holding as many replicas as fit under
-    ``ROW_BUDGET`` state rows, and at least one.  The kernel callback only
-    writes the evaluation points into one nan-filled (cells, T/eval_every
-    + 2, dim) table, whose last column takes FedAvg's decay-weighted
-    averages; F is evaluated after the last chunk, in one ``obj.eval_many``
-    call over the table's finite rows, with the replicas' common start
-    point entered once.  Each value is that of ``obj.eval`` at its point,
-    so the records do not depend on the chunking.  Divergence (non-finite
-    iterates), a non-finite evaluation point and schedule infeasibility at
-    large eta all leave non-finite rows, which yield +inf suboptimality,
-    so tuning naturally discards them.
+    The replicas run in ``_chunks`` through the one step kernel,
+    ``run_replicas`` (``_run_minibatch`` for the minibatch baselines), a
+    call holding replicas of any M and K.  The kernel callback only writes
+    the evaluation points into one nan-filled (cells, T/eval_every + 2,
+    dim) table, whose last column takes FedAvg's decay-weighted averages;
+    F is evaluated after the last chunk, in one ``obj.eval_many`` call over
+    the table's finite rows, with the replicas' common start point entered
+    once.  Each value is that of ``obj.eval`` at its point, so the records
+    do not depend on the chunking.  Divergence (non-finite iterates), a
+    non-finite evaluation point and schedule infeasibility at large eta all
+    leave non-finite rows, which yield +inf suboptimality, so tuning
+    naturally discards them.
     Evaluation never consumes random draws.  Floating-point warnings are
     ignored here, whatever the caller's ``np.errstate``: divergence is an
     expected outcome that the records report.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm '{algorithm}'")
-    ks = [k] * len(replicas) if np.ndim(k) == 0 else list(k)
+    ms, ks = (np.full(len(replicas), v) if np.ndim(v) == 0 else np.asarray(v)
+              for v in (m, k))
     minibatch = algorithm in _MINIBATCH
-    if len(ks) != len(replicas) or (minibatch and len(set(ks)) > 1):
-        raise ConfigError(f"{algorithm} needs one K per replica, and one K "
-                          f"in all for the minibatch baselines, got {k!r}")
+    if ms.shape != ks.shape or len(ms) != len(replicas) or \
+            (minibatch and len({*zip(ms, ks)}) > 1):
+        raise ConfigError(f"{algorithm} needs one M and one K per replica "
+                          f"(one in all for minibatch): M={m!r} K={k!r}")
     kind = "avg_ag" if algorithm in _ACCELERATED else "avg_w"
     mu = obj.mu_est
-    cells = [CellResult(algorithm, m, int(kc), float(eta), seed)
-             for (eta, seed), kc in zip(replicas, ks)]
+    cells = [CellResult(algorithm, int(mc), int(kc), float(eta), seed)
+             for (eta, seed), mc, kc in zip(replicas, ms, ks)]
+    # the kernel's state rows per replica: one per minibatch chain
+    widths = np.ones_like(ms) if minibatch else ms
     # per cell: the eval point of each eval step, then FedAvg's weighted
     # average; nan where no run wrote one
     points = np.full((len(cells), t // eval_every + 2, obj.dim), np.nan)
@@ -460,7 +476,7 @@ def run_group(obj: Objective, algorithm: str, m: int, k,
             if step % eval_every == 0:
                 state = w_ag if kind == "avg_ag" else w
                 points[rows[live], step // eval_every] = replica_mean(
-                    state, state.shape[0] // len(live))
+                    state, widths[rows[live]])
         return observe
 
     with np.errstate(all="ignore"):
@@ -472,11 +488,11 @@ def run_group(obj: Objective, algorithm: str, m: int, k,
             except (ScheduleError, ValueError):
                 cell.diverged = True
         run = _run_minibatch if minibatch else run_replicas
-        per_call = max(1, ROW_BUDGET // (m * ks[0] if minibatch else m))
-        for first in range(0, len(runnable), per_call):
-            chunk = np.array(runnable[first:first + per_call])
-            result = run(obj, m, t, ks[0] if minibatch else [ks[i] for i in chunk],
-                         rules[first:first + per_call],
+        for part in _chunks(algorithm, ms[runnable], ks[runnable]):
+            chunk = np.array(runnable[part], dtype=int)
+            mc, kc = (int(ms[0]), int(ks[0])) if minibatch else \
+                (ms[chunk], ks[chunk])
+            result = run(obj, mc, t, kc, rules[part],
                          [cells[i].seed for i in chunk],
                          callback=observer(chunk))
             if result.rho_avg_w is not None:
@@ -522,57 +538,71 @@ def _usable_cpus() -> int:
 
 
 def _adopt(run_one) -> None:
-    """Pool initializer: the forked worker's ``tune_and_sweep`` group runner."""
+    """Pool initializer: the forked worker's ``tune_and_sweep`` task runner."""
     global _run_one
     _run_one = run_one
 
 
-def _run_adopted(group):
-    return _run_one(group)
+def _run_adopted(task):
+    try:
+        return _run_one(task)
+    except KeyboardInterrupt:  # end this worker: the broken pool ends the rest
+        os._exit(1)
 
 
 def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
                    threads: int = 1) -> Tuple[List[CellResult], List[SweepRow]]:
     """Run the full sweep and tune eta per (algorithm, M, K).
 
-    Each (algorithm, M) group of ``fedac1``, ``fedac2``, ``fedac_vanilla``
-    and ``fedavg`` runs the (eta, seed) replicas of every K through one
-    ``run_group``, K a per-replica column; the minibatch baselines, which
-    take T/K chain steps, run one group per (algorithm, M, K).  ``threads``
-    (an integer >= 1, else ConfigError) caps the worker processes: above 1,
-    where the ``fork`` start method exists, min(threads, usable CPUs,
-    groups) forked workers run the groups, largest M*max(K) first; they
-    inherit ``obj`` copy-on-write and send back only the cells.  Cells are
-    always assembled in canonical nested order (algorithm, M, K, eta, seed),
-    so the output is identical for any worker count.  Per cell the
-    best-over-time suboptimality is taken, then the median across seeds; the
-    eta minimizing that median wins, ties going to the smaller eta.  If
-    every eta diverges the row is flagged with best_eta = nan.
+    Each algorithm's cells, in canonical (M, K, eta, seed) order, form one
+    stream for ``fedac1``, ``fedac2``, ``fedac_vanilla`` and ``fedavg``,
+    across every M and K, and one per (M, K) for the minibatch baselines,
+    which take T/K chain steps.  A stream is cut into as few calls as keep
+    each call's table of eval points within ``TABLE_BYTES``, and a call
+    runs in ``_chunks``, one kernel call each.  ``threads`` (an integer >=
+    1, else ConfigError) caps the worker processes: above 1, where the
+    ``fork`` start method exists, min(threads, usable CPUs, chunks) forked
+    workers run one ``run_group`` call per chunk, most gradient queries
+    first; they inherit ``obj`` copy-on-write and send back only the cells.
+    A worker that dies raises ``BrokenProcessPool``.  In-process, each call
+    is one ``run_group`` call, whose chunks share one ``eval_many`` call.
+    The cells come back in canonical order, so the output is the same for
+    any worker count.  Per cell the best-over-time suboptimality is taken,
+    then the median across seeds; the eta minimizing that median wins, ties
+    going to the smaller eta.  If every eta diverges the row is flagged
+    with best_eta = nan.
     """
     if not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     replicas = [(eta, seed) for eta in cfg.etas for seed in cfg.seeds]
-    groups = [(alg, m, ks) for alg in cfg.algorithms for m in cfg.m_list
-              for ks in ([(k,) for k in cfg.k_list] if alg in _MINIBATCH
-                         else [cfg.k_list])]
+    cap = max(1, TABLE_BYTES // ((cfg.t // cfg.eval_every + 2) * obj.dim * 8))
+    calls = []
+    for alg in cfg.algorithms:
+        grid = [(m, k, rep) for m in cfg.m_list for k in cfg.k_list
+                for rep in replicas]
+        step = len(replicas) if alg in _MINIBATCH else len(grid)
+        for i in range(0, len(grid), step):
+            stream = grid[i:i + step]
+            calls += [(alg, *zip(*stream[j:j + cap])) for j in range(0, step, cap)]
+    tasks = [(alg, ms[part], ks[part], reps[part])
+             for alg, ms, ks, reps in calls for part in _chunks(alg, ms, ks)]
 
-    def one(group):
-        alg, m, ks = group
-        return run_group(obj, alg, m, [k for k in ks for _ in replicas],
-                         replicas * len(ks), cfg.t, cfg.eval_every, f_star)
+    def one(task):
+        return run_group(obj, *task, cfg.t, cfg.eval_every, f_star)
 
-    workers = min(threads, _usable_cpus(), len(groups))
+    workers = min(threads, _usable_cpus(), len(tasks))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        from concurrent.futures import ProcessPoolExecutor  # pooled runs only
         # no BLAS re-pin: F's bits depend on its threads
-        ranked = sorted(groups, key=lambda g: -g[1] * max(g[2]))
-        with multiprocessing.get_context("fork").Pool(
-                workers, _adopt, (one,)) as pool:
-            done = dict(zip(ranked, pool.map(_run_adopted, ranked, 1)))
-        results = [done[group] for group in groups]
-    else:
-        results = [one(group) for group in groups]
+        ranked = sorted(tasks, key=lambda task: -sum(task[1]))
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 _adopt, (one,)) as pool:
+            done = dict(zip(ranked, pool.map(_run_adopted, ranked)))
+        results = [done[task] for task in tasks]
+    else:  # a call's chunks share one eval_many call: fewer passes over data
+        results = [one(call) for call in calls]
 
-    cells = [cell for group_cells in results for cell in group_cells]
+    cells = [cell for task_cells in results for cell in task_cells]
     rows = []
     for first in range(0, len(cells), len(replicas)):
         tuned = cells[first:first + len(replicas)]

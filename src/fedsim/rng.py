@@ -54,29 +54,11 @@ _U1, _U11, _U27, _U30, _U31, _U_SLOT_SHIFT = (
     np.uint64(c) for c in (1, 11, 27, 30, 31, _SLOT_SHIFT))
 
 
-def _mix_int(z: int) -> int:
-    """SplitMix64 finalizer on a plain python int (no numpy scalar overflow)."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-    return z ^ (z >> 31)
-
-
 def _finalize_array(z: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 finalizer; uint64 array arithmetic wraps silently."""
     z = (z ^ (z >> _U30)) * _U_MIX_A
     z = (z ^ (z >> _U27)) * _U_MIX_B
     return z ^ (z >> _U31)
-
-
-def stream_key(seed: int, worker_id: int) -> int:
-    """Derive the 64-bit key identifying stream (seed, worker_id).
-
-    The scalar reference for the keys that ``StreamBundle`` derives in
-    uint64 arrays."""
-    s = _mix_int((int(seed) & _MASK) + _GOLDEN)
-    w = _mix_int(((int(worker_id) & _MASK) + 1) * _GOLDEN)
-    return _mix_int(s ^ w)
 
 
 def _words(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -156,7 +138,7 @@ class StreamBundle:
     for every row or a sequence with one seed per row, so a bundle can hold
     the workers of several independent runs side by side.  The bundle draws
     for all rows at once (vectorized), but each row is bit-identical to what
-    the corresponding ``RngStream(seed, worker_id)`` would produce on its own.
+    a one-row bundle of its stream would produce on its own.
     """
 
     __slots__ = ("worker_ids", "counter", "_keys",
@@ -172,8 +154,8 @@ class StreamBundle:
             raise ValueError(f"{seeds.size} seeds for {ids.size} worker ids")
         self.worker_ids = ids
         self.counter = int(counter)
-        # stream_key's steps on uint64 arrays, which wrap mod 2**64 as its
-        # masked ints do; int64 -> uint64 wraps a negative id the same way
+        # the key is mix(mix(seed + GOLDEN) ^ mix((id + 1) * GOLDEN)) mod
+        # 2**64, where uint64 arrays wrap; int64 -> uint64 wraps a negative id
         s = _finalize_array(seeds + _U_GOLDEN)
         w = _finalize_array((ids.astype(np.uint64) + _U1) * _U_GOLDEN)
         self._keys = _finalize_array(s ^ w).reshape(-1, 1)
@@ -238,34 +220,3 @@ class StreamBundle:
             self._block_n, self._block_first, col = n, c, 0
         self.counter = c + 1
         return block[col, :, None].copy()
-
-
-class RngStream:
-    """A single random stream identified by (seed, worker_id).
-
-    Thin wrapper over :class:`StreamBundle` with one worker; draws return flat
-    arrays.  ``counter`` is exposed so callers can checkpoint or fast-forward.
-    """
-
-    __slots__ = ("_bundle",)
-
-    def __init__(self, seed: int, worker_id: int = 0, counter: int = 0):
-        self._bundle = StreamBundle(seed, [worker_id], counter)
-
-    @property
-    def counter(self) -> int:
-        return self._bundle.counter
-
-    @counter.setter
-    def counter(self, value: int) -> None:
-        self._bundle.counter = int(value)
-
-    def uniforms(self, count: int) -> np.ndarray:
-        return self._bundle.uniforms(count)[0]
-
-    def gaussians(self, count: int) -> np.ndarray:
-        return self._bundle.gaussians(count)[0]
-
-    def indices(self, n: int, count: int = 1) -> np.ndarray:
-        return self._bundle.indices(n, count)[0]
-

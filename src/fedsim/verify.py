@@ -34,7 +34,7 @@ from .diagnostics import (InstabilityResult, PiecewiseCurvature1D,
 from .harness import (ExperimentConfig, build_objective, compute_optimum,
                       tune_and_sweep, write_records_csv, write_sweep_csv)
 from .objectives import Augmented, BatchedOracle, Logistic, Objective, Quadratic
-from .rng import RngStream
+from .rng import StreamBundle
 
 
 @dataclass
@@ -119,18 +119,18 @@ def check_norm_bounds(samples: int = 1000, n_h: int = 21,
 def check_potential_contraction(trials: int = 50, steps: int = 100,
                                 seed: int = 77) -> CheckResult:
     def run():
-        stream = RngStream(seed, 0)
+        stream = StreamBundle(seed, [0])
         worst_excess = -math.inf
         bad = 0
         for _ in range(trials):
-            dim = 2 + int(stream.indices(9, 1)[0])
-            u = stream.uniforms(2)
+            dim = 2 + int(stream.indices(9, 1)[0, 0])
+            u = stream.uniforms(2)[0]
             mu = 0.05 + u[0]
             # kappa >= 20 keeps the potential above the float measurement
             # floor of the w - shift cancellation through all 100 steps
             kappa = 20.0 + 30.0 * u[1]
             spectrum = np.linspace(mu, mu * kappa, dim)
-            shift = stream.gaussians(dim)
+            shift = stream.gaussians(dim)[0]
             obj = Quadratic(spectrum, shift=shift, sigma=0.0)
             eta = 1.0 / obj.l_est
             hyper = schedule_fedac1(eta, mu, 1)
@@ -140,7 +140,7 @@ def check_potential_contraction(trials: int = 50, steps: int = 100,
             def cb(step, w, w_ag):
                 ws[step], w_ags[step] = w, w_ag
 
-            w0 = shift + stream.gaussians(dim)
+            w0 = shift + stream.gaussians(dim)[0]
             fedac_run(obj, 4, steps, 1, hyper, seed=3, w0=w0, callback=cb)
             psis = potential_psi(ws, w_ags, obj, mu, shift, 0.0)
             excess = psis[1:] - rate * psis[:-1] * (1.0 + 1e-9)
@@ -194,7 +194,7 @@ def _small_logistic() -> Logistic:
 
 def check_gradients(points: int = 20, seed: int = 99) -> CheckResult:
     def run():
-        stream = RngStream(seed, 0)
+        stream = StreamBundle(seed, [0])
         logistic = _small_logistic()
         bumpy = PiecewiseCurvature1D(1.0, 25.0, [(0.35, 0.05), (-0.8, 0.1)])
         kinds: List[Tuple[str, Objective]] = [
@@ -208,7 +208,7 @@ def check_gradients(points: int = 20, seed: int = 99) -> CheckResult:
         for name, obj in kinds:
             accepted = 0
             while accepted < points:
-                w = stream.gaussians(obj.dim)
+                w = stream.gaussians(obj.dim)[0]
                 if isinstance(obj, PiecewiseCurvature1D):
                     # keep the difference stencil inside one curvature region
                     h = 1e-6

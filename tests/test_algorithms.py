@@ -354,7 +354,7 @@ def test_run_replicas_rows_match_single_runs(accelerated, m, k):
     cap = ReplicaCapture()
     res = run_replicas(obj, m, 12, k, steps, seeds, w0=[1.0, -1.0], callback=cap)
     assert res.diverged == [None] * 3
-    assert res.gradient_calls == m * 12
+    assert res.gradient_calls == [m * 12] * 3
     assert [c[0] for c in cap.calls] == list(range(13))
     for r, (eta, seed) in enumerate(zip(etas, seeds)):
         single = Capture()
@@ -467,6 +467,10 @@ def test_run_replicas_validation():
         run_replicas(obj, 0, 4, 1, [0.1], [0])
     with pytest.raises(ValueError, match="one K per seed"):
         run_replicas(obj, 1, 4, [1, 2, 4], [0.1, 0.2], [0, 1])
+    with pytest.raises(ValueError, match="one M and one K per seed"):
+        run_replicas(obj, [1, 2, 3], 4, 1, [0.1, 0.2], [0, 1])
+    with pytest.raises(ValueError):
+        run_replicas(obj, [1, 0], 4, 1, [0.1, 0.2], [0, 1])
     with pytest.raises(ValueError):
         run_replicas(obj, 1, 4, [1, 0], [0.1, 0.2], [0, 1])
 
@@ -500,7 +504,7 @@ def test_mixed_k_call_equals_per_k_calls(accelerated, m, ks):
     res = run_replicas(Spike(), m, t, column, steps, seeds, w0=w0,
                        callback=cap)
     assert res.diverged == [None] * len(seeds)
-    assert res.gradient_calls == m * t
+    assert res.gradient_calls == [m * t] * len(seeds)
     assert [c[0] for c in cap.calls] == list(range(t + 1))
     for i, k in enumerate(ks):
         reps = slice(2 * i, 2 * i + 2)
@@ -549,6 +553,87 @@ def test_mixed_k_divergence_reports_the_pair_of_a_run_alone(accelerated,
     for r in (0, 3):
         assert_bits(res.final_avg_w[r], alone[r].final_avg_w[0])
         assert_bits(res.final_avg_w_ag[r], alone[r].final_avg_w_ag[0])
+
+
+def replica_rows(calls, r, ms):
+    """Replica r's (t, W, W_ag) rows in each captured call it is live in,
+    replicas owning ``ms[r]`` rows each in order."""
+    seen = []
+    for step, live, W, W_ag in calls:
+        if r in live:
+            i = list(live).index(r)
+            first = np.cumsum([0, *np.asarray(ms)[live]])
+            rows = slice(first[i], first[i + 1])
+            seen.append((step, W[rows], None if W_ag is None else W_ag[rows]))
+    return seen
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("call", [3, 5])
+def test_mixed_m_call_equals_one_replica_runs(accelerated, order, call):
+    """One call over a replica of each (M, K) in {1, 2, 3, 5} x {1, 2, 4}
+    gives every replica its one-replica run: each callback state, the
+    finals, FedAvg's weighted average and the divergence pair, bit for bit.
+    Four replicas blow up at their last worker at step ``call``: at step 3
+    every K syncs, so each reports worker 0 (M > 1); at step 5 the K = 4
+    ones are on a local step and report worker M - 1."""
+    t, w0 = 12, [1.0, -1.0]
+    cells = [(m, k) for m in (1, 2, 3, 5) for k in (1, 2, 4)]
+    cells = cells if order == "ascending" else cells[::-1]
+    ms, ks = [m for m, _ in cells], [k for _, k in cells]
+    etas = [(0.05, 0.2, 0.1)[i % 3] for i in range(len(cells))]
+    steps = [schedule_fedac1(e, 1.0, k) for e, k in zip(etas, ks)] \
+        if accelerated else etas
+    seeds = [i % 4 for i in range(len(cells))]
+    blown = {0, 5, 7, 11}
+    first = np.cumsum([0, *ms])
+    cap = ReplicaCapture()
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_replicas(Spike(rows=[first[r + 1] - 1 for r in sorted(blown)],
+                                 call=call),
+                           ms, t, ks, steps, seeds, w0=w0, callback=cap)
+    assert res.gradient_calls == [m * t for m in ms]
+    assert [d is not None for d in res.diverged] == \
+        [r in blown for r in range(len(cells))]
+    for r, (m, k) in enumerate(cells):
+        own = ReplicaCapture()
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = run_replicas(Spike(rows=[m - 1] if r in blown else [],
+                                       call=call),
+                                 m, t, k, steps[r:r + 1], seeds[r:r + 1],
+                                 w0=w0, callback=own)
+        assert res.diverged[r] == alone.diverged[0]
+        if r in blown:
+            assert res.diverged[r] == \
+                (call, m - 1 if (call + 1) % k else 0)
+        assert_bits(res.final_avg_w[r], alone.final_avg_w[0])
+        assert_bits(res.final_avg_w_ag[r], alone.final_avg_w_ag[0])
+        if accelerated:
+            assert res.rho_avg_w is None
+        else:
+            assert_bits(res.rho_avg_w[r], alone.rho_avg_w[0])
+        mixed, single = replica_rows(cap.calls, r, ms), \
+            replica_rows(own.calls, 0, [m])
+        assert [s[0] for s in mixed] == [s[0] for s in single] == \
+            list(range(call + 1 if r in blown else t + 1))
+        for (_, w, ag), (_, w1, ag1) in zip(mixed, single):
+            assert_bits(w, w1)
+            if accelerated:
+                assert_bits(ag, ag1)
+            else:
+                assert ag is None and ag1 is None
+
+
+def test_replica_mean_takes_one_m_per_replica():
+    a = np.random.default_rng(1).normal(size=(1 + 3 + 3 + 2 + 1, 5)) * 1e3
+    ms = [1, 3, 3, 2, 1]
+    first = np.cumsum([0, *ms])
+    means = replica_mean(a, ms)
+    assert means.shape == (5, 5)
+    for r in range(5):
+        assert_bits(means[r], worker_mean(a[first[r]:first[r + 1]]))
+    assert replica_mean(a[:0], []).shape == (0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +895,7 @@ def test_run_minibatch_replicas_match_single_runs(algorithm):
         res = _run_minibatch(obj, m, t, k, steps, seeds, callback=cap)
         with pytest.raises(DivergenceError) as ei:
             driver(obj, m, t, k, etas[1], seeds[1])
-    assert res.gradient_calls == t
+    assert res.gradient_calls == [t] * 3
     assert res.rho_avg_w is None
     assert res.diverged == [None, (ei.value.step, ei.value.worker), None]
     assert np.isnan(res.final_avg_w[1]).all()

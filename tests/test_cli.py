@@ -397,6 +397,22 @@ def test_sweep_whole_grid_infeasible_exits_3(tmp_path, capsys):
     assert "nan" in out or "inf" in out
 
 
+def test_sweep_whose_worker_died_exits_5(tmp_path, capsys, monkeypatch):
+    """A sweep worker process that dies (``BrokenProcessPool``) is its own
+    failure: exit 5 and one ``error: worker:`` line, no traceback."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    def tune_and_sweep(*args, **kwargs):
+        raise BrokenProcessPool("a worker process was terminated abruptly")
+
+    monkeypatch.setattr(cli, "tune_and_sweep", tune_and_sweep)
+    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path),
+                              "--out", str(tmp_path / "out"),
+                              "--threads", "2"], capsys)
+    assert code == 5
+    assert err == "error: worker: a worker process was terminated abruptly\n"
+
+
 def test_sweep_survives_an_overflowing_worker_mean(tmp_path, capsys, monkeypatch):
     """A cell whose worker mean overflows records +inf; the sweep goes on,
     writes its artifacts and exits 0 on the rows that stay finite."""

@@ -1,7 +1,9 @@
-"""Tests for LibSVM parsing, serialization, and dataset statistics.
+"""Tests for LibSVM parsing and dataset statistics.
 
 ``reference_parse`` is the token-at-a-time parser the array parser replaced.
 The equivalence tests hold the two to the same datasets and the same errors.
+``serialize_libsvm`` and ``row_pairs`` are reference code for the round-trip
+and per-row checks.
 """
 
 import gzip
@@ -19,8 +21,29 @@ from fedsim.dataio import (
     load_dataset,
     parse_libsvm,
     row_norms_sq,
-    serialize_libsvm,
 )
+
+
+def row_pairs(ds: Dataset, i: int):
+    """Sorted (index, value) pairs of sample i, 0-based indices."""
+    lo, hi = ds.X.indptr[i], ds.X.indptr[i + 1]
+    return list(zip(ds.X.indices[lo:hi].tolist(), ds.X.data[lo:hi].tolist()))
+
+
+def serialize_libsvm(ds: Dataset) -> str:
+    """Canonical text form: label then space-joined ``i+1:value`` pairs.
+
+    Values use shortest round-trip float formatting, so
+    ``parse_libsvm(serialize_libsvm(ds))`` reproduces the dataset exactly.
+    """
+    out = []
+    for i in range(ds.n):
+        parts = ["+1" if ds.labels[i] > 0 else "-1"]
+        lo, hi = ds.X.indptr[i], ds.X.indptr[i + 1]
+        for j in range(lo, hi):
+            parts.append(f"{ds.X.indices[j] + 1}:{float(ds.X.data[j])!r}")
+        out.append(" ".join(parts))
+    return "\n".join(out) + "\n"
 
 
 def test_basic_row():
@@ -28,14 +51,14 @@ def test_basic_row():
     assert ds.n == 1
     assert ds.dim == 3
     assert ds.labels.tolist() == [1.0]
-    assert ds.row_pairs(0) == [(0, 0.5), (2, 1.0)]
+    assert row_pairs(ds, 0) == [(0, 0.5), (2, 1.0)]
 
 
 def test_featureless_row_is_legal():
     ds = parse_libsvm("-1\n")
     assert ds.n == 1
     assert ds.labels.tolist() == [-1.0]
-    assert ds.row_pairs(0) == []
+    assert row_pairs(ds, 0) == []
     assert ds.dim == 0
 
 
@@ -53,15 +76,15 @@ def test_blank_lines_and_comments_skipped():
     text = "\n# leading comment\n+1 1:1  # trailing\n\n-1 2:2\n"
     ds = parse_libsvm(text)
     assert ds.n == 2
-    assert ds.row_pairs(0) == [(0, 1.0)]
-    assert ds.row_pairs(1) == [(1, 2.0)]
+    assert row_pairs(ds, 0) == [(0, 1.0)]
+    assert row_pairs(ds, 1) == [(1, 2.0)]
 
 
 def test_order_stable():
     text = "+1 1:10\n-1 1:20\n+1 1:30\n"
     ds = parse_libsvm(text)
     for k, val in enumerate([10.0, 20.0, 30.0]):
-        assert ds.row_pairs(k) == [(0, val)]
+        assert row_pairs(ds, k) == [(0, val)]
 
 
 def test_bad_label_reports_line():
@@ -111,7 +134,7 @@ def test_empty_input_rejected():
 
 def test_bytes_input():
     ds = parse_libsvm(b"+1 1:1.5\n")
-    assert ds.row_pairs(0) == [(0, 1.5)]
+    assert row_pairs(ds, 0) == [(0, 1.5)]
 
 
 def test_round_trip_identity():

@@ -27,7 +27,7 @@ from fedsim.diagnostics import (
     transformed_norm,
 )
 from fedsim.objectives import Quadratic
-from fedsim.rng import RngStream
+from rng_reference import RngStream
 
 
 def states(pairs):

@@ -1,9 +1,14 @@
 """Tests for experiment orchestration: optima, sweep cells, tuning, artifacts."""
 
+import contextlib
 import json
 import math
 import os
+import signal
 import statistics
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -498,7 +503,7 @@ def test_group_records_are_f_at_the_kernel_points(monkeypatch):
     def capture(obj_, m, t_, k, steps, seeds, callback, run=harness.run_replicas):
         def spy(step, live, w, w_ag):
             if step % eval_every == 0:
-                for r, point in zip(live, replica_mean(w, m)):
+                for r, point in zip(live, replica_mean(w, np.asarray(m)[live])):
                     seen.setdefault((steps[r], seeds[r]), []).append(
                         (step, point.copy()))
             callback(step, live, w, w_ag)
@@ -577,6 +582,43 @@ def test_group_takes_one_k_per_replica():
         harness.run_group(obj, "fedavg", 3, [1, 4], replicas, 8, 4, 0.0)
 
 
+@pytest.mark.parametrize("budget", [256, 4])
+def test_group_takes_one_m_per_replica(budget, monkeypatch):
+    """A federated group runs replicas of several M and K in one call at
+    the default row budget, and at 4 rows in chunks that also split the
+    M = 3 replicas, each cell as run alone, the diverging ones included;
+    the minibatch baselines take one M in all."""
+    monkeypatch.setattr(harness, "ROW_BUDGET", budget)
+    calls = []
+
+    def counted(obj_, m, *args, run=harness.run_replicas, **kwargs):
+        calls.append(list(m))
+        return run(obj_, m, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_replicas", counted)
+    _, obj = diverging_grid()  # eta = 1 diverges mid-run
+    ms, ks = [1, 1, 3, 3, 3, 5, 2], [1, 4, 1, 2, 4, 2, 4]
+    replicas = [(1e-13, 0), (1.0, 1), (1.5e-12, 1), (1.0, 0), (1e-13, 1),
+                (1.5e-12, 0), (1.0, 2)]
+    for alg in ("fedac1", "fedavg"):
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = harness.run_group(obj, alg, ms, ks, replicas, 32, 4, 0.0)
+            assert calls == ([[1, 1], [3], [3], [3], [5], [2]] if budget == 4
+                             else [ms])
+            alone = [run_cell(obj, alg, m, k, eta, 32, seed, 4, 0.0)
+                     for m, k, (eta, seed) in zip(ms, ks, replicas)]
+        assert cells == alone
+        assert [(c.m, c.k) for c in cells] == list(zip(ms, ks))
+        finite = [sum(r.suboptimality < math.inf for r in c.records)
+                  for c in cells]
+        assert [c.diverged for c in cells] == [eta == 1.0 for eta, _ in replicas]
+        assert all(0 < n < len(c.records) for c, n in zip(cells, finite)
+                   if c.diverged)
+    with pytest.raises(ConfigError, match="one K"):
+        harness.run_group(obj, "mb_sgd", [1, 2, 2], 4, replicas[:3], 8, 4, 0.0)
+
+
 def test_overflowing_worker_mean_records_inf():
     """Finite rows whose worker mean overflows give a non-finite evaluation
     point: +inf, not a crash, and the rest of the batch is unaffected."""
@@ -596,16 +638,17 @@ def test_overflowing_worker_mean_records_inf():
 
 
 def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
-    """The grouped sweep writes the bytes of per-cell runs at the default
-    row budget, where each federated (algorithm, M) group, K a per-replica
-    column, and each minibatch (algorithm, M, K) group is one kernel call,
-    and at 5 rows, where groups split into chunks, down to one replica per
-    call."""
+    """The chunked sweep writes the bytes of per-cell runs at the default
+    row budget, where each federated algorithm, M and K per-replica
+    columns, and each minibatch (algorithm, M, K) stream is one kernel
+    call, and at 5 rows, where they split into chunks, down to one replica
+    per call."""
     calls = []
     for name in ("run_replicas", "_run_minibatch"):
         def counted(*args, run=getattr(harness, name), name=name, **kwargs):
-            k = args[3] if name == "_run_minibatch" else tuple(args[3])
-            calls.append((name, args[1], k, len(args[5])))
+            m, k = (args[1], args[3]) if name == "_run_minibatch" \
+                else (tuple(args[1]), tuple(args[3]))
+            calls.append((name, m, k, len(args[5])))
             return run(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
     cfg, obj = diverging_grid()
@@ -633,8 +676,8 @@ def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
         with np.errstate(over="ignore", invalid="ignore"):
             cells, rows = tune_and_sweep(cfg, obj, f_star=0.0)
         for name, m, k, n in calls:
-            state_rows = m * k if name == "_run_minibatch" else m
-            assert n == 1 or n * state_rows <= budget
+            state_rows = n * m * k if name == "_run_minibatch" else sum(m)
+            assert n == 1 or state_rows <= budget
         if budget == 5:
             # mb_sgd at M=K=1 splits its 8 replicas 5 + 3; at 4 or 12 rows
             # per replica each call holds one
@@ -643,8 +686,9 @@ def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
                 <= set(calls)
         else:
             federated = [c for c in calls if c[0] == "run_replicas"]
-            assert len(federated) == 4 * len(cfg.m_list)
-            assert all(set(k) == set(cfg.k_list) for _, _, k, _ in federated)
+            assert len(federated) == 4
+            assert all(set(m) == set(cfg.m_list) and set(k) == set(cfg.k_list)
+                       for _, m, k, _ in federated)
             assert len(calls) - len(federated) == \
                 2 * len(cfg.m_list) * len(cfg.k_list)
         # the grid exercises every path: mid-run divergence, infeasible
@@ -662,6 +706,44 @@ def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
             artifact_bytes(singles, expected_rows, tmp_path, "single")
         assert [(c.diverged, c.rho_suboptimality) for c in cells] == \
             [(c.diverged, c.rho_suboptimality) for c in singles]
+
+
+@pytest.mark.parametrize("cells_per_budget", [0.5, 3])
+def test_sweep_calls_keep_their_eval_table_within_budget(tmp_path,
+                                                         monkeypatch,
+                                                         cells_per_budget):
+    """A ``TABLE_BYTES`` of 3 cells' eval points cuts every stream into
+    ``run_group`` calls of at most 3 cells, and half a cell's into calls of
+    one; the sweep writes the uncapped sweep's bytes, serially and on two
+    workers."""
+    cfg, obj = diverging_grid()
+    per_cell = (cfg.t // cfg.eval_every + 2) * obj.dim * 8
+    cap = max(1, int(cells_per_budget))
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = tune_and_sweep(cfg, obj, f_star=0.0)
+    calls, real = [], harness.run_group
+
+    def run_group(obj_, alg, m, k, replicas, *args):
+        calls.append((alg, len(replicas), set(zip(m, k))))
+        return real(obj_, alg, m, k, replicas, *args)
+
+    monkeypatch.setattr(harness, "run_group", run_group)
+    monkeypatch.setattr(harness, "TABLE_BYTES", int(cells_per_budget * per_cell))
+    with np.errstate(over="ignore", invalid="ignore"):
+        capped = tune_and_sweep(cfg, obj, f_star=0.0)
+    assert all(n <= cap for _, n, _ in calls)
+    assert all(len(mk) == 1 for alg, _, mk in calls if alg in ("mb_sgd", "mb_acsgd"))
+    per_k = len(cfg.etas) * len(cfg.seeds)
+    streams = [(4, len(cfg.m_list) * len(cfg.k_list) * per_k),
+               (2 * len(cfg.m_list) * len(cfg.k_list), per_k)]
+    assert len(calls) == sum(n * -(-cells // cap) for n, cells in streams)
+    assert artifact_bytes(*capped, tmp_path, "capped") == \
+        artifact_bytes(*whole, tmp_path, "whole")
+    pooled(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        capped2 = tune_and_sweep(cfg, obj, f_star=0.0, threads=2)
+    assert artifact_bytes(*capped2, tmp_path, "capped2") == \
+        artifact_bytes(*whole, tmp_path, "whole")
 
 
 @pytest.mark.parametrize("objective", ["quadratic", "logistic"])
@@ -737,6 +819,7 @@ def test_pooled_sweep_raises_a_worker_exception_with_its_type(monkeypatch):
     def run_group(*args):
         raise WorkerFailure(f"raised in process {os.getpid()}")
     pooled(monkeypatch)
+    monkeypatch.setattr(harness, "ROW_BUDGET", 1)  # a chunk per cell
     monkeypatch.setattr(harness, "run_group", run_group)
     with pytest.raises(WorkerFailure) as info:
         tune_and_sweep(small_cfg(m_list=(1, 2, 3)), Quadratic([1.0]),
@@ -751,10 +834,11 @@ def test_sweep_without_fork_runs_in_process(monkeypatch):
     pids, real = [], harness.run_group
     monkeypatch.setattr(harness, "run_group",
                         lambda *args: pids.append(os.getpid()) or real(*args))
+    monkeypatch.setattr(harness, "ROW_BUDGET", 1)  # a chunk per cell
     cfg = small_cfg(m_list=(1, 2), etas=(0.1, 0.2))
     cells, rows = tune_and_sweep(cfg, Quadratic([1.0, 2.0]), f_star=0.0,
                                  threads=4)
-    assert pids == [os.getpid()] * 2
+    assert pids == [os.getpid()]  # the one stream, in one call
     assert (cells, rows) == tune_and_sweep(cfg, Quadratic([1.0, 2.0]),
                                            f_star=0.0, threads=1)
 
@@ -767,6 +851,187 @@ def test_pooled_sweep_leaves_the_callers_errstate(monkeypatch):
         cells, _ = tune_and_sweep(cfg, obj, f_star=0.0, threads=2)
         assert np.geterr() == before
     assert any(c.diverged for c in cells)
+
+
+def test_small_m_sweep_is_one_kernel_call_per_algorithm(tmp_path,
+                                                       monkeypatch):
+    """A sweep shaped like the benchmark's sweep-small-m (fedac1 and FedAvg,
+    M in {1, 4}, K in {1, 16, 64}, four etas) fits under the row budget:
+    one ``run_replicas`` call per algorithm, holding every M and K, and
+    the same bytes serially and on four workers."""
+    calls = []
+
+    def counted(obj_, m, t, k, steps, *args, run=harness.run_replicas,
+                **kwargs):
+        calls.append((sorted(set(m)), sorted(set(k)), len(steps)))
+        return run(obj_, m, t, k, steps, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_replicas", counted)
+    cfg = small_cfg(algorithms=("fedac1", "fedavg"), m_list=(1, 4),
+                    k_list=(1, 16, 64), etas=(0.01, 0.1, 1.0, 10.0), t=128,
+                    eval_every=64, synthetic_n=300, synthetic_dim=20,
+                    synthetic_nnz=5)
+    obj, _ = build_objective(cfg)
+    cells, rows = tune_and_sweep(cfg, obj, f_star=0.0, threads=1)
+    assert calls == [([1, 4], [1, 16, 64], 24)] * 2
+    pooled(monkeypatch)
+    groups_in_workers_only(monkeypatch)
+    cells4, rows4 = tune_and_sweep(cfg, obj, f_star=0.0, threads=4)
+    assert artifact_bytes(cells4, rows4, tmp_path, "pooled") == \
+        artifact_bytes(cells, rows, tmp_path, "serial")
+
+
+def test_single_algorithm_sweep_splits_over_workers(tmp_path, monkeypatch):
+    """Chunks, not algorithms, are the workers' tasks: a FedAvg sweep of
+    three chunks at ``threads=2`` runs on two worker processes.  Each task
+    waits, for at most 30 s, until two workers have taken one."""
+    pooled(monkeypatch)
+    log, real = tmp_path / "pids", harness.run_group
+
+    def run_group(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        deadline = time.monotonic() + 30
+        while len(set(log.read_text().split())) < 2 and \
+                time.monotonic() < deadline:
+            time.sleep(0.01)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "run_group", run_group)
+    # 8 rows at M = 1 and 512 at M = 64: chunks of 200, 256 and 64 rows
+    cfg = small_cfg(m_list=(1, 64), k_list=(1, 2), etas=(0.1, 0.2),
+                    seeds=(0, 1))
+    obj = Quadratic([1.0, 2.0], shift=[0.5, -1.0], sigma=0.5)
+    cells, rows = tune_and_sweep(cfg, obj, f_star=0.0, threads=2)
+    pids = log.read_text().split()
+    assert len(pids) == 3
+    assert len(set(pids)) == 2 and str(os.getpid()) not in pids
+    monkeypatch.setattr(harness, "run_group", real)
+    assert (cells, rows) == tune_and_sweep(cfg, obj, f_star=0.0, threads=1)
+
+
+KILL_A_WORKER = """
+import multiprocessing, os, signal, sys
+from concurrent.futures.process import BrokenProcessPool
+import fedsim.harness as harness
+from fedsim.objectives import Quadratic
+
+log, parent, real = sys.argv[1], os.getpid(), harness.run_group
+
+
+def run_group(obj, algorithm, *args):
+    if os.getpid() != parent:
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\\n")
+        if algorithm == "fedavg":
+            os.kill(os.getpid(), signal.SIGKILL)
+    return real(obj, algorithm, *args)
+
+
+harness.run_group = run_group
+harness._usable_cpus = lambda: 2
+cfg = harness.ExperimentConfig(algorithms=("fedac1", "fedavg", "mb_sgd"),
+                               m_list=(1, 2), k_list=(2,), etas=(0.1,),
+                               seeds=(0,), t=8, eval_every=4)
+try:
+    harness.tune_and_sweep(cfg, Quadratic([1.0, 2.0]), f_star=0.0, threads=2)
+except BrokenProcessPool:
+    sys.exit(3 if not multiprocessing.active_children() else 4)
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+        return "\nState:\tZ" not in Path(f"/proc/{pid}/status").read_text()
+    except ProcessLookupError:
+        return False
+    except FileNotFoundError:  # gone since the signal, or no /proc
+        return not Path("/proc/self").exists()
+
+
+def script(text: str, log: Path) -> dict:
+    """Keyword arguments that run ``text`` in a new session on this
+    source tree, with ``log`` as its argument."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return dict(args=[sys.executable, "-c", text, str(log)], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True)
+
+
+def logged_pids(log: Path) -> list:
+    return [int(p) for p in log.read_text().split()] if log.exists() else []
+
+
+def end_leftovers(log: Path) -> list:
+    """The logged workers still running, which are then killed."""
+    left = [pid for pid in logged_pids(log) if running(pid)]
+    for pid in left:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    return left
+
+
+def test_a_killed_worker_breaks_the_sweep_and_leaves_no_process(tmp_path):
+    """A sweep worker that SIGKILLs itself makes ``tune_and_sweep`` raise
+    ``BrokenProcessPool`` in bounded time, with no worker process left."""
+    log = tmp_path / "pids"
+    try:
+        proc = subprocess.run(**script(KILL_A_WORKER, log), timeout=120)
+    finally:
+        left = end_leftovers(log)
+    assert proc.returncode == 3, proc.stderr
+    assert logged_pids(log) and not left
+
+
+INTERRUPT_A_SWEEP = """
+import multiprocessing, os, sys, time
+import fedsim.harness as harness
+from fedsim.objectives import Quadratic
+
+
+def run_group(*args):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(60)
+
+
+harness.run_group = run_group
+harness._usable_cpus = lambda: 2
+harness.ROW_BUDGET = 1
+cfg = harness.ExperimentConfig(algorithms=("fedavg",), m_list=(1, 2, 3, 4),
+                               k_list=(2,), etas=(0.1,), seeds=(0,), t=8,
+                               eval_every=4)
+try:
+    harness.tune_and_sweep(cfg, Quadratic([1.0]), f_star=0.0, threads=2)
+except KeyboardInterrupt:
+    sys.exit(3 if not multiprocessing.active_children() else 4)
+"""
+
+
+def test_an_interrupted_sweep_ends_its_workers(tmp_path):
+    """Ctrl-C (SIGINT to the process group) while two workers run one-minute
+    chunks ends the sweep within 30 s, with no worker left to take the
+    chunks still queued."""
+    log = tmp_path / "pids"
+    proc = subprocess.Popen(**script(INTERRUPT_A_SWEEP, log))
+    try:
+        deadline = time.monotonic() + 60
+        while len(logged_pids(log)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(logged_pids(log)) == 2
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        left = end_leftovers(log)
+    assert proc.returncode == 3, err
+    assert not left and len(logged_pids(log)) == 2
 
 
 @pytest.mark.parametrize("threads", [0, -3, 2.5, "2", None])

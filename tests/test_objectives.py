@@ -16,8 +16,9 @@ from fedsim.objectives import (
 )
 from fedsim import rng
 from fedsim.diagnostics import PiecewiseCurvature1D
-from fedsim.rng import RngStream, StreamBundle
+from fedsim.rng import StreamBundle
 from fedsim.verify import _fd_gradient
+from rng_reference import RngStream
 
 
 def make_logistic(text, lam):
