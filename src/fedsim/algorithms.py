@@ -18,10 +18,10 @@ All drivers share conventions:
   that keeps a state copies it.  Drivers never draw randomness for
   evaluation, so observation cannot perturb trajectories.
 * ``run_replicas`` is the one step kernel: it runs any number of
-  (hyperparameters, M, K, seed) replicas side by side.  ``fedac_run`` and
-  ``fedavg_run`` are its one-replica calls; ``_run_minibatch`` maps the
-  minibatch baselines onto it, and ``mb_sgd_run`` and ``mb_acsgd_run`` are
-  its one-replica calls.
+  (hyperparameters, M, K, seed) replicas side by side, a diverged one
+  frozen in place.  ``fedac_run`` and ``fedavg_run`` are its one-replica
+  calls; ``_run_minibatch`` maps the minibatch baselines onto it, and
+  ``mb_sgd_run`` and ``mb_acsgd_run`` are its one-replica calls.
 
 A trajectory is a pure function of ``(config, seed)``: rerunning with any
 sweep worker count, or beside any other replicas, reproduces it exactly.
@@ -199,12 +199,10 @@ def replica_mean(a: np.ndarray, m) -> np.ndarray:
     return out
 
 
-def _bad_workers(w: np.ndarray, w_ag: Optional[np.ndarray],
-                 m: int) -> List[Optional[int]]:
-    """For each replica's block of M rows: the lowest worker whose ``w`` row
-    is non-finite, else the lowest whose ``w_ag`` row is, else None."""
-    blocks = [np.isfinite(a).all(axis=1).reshape(-1, m)
-              for a in (w, w_ag) if a is not None]
+def _bad_workers(state: Sequence[np.ndarray], m: int) -> List[Optional[int]]:
+    """For each replica's block of M rows: the lowest worker whose row of
+    ``state[0]`` (w) is non-finite, else of ``state[1]`` (w_ag), else None."""
+    blocks = [np.isfinite(a).all(axis=1).reshape(-1, m) for a in state]
     bad: List[Optional[int]] = []
     for rows in zip(*blocks):
         failed = [ok for ok in rows if not ok.all()]
@@ -247,12 +245,9 @@ class _Run(NamedTuple):
     h: Dict[str, np.ndarray]
 
 
-ReplicaCallback = Callable[[int, np.ndarray, np.ndarray, Optional[np.ndarray]], None]
-
-
 def run_replicas(obj: Objective, m, t: int, k, steps: Sequence,
                  seeds: Sequence[int], w0=None,
-                 callback: Optional[ReplicaCallback] = None,
+                 callback: Optional[Callback] = None,
                  mu: Optional[float] = None) -> ReplicaResult:
     """R independent runs in lockstep, replica r as the next M state rows.
 
@@ -268,18 +263,19 @@ def run_replicas(obj: Objective, m, t: int, k, steps: Sequence,
     one (replicas, M*dim) array, so each replica is bit-identical to the
     run it stands for.
 
-    ``callback(t, live, W, W_ag)`` is invoked before step t and at t = T
-    with the indices of the replicas still running and read-only views of
-    their state rows, valid until the callback returns.  A replica whose
-    iterates go non-finite at step s is recorded in ``diverged`` and its
-    rows are dropped from step s + 1 on.
+    ``callback(t, W, W_ag)`` is invoked before step t and at t = T with
+    read-only views of every replica's state rows, valid until the callback
+    returns.  A replica whose iterates go non-finite at step s is recorded
+    in ``diverged`` and frozen: its rows are reset to the start point and
+    its step sizes to zero.  It keeps its share of oracle work until T, or
+    until every replica has diverged, when the call ends at once.
     """
     return _replicas(obj, m, t, k, steps, seeds, w0, callback,
                      obj.mu_est if mu is None else mu)
 
 
 def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
-              seeds: Sequence[int], w0, callback: Optional[ReplicaCallback],
+              seeds: Sequence[int], w0, callback: Optional[Callback],
               mu: Optional[float], batch: int = 1) -> ReplicaResult:
     """The body of ``run_replicas``.  ``mu=None`` skips FedAvg's
     decay-weighted average, which the minibatch baselines discard.
@@ -290,11 +286,13 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
 
     After each step the due blocks of equal (M, K) sync in place and every
     row is checked: a synced replica's rows are copies of its mean, so a
-    blow-up there reports worker 0.  M = 1 builds no blocks.
+    blow-up there reports worker 0.  M = 1 builds no blocks.  A frozen
+    replica only takes convex combinations of the start row, so the check
+    trips only on new divergences.
 
     Every step is written in place, in the operation order of the plain
-    expressions, into the arrays and views of ``work``, built once and again
-    only when replicas drop out.
+    expressions, into arrays and views built once: a ``_Run`` per run of
+    equal M, and (K, M, state, mean rows) per run of equal (M, K), M > 1.
     """
     if not seeds or len(steps) != len(seeds):
         raise ValueError(f"need one step rule per seed, got {len(steps)} "
@@ -313,10 +311,10 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
         if not accelerated and not (rule > 0):
             raise ValueError(f"eta must be positive, got {rule}")
     ids = [obj.stream_workers(mr * batch) for mr in ms]
-    streams = np.array([i.size for i in ids])
     bundle = StreamBundle([s for s, i in zip(seeds, ids) for _ in i],
                           np.concatenate(ids))
-    w = np.tile(_start_row(obj, w0), (ms.sum(), 1))
+    start = _start_row(obj, w0)
+    w = np.tile(start, (ms.sum(), 1))
 
     def column(values) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)[:, None]
@@ -335,35 +333,29 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
             decay = column([1.0 - 0.5 * eta * mu for eta in steps])
             acc = np.zeros((reps, dim))
             acc_norm = np.zeros((reps, 1))
-    calls = [int(n) * t for n in streams]
-    live = np.arange(reps)
+    calls = [i.size * t for i in ids]
     diverged: List[Optional[Tuple[int, int]]] = [None] * reps
-
-    def work():
-        """Arrays and views for the current rows: a ``_Run`` per run of equal
-        M, and (K, M, state blocks, mean rows) per run of equal (M, K), M > 1."""
-        w_md = np.empty_like(w) if accelerated else None
-        out, scratch = np.empty((2, len(bundle), dim))
-        mean, first, runs = np.empty((len(live), dim)), np.cumsum([0, *ms]), []
-        for a, b in _runs(ms):
-            rows = slice(first[a], first[b])
-            grads = slice(first[a] * batch, first[b] * batch)
-            flat = [None if x is None else x[part].reshape(b - a, -1)
-                    for x, part in ((w, rows), (w_ag, rows), (w_md, rows),
-                                    (scratch, grads), (out, grads))]
-            runs.append(_Run(int(ms[a]), rows, *flat,
-                             w[rows].reshape(b - a, -1, dim), mean[a:b],
-                             {name: c[a:b] for name, c in cols.items()}))
-        blocks = [(ks[a], ms[a], [x[first[a]:first[b]].reshape(b - a, -1, dim)
-                                  for x in (w, w_ag) if x is not None],
-                   mean[a:b]) for a, b in _runs(ms, ks) if ms[a] > 1]
-        return (w_md, out, scratch, mean, runs, blocks,
-                (_read_only(w), _read_only(w_ag)))
-
-    w_md, out, scratch, mean, runs, blocks, seen = work()
+    w_md = np.empty_like(w) if accelerated else None
+    state = [x for x in (w, w_ag) if x is not None]
+    sizes = [cols[name] for name in ("eta", "gamma") if name in cols]
+    out, scratch = np.empty((2, len(bundle), dim))
+    mean, first, runs = np.empty((reps, dim)), np.cumsum([0, *ms]), []
+    for a, b in _runs(ms):
+        rows = slice(first[a], first[b])
+        grads = slice(first[a] * batch, first[b] * batch)
+        flat = [None if x is None else x[part].reshape(b - a, -1)
+                for x, part in ((w, rows), (w_ag, rows), (w_md, rows),
+                                (scratch, grads), (out, grads))]
+        runs.append(_Run(int(ms[a]), rows, *flat,
+                         w[rows].reshape(b - a, -1, dim), mean[a:b],
+                         {name: c[a:b] for name, c in cols.items()}))
+    blocks = [(ks[a], ms[a], [x[first[a]:first[b]].reshape(b - a, -1, dim)
+                              for x in state],
+               mean[a:b]) for a, b in _runs(ms, ks) if ms[a] > 1]
+    seen = (_read_only(w), _read_only(w_ag))
     for step in range(t):
         if callback is not None:
-            callback(step, live, *seen)
+            callback(step, *seen)
         if accelerated:
             for r in runs:
                 # w_md = inv_b * w + c_b * w_ag
@@ -402,35 +394,28 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
             if (step + 1) % kb == 0:
                 for block in state_blocks:
                     block[...] = _mean_into(block, mb, block_mean)[:, None, :]
-        if np.isfinite(w).all() and (w_ag is None or np.isfinite(w_ag).all()):
+        if all(np.isfinite(x).all() for x in state):
             continue
-        bad = [worker for r in runs for worker in _bad_workers(
-            w[r.rows], None if w_ag is None else w_ag[r.rows], r.m)]
-        for i, worker in zip(live, bad):
-            if worker is not None:
-                diverged[i] = (step, worker)
-        keep = np.array([worker is None for worker in bad])
-        rows = np.repeat(keep, ms)
-        w = w[rows]
-        w_ag = None if w_ag is None else w_ag[rows]
-        cols = {name: c[keep] for name, c in cols.items()}
-        bundle.keep(np.repeat(keep, streams))
-        ms, ks, streams = ms[keep], ks[keep], streams[keep]
-        if not accelerated and mu is not None:
-            decay, acc, acc_norm = decay[keep], acc[keep], acc_norm[keep]
-        live = live[keep]
-        if not live.size:
+        bad = [worker for r in runs
+               for worker in _bad_workers([x[r.rows] for x in state], r.m)]
+        for i, worker in enumerate(bad):
+            if worker is not None:  # freeze; only the first pair counts
+                if diverged[i] is None:
+                    diverged[i] = (step, worker)
+                for x in state:
+                    x[first[i]:first[i + 1]] = start
+                for c in sizes:
+                    c[i] = 0.0
+        if None not in diverged:
             break
-        w_md, out, scratch, mean, runs, blocks, seen = work()
-    if live.size and callback is not None:
-        callback(t, live, *seen)
-    final_w, final_ag = np.full((2, reps, dim), np.nan)
-    final_w[live] = replica_mean(w, ms)
-    final_ag[live] = final_w[live] if w_ag is None else replica_mean(w_ag, ms)
-    rho = None
-    if not accelerated and mu is not None:
-        rho = np.full((reps, dim), np.nan)
-        rho[live] = acc / acc_norm
+    if callback is not None and None in diverged:
+        callback(t, *seen)
+    final_w = replica_mean(w, ms)
+    final_ag = final_w.copy() if w_ag is None else replica_mean(w_ag, ms)
+    rho = None if accelerated or mu is None else acc / acc_norm
+    for x in (final_w, final_ag, rho):
+        if x is not None:
+            x[[d is not None for d in diverged]] = np.nan
     return ReplicaResult(final_w, final_ag, calls, diverged, rho)
 
 
@@ -441,12 +426,6 @@ def _single(result: ReplicaResult) -> RunResult:
     rho = None if result.rho_avg_w is None else result.rho_avg_w[0]
     return RunResult(result.final_avg_w[0], result.final_avg_w_ag[0],
                      result.gradient_calls[0], rho)
-
-
-def _plain_callback(callback: Optional[Callback]) -> Optional[ReplicaCallback]:
-    if callback is None:
-        return None
-    return lambda step, live, w, w_ag: callback(step, w, w_ag)
 
 
 def fedac_run(obj: Objective, m: int, t: int, k: int, hyper: Hyper, seed: int,
@@ -460,8 +439,7 @@ def fedac_run(obj: Objective, m: int, t: int, k: int, hyper: Hyper, seed: int,
     broadcast, local steps assign them directly.  A one-replica
     ``run_replicas``.
     """
-    return _single(run_replicas(obj, m, t, k, [hyper], [seed], w0,
-                                _plain_callback(callback)))
+    return _single(run_replicas(obj, m, t, k, [hyper], [seed], w0, callback))
 
 
 def fedavg_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
@@ -476,13 +454,13 @@ def fedavg_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     degrades gracefully to the uniform average.  A one-replica
     ``run_replicas``.
     """
-    return _single(run_replicas(obj, m, t, k, [eta], [seed], w0,
-                                _plain_callback(callback), mu))
+    return _single(run_replicas(obj, m, t, k, [eta], [seed], w0, callback,
+                                mu))
 
 
 def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
                    seeds: Sequence[int], w0=None,
-                   callback: Optional[ReplicaCallback] = None) -> ReplicaResult:
+                   callback: Optional[Callback] = None) -> ReplicaResult:
     """Minibatch baselines as one ``run_replicas`` call: replica r takes T/K
     steps on the streams ``(seeds[r], 0..M*K-1)`` from one state row.  A
     step size runs minibatch SGD, FedAvg on M*K workers with K = 1 held as
@@ -490,7 +468,7 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     worker on a ``BatchedOracle`` of M*K.
 
     Steps are parallel steps: the callback sees chain step s as s*K, with
-    one row per live replica, and divergence at chain step s is recorded at
+    one row per replica, and divergence at chain step s is recorded at
     ``(s+1)*K - 1``, the end of its round.  The final averages are the
     kernel's, of one row per replica.  ``gradient_calls`` is T, as in
     ``RunResult``; there is no decay-weighted average.
@@ -502,9 +480,8 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     oracle = obj
     if steps and isinstance(steps[0], Hyper):
         oracle, batch = BatchedOracle(obj, batch), 1
-    observe = None
-    if callback is not None:
-        observe = lambda step, live, w, w_ag: callback(step * k, live, w, w_ag)
+    observe = None if callback is None else \
+        lambda step, w, w_ag: callback(step * k, w, w_ag)
     res = _replicas(oracle, 1, rounds, 1, steps, seeds, w0, observe, None,
                     batch)
     diverged = [None if d is None else ((d[0] + 1) * k - 1, d[1])
@@ -523,8 +500,7 @@ def mb_sgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     implementation bit for bit at K = 1 on shared streams.  A one-replica
     ``_run_minibatch``; the callback gets the (1, dim) iterate and no w_ag.
     """
-    return _single(_run_minibatch(obj, m, t, k, [eta], [seed], w0,
-                                 _plain_callback(callback)))
+    return _single(_run_minibatch(obj, m, t, k, [eta], [seed], w0, callback))
 
 
 def mb_acsgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
@@ -539,7 +515,7 @@ def mb_acsgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     """
     hyper = schedule_vanilla(eta, obj.mu_est if mu is None else mu)
     return _single(_run_minibatch(obj, m, t, k, [hyper], [seed], w0,
-                                 _plain_callback(callback)))
+                                 callback))
 
 
 class AgdStep:

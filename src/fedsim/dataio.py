@@ -33,7 +33,7 @@ class DataFormatError(ValueError):
         super().__init__(f"{where}{detail}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Sparse labeled samples: labels in {-1, +1}, features in CSR layout."""
 
@@ -55,17 +55,10 @@ class Dataset:
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.dim == other.dim
-            and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.X.indptr, other.X.indptr)
-            and np.array_equal(self.X.indices, other.X.indices)
-            and np.array_equal(self.X.data, other.X.data)
-        )
-
-    def __hash__(self):  # frozen dataclass would try to hash arrays
-        return hash((self.n, self.dim))
+        parts = [(d.labels, d.X.indptr, d.X.indices, d.X.data)
+                 for d in (self, other)]
+        return (self.n, self.dim) == (other.n, other.dim) and all(
+            np.array_equal(a, b) for a, b in zip(*parts))
 
     def content_hash(self) -> str:
         """Hex digest of the structural content (labels, indices, values, shape)."""

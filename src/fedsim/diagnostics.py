@@ -200,6 +200,7 @@ _TRANSFER = {"fedac1": (transfer_matrix_fedac1, norm_bound_fedac1),
              "fedac2": (transfer_matrix_fedac2, norm_bound_fedac2)}
 # a transformed norm this far above its bound still counts as within it
 _TOLERANCE = 1e-9
+_MAX_SHRINKS = 60  # bump widths tried per instability construction stage
 
 
 @dataclass(frozen=True)
@@ -372,8 +373,7 @@ def _bump_pattern_ok(objective: PiecewiseCurvature1D, mds: np.ndarray,
 
 
 def construct_instability_objective(big_l: float, mu: float, k: int,
-                                    eps_shrink: float = 0.5,
-                                    max_shrinks: int = 60):
+                                    eps_shrink: float = 0.5):
     """Build the 1-D piecewise-curvature objective that destabilizes AGD.
 
     Starting from the bare quadratic (mu/2) w**2, repeat K times: run AGD for
@@ -415,7 +415,7 @@ def construct_instability_objective(big_l: float, mu: float, k: int,
                 f"stage {stage}: coincident gradient-query points; adjust the start")
         eps = 0.5 * d_min
         placed = None
-        for _ in range(max_shrinks):
+        for _ in range(_MAX_SHRINKS):
             try:
                 provisional = objective.with_bump(float(md[3 * stage + 1]), eps)
             except ValueError:
@@ -438,7 +438,7 @@ def construct_instability_objective(big_l: float, mu: float, k: int,
         if placed is None:
             raise ConstructionError(
                 f"stage {stage}: no bump width separated the query points "
-                f"after {max_shrinks} shrinks")
+                f"after {_MAX_SHRINKS} shrinks")
         objective = placed
 
     md = mds_of(objective)

@@ -438,12 +438,13 @@ def run_group(obj: Objective, algorithm: str, m, k,
     call holding replicas of any M and K.  The kernel callback only writes
     the evaluation points into one nan-filled (cells, T/eval_every + 2,
     dim) table, whose last column takes FedAvg's decay-weighted averages;
-    F is evaluated after the last chunk, in one ``obj.eval_many`` call over
-    the table's finite rows, with the replicas' common start point entered
+    F is evaluated after the last chunk, by ``_suboptimalities`` over the
+    table's finite rows, with the replicas' common start point entered
     once.  Each value is that of ``obj.eval`` at its point, so the records
-    do not depend on the chunking.  Divergence (non-finite iterates), a
-    non-finite evaluation point and schedule infeasibility at large eta all
-    leave non-finite rows, which yield +inf suboptimality, so tuning
+    do not depend on the chunking.  Divergence (non-finite iterates, after
+    which the kernel freezes the replica and its later points are cleared),
+    a non-finite evaluation point and schedule infeasibility at large eta
+    all leave non-finite rows, which yield +inf suboptimality, so tuning
     naturally discards them.
     Evaluation never consumes random draws.  Floating-point warnings are
     ignored here, whatever the caller's ``np.errstate``: divergence is an
@@ -465,18 +466,15 @@ def run_group(obj: Objective, algorithm: str, m, k,
     # the kernel's state rows per replica: one per minibatch chain
     widths = np.ones_like(ms) if minibatch else ms
     # per cell: the eval point of each eval step, then FedAvg's weighted
-    # average; nan where no run wrote one
+    # average; nan where no run wrote one or after the cell diverged
     points = np.full((len(cells), t // eval_every + 2, obj.dim), np.nan)
 
     def observer(rows: np.ndarray):
-        """Callback writing the eval point of cell ``rows[r]`` for each
-        live r into ``points``."""
-        def observe(step: int, live, w: np.ndarray,
-                    w_ag: Optional[np.ndarray]) -> None:
+        """Callback writing each replica's eval point into ``points``."""
+        def observe(step: int, w: np.ndarray, w_ag: Optional[np.ndarray]):
             if step % eval_every == 0:
-                state = w_ag if kind == "avg_ag" else w
-                points[rows[live], step // eval_every] = replica_mean(
-                    state, widths[rows[live]])
+                points[rows, step // eval_every] = replica_mean(
+                    w_ag if kind == "avg_ag" else w, widths[rows])
         return observe
 
     with np.errstate(all="ignore"):
@@ -499,6 +497,8 @@ def run_group(obj: Objective, algorithm: str, m, k,
                 points[chunk, -1] = result.rho_avg_w
             for i, bad in zip(chunk, result.diverged):
                 cells[i].diverged = bad is not None
+                if bad is not None:  # the frozen replica's later points
+                    points[i, bad[0] // eval_every + 1:] = np.nan
         # every replica starts at the same point: F is taken there once
         points[runnable[1:], 0] = np.nan
         gaps = _suboptimalities(obj, points.reshape(-1, obj.dim),
@@ -515,11 +515,14 @@ def run_group(obj: Objective, algorithm: str, m, k,
 def _suboptimalities(obj: Objective, points: np.ndarray,
                      f_star: float) -> np.ndarray:
     """F(point) - F* for each row of ``points``; +inf where the gap is not
-    finite, and without evaluating F where the point is not."""
-    finite = np.isfinite(points).all(axis=1)
+    finite, and without evaluating F where the point is not.  ``eval_many``
+    takes at most ``TABLE_BYTES // 16`` bytes of points per call."""
+    finite = np.flatnonzero(np.isfinite(points).all(axis=1))
     gaps = np.full(len(points), math.inf)
-    if finite.any():
-        gaps[finite] = obj.eval_many(points[finite]) - f_star
+    size = max(1, TABLE_BYTES // 16 // (points.itemsize * points.shape[1]))
+    for a in range(0, finite.size, size):
+        rows = finite[a:a + size]
+        gaps[rows] = obj.eval_many(points[rows]) - f_star
     gaps[~np.isfinite(gaps)] = math.inf
     return gaps
 

@@ -138,11 +138,11 @@ class StreamBundle:
     for every row or a sequence with one seed per row, so a bundle can hold
     the workers of several independent runs side by side.  The bundle draws
     for all rows at once (vectorized), but each row is bit-identical to what
-    a one-row bundle of its stream would produce on its own.
+    a one-row bundle of its stream would produce on its own.  The rows are
+    fixed when the bundle is built.
     """
 
-    __slots__ = ("worker_ids", "counter", "_keys",
-                 "_block", "_block_n", "_block_first")
+    __slots__ = ("counter", "_keys", "_block", "_block_n", "_block_first")
 
     def __init__(self, seed, worker_ids, counter: int = 0):
         ids = np.asarray(worker_ids, dtype=np.int64).ravel()
@@ -152,7 +152,6 @@ class StreamBundle:
             seeds = np.array([int(s) & _MASK for s in seed], dtype=np.uint64)
         if seeds.size != ids.size:
             raise ValueError(f"{seeds.size} seeds for {ids.size} worker ids")
-        self.worker_ids = ids
         self.counter = int(counter)
         # the key is mix(mix(seed + GOLDEN) ^ mix((id + 1) * GOLDEN)) mod
         # 2**64, where uint64 arrays wrap; int64 -> uint64 wraps a negative id
@@ -164,13 +163,6 @@ class StreamBundle:
 
     def __len__(self) -> int:
         return self._keys.shape[0]
-
-    def keep(self, rows) -> None:
-        """Keep only the selected rows (a boolean mask or row indices), in
-        order; the kept streams go on from the shared counter unchanged."""
-        self.worker_ids = self.worker_ids[rows]
-        self._keys = self._keys[rows]
-        self._block = None
 
     def _take_slots(self, count: int) -> int:
         if not isinstance(count, (int, np.integer)) or count < 0:

@@ -225,6 +225,16 @@ def test_acceptance_7_speedup_ordering(speedup):
         assert max(four) <= 2.0 * min(four)
 
 
+@pytest.mark.slow
+def test_acceptance_7_default_grid_never_diverges(speedup):
+    """The kernel keeps a diverged replica's oracle work going to T, frozen
+    at the start point, which costs time only where a cell diverges: none
+    of the 1872 cells of this grid does."""
+    with criterion(7, speedup.note):
+        assert len(speedup.cells) == 1872
+        assert [c for c in speedup.cells if c.diverged] == []
+
+
 # ---------------------------------------------------------------------------
 # 8. determinism
 

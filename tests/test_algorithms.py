@@ -321,27 +321,19 @@ def test_fedavg_gradient_calls_and_divergence():
 
 
 class Spike(Quadratic):
-    """A noisy quadratic whose oracle returns inf on chosen rows at one call."""
+    """A noisy quadratic whose oracle returns inf on chosen rows at one call,
+    or on the rows ``spikes[c]`` at each call c."""
 
-    def __init__(self, rows=(), call=-1):
+    def __init__(self, rows=(), call=-1, spikes=None):
         super().__init__([1.0, 2.0], shift=[0.5, -0.5], sigma=0.3)
-        self.rows, self.call, self.calls = list(rows), call, 0
+        self.spikes = {call: list(rows)} if spikes is None else spikes
+        self.calls = 0
 
     def stoch_grad_multi(self, W, bundle, **work):
         g = super().stoch_grad_multi(W, bundle, **work)
-        if self.calls == self.call:
-            g[self.rows] = np.inf
+        g[self.spikes.get(self.calls, [])] = np.inf
         self.calls += 1
         return g
-
-
-class ReplicaCapture:
-    def __init__(self):
-        self.calls = []
-
-    def __call__(self, t, live, W, W_ag):
-        self.calls.append((t, list(live), W.copy(),
-                           None if W_ag is None else W_ag.copy()))
 
 
 @pytest.mark.parametrize("accelerated", [True, False])
@@ -351,11 +343,11 @@ def test_run_replicas_rows_match_single_runs(accelerated, m, k):
     etas, seeds = [0.05, 0.2, 0.05], [0, 0, 7]
     steps = [schedule_fedac1(e, obj.mu_est, k) for e in etas] if accelerated \
         else etas
-    cap = ReplicaCapture()
+    cap = Capture()
     res = run_replicas(obj, m, 12, k, steps, seeds, w0=[1.0, -1.0], callback=cap)
     assert res.diverged == [None] * 3
     assert res.gradient_calls == [m * 12] * 3
-    assert [c[0] for c in cap.calls] == list(range(13))
+    assert cap.ts == list(range(13))
     for r, (eta, seed) in enumerate(zip(etas, seeds)):
         single = Capture()
         if accelerated:
@@ -369,8 +361,8 @@ def test_run_replicas_rows_match_single_runs(accelerated, m, k):
         np.testing.assert_array_equal(res.final_avg_w[r], one.final_avg_w)
         np.testing.assert_array_equal(res.final_avg_w_ag[r], one.final_avg_w_ag)
         rows = slice(r * m, (r + 1) * m)
-        for (_, live, W, W_ag), w1, ag1 in zip(cap.calls, single.w, single.w_ag):
-            assert live == [0, 1, 2]
+        for W, W_ag, w1, ag1 in zip(cap.w, cap.w_ag, single.w, single.w_ag):
+            assert len(W) == 3 * m
             np.testing.assert_array_equal(W[rows], w1)
             if accelerated:
                 np.testing.assert_array_equal(W_ag[rows], ag1)
@@ -386,16 +378,22 @@ def test_replica_mean_matches_worker_mean():
 @pytest.mark.parametrize("accelerated", [True, False])
 def test_run_replicas_drops_a_diverged_replica(accelerated):
     """Replica 1's workers 1 and 2 blow up at local step 2: it is recorded as
-    diverged at (2, 1) and dropped, and the others run on unchanged."""
+    diverged at (2, 1) and drops out of the results, its rows frozen at the
+    start point (the origin) and its finals nan, and the others run on
+    unchanged."""
     m, t, k = 3, 8, 4
     etas, seeds = [0.05, 0.1, 0.2], [3, 4, 5]
     steps = [schedule_fedac1(e, 1.0, k) for e in etas] if accelerated else etas
-    cap = ReplicaCapture()
+    cap = Capture()
     with np.errstate(over="ignore", invalid="ignore"):
         res = run_replicas(Spike(rows=[m + 1, m + 2], call=2), m, t, k, steps,
                            seeds, callback=cap)
     assert res.diverged == [None, (2, 1), None]
-    assert [c[1] for c in cap.calls] == [[0, 1, 2]] * 3 + [[0, 2]] * (t - 2)
+    assert cap.ts == list(range(t + 1))
+    for step, W, W_ag in zip(cap.ts, cap.w, cap.w_ag):
+        for state in (W, W_ag) if accelerated else (W,):
+            assert np.isfinite(state).all()
+            assert (state[m:2 * m] == 0.0).all() == (step > 2 or step == 0)
     assert np.isnan(res.final_avg_w[1]).all()
     assert np.isnan(res.final_avg_w_ag[1]).all()
     if not accelerated:
@@ -448,8 +446,8 @@ def test_bad_workers_checks_w_before_w_ag():
     w[2, 1] = np.nan      # replica 0: w bad at worker 2 ...
     w_ag[0, 0] = np.inf   # ... and w_ag at worker 0: w is reported
     w_ag[5, 0] = -np.inf  # replica 1: only w_ag, at worker 2
-    assert _bad_workers(w, w_ag, 3) == [2, 2, None]
-    assert _bad_workers(w, None, 3) == [2, None, None]
+    assert _bad_workers([w, w_ag], 3) == [2, 2, None]
+    assert _bad_workers([w], 3) == [2, None, None]
 
 
 def test_run_replicas_validation():
@@ -500,16 +498,16 @@ def test_mixed_k_call_equals_per_k_calls(accelerated, m, ks):
     bit; 2 and 3 also sync apart."""
     t, w0 = 12, [1.0, -1.0]
     column, steps, seeds = mixed_k_replicas(accelerated, ks)
-    cap = ReplicaCapture()
+    cap = Capture()
     res = run_replicas(Spike(), m, t, column, steps, seeds, w0=w0,
                        callback=cap)
     assert res.diverged == [None] * len(seeds)
     assert res.gradient_calls == [m * t] * len(seeds)
-    assert [c[0] for c in cap.calls] == list(range(t + 1))
+    assert cap.ts == list(range(t + 1))
     for i, k in enumerate(ks):
         reps = slice(2 * i, 2 * i + 2)
         rows = slice(2 * i * m, (2 * i + 2) * m)
-        own_cap = ReplicaCapture()
+        own_cap = Capture()
         own = run_replicas(Spike(), m, t, k, steps[reps], seeds[reps], w0=w0,
                            callback=own_cap)
         assert_bits(res.final_avg_w[reps], own.final_avg_w)
@@ -518,13 +516,14 @@ def test_mixed_k_call_equals_per_k_calls(accelerated, m, ks):
             assert res.rho_avg_w is None
         else:
             assert_bits(res.rho_avg_w[reps], own.rho_avg_w)
-        assert len(own_cap.calls) == len(cap.calls)
-        for mixed, alone in zip(cap.calls, own_cap.calls):
-            assert_bits(mixed[2][rows], alone[2])
+        assert own_cap.ts == cap.ts
+        for W, alone in zip(cap.w, own_cap.w):
+            assert_bits(W[rows], alone)
+        for W_ag, alone in zip(cap.w_ag, own_cap.w_ag):
             if accelerated:
-                assert_bits(mixed[3][rows], alone[3])
+                assert_bits(W_ag[rows], alone)
             else:
-                assert mixed[3] is None and alone[3] is None
+                assert W_ag is None and alone is None
 
 
 @pytest.mark.parametrize("accelerated", [True, False])
@@ -555,17 +554,13 @@ def test_mixed_k_divergence_reports_the_pair_of_a_run_alone(accelerated,
         assert_bits(res.final_avg_w_ag[r], alone[r].final_avg_w_ag[0])
 
 
-def replica_rows(calls, r, ms):
-    """Replica r's (t, W, W_ag) rows in each captured call it is live in,
-    replicas owning ``ms[r]`` rows each in order."""
-    seen = []
-    for step, live, W, W_ag in calls:
-        if r in live:
-            i = list(live).index(r)
-            first = np.cumsum([0, *np.asarray(ms)[live]])
-            rows = slice(first[i], first[i + 1])
-            seen.append((step, W[rows], None if W_ag is None else W_ag[rows]))
-    return seen
+def replica_rows(cap, r, ms):
+    """Replica r's (t, W, W_ag) rows in each captured call, replicas owning
+    ``ms[r]`` rows each in order."""
+    first = np.cumsum([0, *ms])
+    rows = slice(first[r], first[r + 1])
+    return [(step, W[rows], None if W_ag is None else W_ag[rows])
+            for step, W, W_ag in zip(cap.ts, cap.w, cap.w_ag)]
 
 
 @pytest.mark.parametrize("accelerated", [True, False])
@@ -577,7 +572,9 @@ def test_mixed_m_call_equals_one_replica_runs(accelerated, order, call):
     finals, FedAvg's weighted average and the divergence pair, bit for bit.
     Four replicas blow up at their last worker at step ``call``: at step 3
     every K syncs, so each reports worker 0 (M > 1); at step 5 the K = 4
-    ones are on a local step and report worker M - 1."""
+    ones are on a local step and report worker M - 1.  From the next step
+    on, each of the four holds the start point, which its run alone never
+    reaches."""
     t, w0 = 12, [1.0, -1.0]
     cells = [(m, k) for m in (1, 2, 3, 5) for k in (1, 2, 4)]
     cells = cells if order == "ascending" else cells[::-1]
@@ -588,7 +585,7 @@ def test_mixed_m_call_equals_one_replica_runs(accelerated, order, call):
     seeds = [i % 4 for i in range(len(cells))]
     blown = {0, 5, 7, 11}
     first = np.cumsum([0, *ms])
-    cap = ReplicaCapture()
+    cap = Capture()
     with np.errstate(over="ignore", invalid="ignore"):
         res = run_replicas(Spike(rows=[first[r + 1] - 1 for r in sorted(blown)],
                                  call=call),
@@ -597,7 +594,7 @@ def test_mixed_m_call_equals_one_replica_runs(accelerated, order, call):
     assert [d is not None for d in res.diverged] == \
         [r in blown for r in range(len(cells))]
     for r, (m, k) in enumerate(cells):
-        own = ReplicaCapture()
+        own = Capture()
         with np.errstate(over="ignore", invalid="ignore"):
             alone = run_replicas(Spike(rows=[m - 1] if r in blown else [],
                                        call=call),
@@ -613,9 +610,9 @@ def test_mixed_m_call_equals_one_replica_runs(accelerated, order, call):
             assert res.rho_avg_w is None
         else:
             assert_bits(res.rho_avg_w[r], alone.rho_avg_w[0])
-        mixed, single = replica_rows(cap.calls, r, ms), \
-            replica_rows(own.calls, 0, [m])
-        assert [s[0] for s in mixed] == [s[0] for s in single] == \
+        mixed, single = replica_rows(cap, r, ms), replica_rows(own, 0, [m])
+        assert [s[0] for s in mixed] == list(range(t + 1))
+        assert [s[0] for s in single] == \
             list(range(call + 1 if r in blown else t + 1))
         for (_, w, ag), (_, w1, ag1) in zip(mixed, single):
             assert_bits(w, w1)
@@ -623,6 +620,74 @@ def test_mixed_m_call_equals_one_replica_runs(accelerated, order, call):
                 assert_bits(ag, ag1)
             else:
                 assert ag is None and ag1 is None
+        for _, w, ag in mixed[len(single):]:
+            for state in (w, ag) if accelerated else (w,):
+                assert (state == w0).all()
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+def test_frozen_replicas_hold_the_start_row_beside_their_own_runs(
+        accelerated):
+    """In one call of mixed (M, K), replica 1 blows up at step 3 (a sync
+    step for its K = 4), replica 3 at step 5 (a local one), and replica 1
+    again at step 7, when it is frozen.  Each keeps its first (step,
+    worker), holds the start row from the next step to T and has nan
+    finals and weighted averages; every other replica is its one-replica
+    run, bit for bit."""
+    t, ms, ks = 12, [2, 3, 1, 3, 2], [1, 4, 1, 4, 2]
+    etas, seeds = [0.05, 0.1, 0.2, 0.1, 0.05], [0, 1, 2, 3, 4]
+    steps = [schedule_fedac1(e, 1.0, k) for e, k in zip(etas, ks)] \
+        if accelerated else etas
+    first = np.cumsum([0, *ms])
+    spikes = {3: [first[2] - 1], 5: [first[4] - 1],
+              7: list(range(first[1], first[2]))}
+    cap = Capture()
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_replicas(Spike(spikes=spikes), ms, t, ks, steps, seeds,
+                           callback=cap)
+    assert res.diverged == [None, (3, 0), None, (5, 2), None]
+    assert cap.ts == list(range(t + 1))
+    for r, step in ((1, 3), (3, 5)):
+        assert np.isnan(res.final_avg_w[r]).all()
+        assert np.isnan(res.final_avg_w_ag[r]).all()
+        if not accelerated:
+            assert np.isnan(res.rho_avg_w[r]).all()
+        frozen = replica_rows(cap, r, ms)[step + 1:]
+        assert len(frozen) == t - step
+        for _, w, ag in frozen:
+            for state in (w, ag) if accelerated else (w,):
+                assert (state == 0.0).all()
+    for r in (0, 2, 4):
+        own = Capture()
+        alone = run_replicas(Spike(), ms[r], t, ks[r], steps[r:r + 1],
+                             seeds[r:r + 1], callback=own)
+        assert_bits(res.final_avg_w[r], alone.final_avg_w[0])
+        assert_bits(res.final_avg_w_ag[r], alone.final_avg_w_ag[0])
+        if not accelerated:
+            assert_bits(res.rho_avg_w[r], alone.rho_avg_w[0])
+        for (_, w, ag), (_, w1, ag1) in zip(replica_rows(cap, r, ms),
+                                            replica_rows(own, 0, [ms[r]])):
+            assert_bits(w, w1)
+            if accelerated:
+                assert_bits(ag, ag1)
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+def test_a_call_stops_when_every_replica_has_diverged(accelerated):
+    """Replicas blowing up at steps 2 and 4 end the call after step 4: the
+    callback runs before steps 0 to 4 and not at T, and the oracle is
+    queried five times."""
+    m, t, k = 2, 12, 2
+    steps = [schedule_fedac1(e, 1.0, k) for e in (0.05, 0.1)] \
+        if accelerated else [0.05, 0.1]
+    obj, cap = Spike(spikes={2: [0], 4: [2, 3]}), Capture()
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_replicas(obj, m, t, k, steps, [0, 1], callback=cap)
+    assert res.diverged == [(2, 0), (4, 0)]
+    assert cap.ts == [0, 1, 2, 3, 4]
+    assert obj.calls == 5
+    assert np.isnan(res.final_avg_w).all()
+    assert np.isnan(res.final_avg_w_ag).all()
 
 
 def test_replica_mean_takes_one_m_per_replica():
@@ -890,7 +955,7 @@ def test_run_minibatch_replicas_match_single_runs(algorithm):
         steps = [schedule_vanilla(e, obj.mu_est) for e in etas]
     seeds = [1, 1, 2]
     driver = MINIBATCH[algorithm][0]
-    cap = ReplicaCapture()
+    cap = Capture()
     with np.errstate(over="ignore", invalid="ignore"):
         res = _run_minibatch(obj, m, t, k, steps, seeds, callback=cap)
         with pytest.raises(DivergenceError) as ei:
@@ -899,15 +964,17 @@ def test_run_minibatch_replicas_match_single_runs(algorithm):
     assert res.rho_avg_w is None
     assert res.diverged == [None, (ei.value.step, ei.value.worker), None]
     assert np.isnan(res.final_avg_w[1]).all()
+    # replica 1 is frozen at the origin after its round's last step
+    assert [(W[1] == 0.0).all() for W in cap.w] == \
+        [step == 0 or step > ei.value.step for step in cap.ts]
     for r in (0, 2):
         single = Capture()
         one = driver(obj, m, t, k, etas[r], seeds[r], callback=single)
         np.testing.assert_array_equal(res.final_avg_w[r], one.final_avg_w)
         np.testing.assert_array_equal(res.final_avg_w_ag[r], one.final_avg_w_ag)
-        rows = [(step, W[list(live).index(r)]) for step, live, W, _ in cap.calls]
-        assert [step for step, _ in rows] == single.ts
-        for (_, row), w in zip(rows, single.w):
-            np.testing.assert_array_equal(row, w[0])
+        assert cap.ts == single.ts
+        for W, w in zip(cap.w, single.w):
+            np.testing.assert_array_equal(W[r], w[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,6 @@ from fedsim.harness import (
 )
 from fedsim import rng
 from fedsim.objectives import Logistic, Quadratic
-from fedsim.rng import StreamBundle
 
 
 def small_cfg(**overrides):
@@ -501,15 +501,17 @@ def test_group_records_are_f_at_the_kernel_points(monkeypatch):
     seen, rhos = {}, {}
 
     def capture(obj_, m, t_, k, steps, seeds, callback, run=harness.run_replicas):
-        def spy(step, live, w, w_ag):
+        def spy(step, w, w_ag):
             if step % eval_every == 0:
-                for r, point in zip(live, replica_mean(w, np.asarray(m)[live])):
-                    seen.setdefault((steps[r], seeds[r]), []).append(
-                        (step, point.copy()))
-            callback(step, live, w, w_ag)
+                for key, point in zip(zip(steps, seeds), replica_mean(w, m)):
+                    seen.setdefault(key, []).append((step, point.copy()))
+            callback(step, w, w_ag)
         result = run(obj_, m, t_, k, steps, seeds, callback=spy)
         for r, key in enumerate(zip(steps, seeds)):
             rhos[key] = result.rho_avg_w[r].copy()
+            if result.diverged[r] is not None:  # frozen after this step
+                seen[key] = [(step, point) for step, point in seen[key]
+                             if step <= result.diverged[r][0]]
         return result
 
     monkeypatch.setattr(harness, "run_replicas", capture)
@@ -540,27 +542,28 @@ def test_group_records_are_f_at_the_kernel_points(monkeypatch):
 
 
 def test_block_drawn_indices_leave_group_records_unchanged(monkeypatch):
-    """A group whose eta = 100 replicas diverge mid-block, so that the
-    bundle drops rows between block boundaries, records what it records
-    with one index slot drawn per step."""
+    """A group whose eta = 100 replicas diverge mid-block, after a step
+    that does not end one of the index blocks that every row shares,
+    records what it records with one index slot drawn per step."""
     obj, _ = build_objective(small_cfg(synthetic_n=300, synthetic_dim=20,
                                        synthetic_nnz=5, lam=1.0))
     replicas = [(eta, seed) for eta in (0.1, 1.0, 100.0) for seed in (0, 1)]
-    kept_at = []
-    keep = StreamBundle.keep
+    diverged = []
 
-    def spy(self, rows):
-        kept_at.append(self.counter)
-        keep(self, rows)
+    def spy(*args, run=harness.run_replicas, **kwargs):
+        result = run(*args, **kwargs)
+        diverged.extend(d for d in result.diverged if d is not None)
+        return result
 
-    monkeypatch.setattr(StreamBundle, "keep", spy)
+    monkeypatch.setattr(harness, "run_replicas", spy)
 
     def group():
         return harness.run_group(obj, "fedavg", 2, 4, replicas, 256, 32, 0.0)
 
     blocked = group()
     assert [c.diverged for c in blocked] == [False] * 4 + [True] * 2
-    assert kept_at and all(c % rng._BLOCK_SLOTS for c in kept_at)
+    # step s draws slot s: a block ends with slot s when 64 divides s + 1
+    assert diverged and all((s + 1) % rng._BLOCK_SLOTS for s, _ in diverged)
     monkeypatch.setattr(rng, "_BLOCK_SLOTS", 1)
     assert group() == blocked
 
@@ -617,6 +620,43 @@ def test_group_takes_one_m_per_replica(budget, monkeypatch):
                    if c.diverged)
     with pytest.raises(ConfigError, match="one K"):
         harness.run_group(obj, "mb_sgd", [1, 2, 2], 4, replicas[:3], 8, 4, 0.0)
+
+
+@pytest.mark.parametrize("algorithm", ["fedac1", "fedac_vanilla", "fedavg",
+                                       "mb_sgd", "mb_acsgd"])
+def test_a_chunk_with_a_diverging_replica_records_as_run_cell(algorithm):
+    """A kernel call holds a replica that diverges mid-run beside two that
+    do not.  The kernel freezes it, and its points after the divergence
+    step are cleared, so every cell records what its ``run_cell`` records:
+    finite up to the divergence and inf from the next evaluation on.  At
+    T = 128 eta = 1 diverges mid-run also on the 32 steps of the minibatch
+    chains."""
+    _, obj = diverging_grid()
+    replicas = [(1e-13, 0), (1.0, 0), (1.5e-12, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = harness.run_group(obj, algorithm, 3, 4, replicas, 128, 8, 0.0)
+        alone = [run_cell(obj, algorithm, 3, 4, eta, 128, seed, 8, 0.0)
+                 for eta, seed in replicas]
+    assert cells == alone
+    assert [c.diverged for c in cells] == [False, True, False]
+    finite = [r.suboptimality < math.inf for r in cells[1].records]
+    assert finite[0] and not finite[-1]
+
+
+def test_group_evaluation_peaks_near_its_table():
+    """F is taken over slices of the table of eval points, so a group's
+    traced peak stays under 2.5 times the table; one ``eval_many`` call
+    over every finite row peaked at 4 times."""
+    obj = Quadratic(np.linspace(1.0, 2.0, 4000), sigma=0.1)
+    replicas = [(0.1, seed) for seed in range(64)]
+    table = 64 * (64 // 8 + 2) * 4000 * 8
+    tracemalloc.start()
+    try:
+        harness.run_group(obj, "fedavg", 1, 1, replicas, 64, 8, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * table
 
 
 def test_overflowing_worker_mean_records_inf():

@@ -155,17 +155,18 @@ def test_bundle_keyed_by_seed_worker_pairs():
         StreamBundle([1, 2], [0, 1, 2])
 
 
-def test_bundle_keep_drops_rows_and_keeps_counter():
+def test_bundle_rows_draw_as_a_bundle_of_fewer_rows():
+    """Rows of a bundle draw, from a shared counter, what a bundle of only
+    those rows started at that counter draws."""
     bundle = StreamBundle([5, 5, 6, 6], [0, 1, 0, 1])
     bundle.gaussians(4)
-    bundle.keep(np.array([True, False, False, True]))
-    assert len(bundle) == 2
-    assert bundle.worker_ids.tolist() == [0, 1]
     u = bundle.uniforms(6)
-    for row, (seed, m) in enumerate([(5, 0), (6, 1)]):
+    fewer = StreamBundle([5, 6], [0, 1], counter=4)
+    assert np.array_equal(fewer.uniforms(6), u[[0, 3]])
+    for row, (seed, m) in zip([0, 3], [(5, 0), (6, 1)]):
         solo = RngStream(seed=seed, worker_id=m, counter=4)
         assert np.array_equal(u[row], solo.uniforms(6))
-    assert bundle.counter == 10
+    assert bundle.counter == fewer.counter == 10
 
 
 @pytest.mark.parametrize("n", [2**63 + 1, 2**40, 2**64 // 3 + 1, 1000, 1])
@@ -258,16 +259,17 @@ def test_counter_moved_backwards_and_past_the_block():
         assert stream.counter == start + count
 
 
-def test_keep_in_the_middle_of_a_block():
+def test_fewer_rows_from_the_middle_of_a_block():
+    """A bundle of some of the rows, started in the middle of the wider
+    bundle's first block, draws those rows' single-slot indices."""
     ids = [0, 1, 2, 3]
     bundle = StreamBundle(21, ids)
-    first = single_slot_draws(bundle, 640, 10)
-    bundle.keep(np.array([True, False, True, True]))
-    then = single_slot_draws(bundle, 640, 70)
-    assert bundle.counter == 80
-    assert np.array_equal(first, reference_indices(21, ids, 640, range(10)))
-    assert np.array_equal(then, reference_indices(21, [0, 2, 3], 640,
-                                                  range(10, 80)))
+    every = single_slot_draws(bundle, 640, 80)
+    fewer = StreamBundle(21, [0, 2, 3], counter=10)
+    then = single_slot_draws(fewer, 640, 70)
+    assert fewer.counter == 80
+    assert np.array_equal(every, reference_indices(21, ids, 640, range(80)))
+    assert np.array_equal(then, every[10:, [0, 2, 3]])
 
 
 def test_single_slot_draws_through_the_rejection_loop():
