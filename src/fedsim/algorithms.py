@@ -217,7 +217,8 @@ class ReplicaResult:
     ``diverged[r]`` is the ``(step, worker)`` at which replica r's ``w`` (or,
     if ``w`` stayed finite, its ``w_ag``) first went non-finite, or None.
     A diverged replica's rows of the final averages and of ``rho_avg_w``
-    are nan.  ``gradient_calls[r]`` counts as in ``RunResult``.
+    are nan.  ``gradient_calls[r]`` counts as in ``RunResult``, up to the
+    step where the call stops: a frozen replica's queries count.
     """
 
     final_avg_w: np.ndarray
@@ -333,7 +334,6 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
             decay = column([1.0 - 0.5 * eta * mu for eta in steps])
             acc = np.zeros((reps, dim))
             acc_norm = np.zeros((reps, 1))
-    calls = [i.size * t for i in ids]
     diverged: List[Optional[Tuple[int, int]]] = [None] * reps
     w_md = np.empty_like(w) if accelerated else None
     state = [x for x in (w, w_ag) if x is not None]
@@ -416,7 +416,9 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
     for x in (final_w, final_ag, rho):
         if x is not None:
             x[[d is not None for d in diverged]] = np.nan
-    return ReplicaResult(final_w, final_ag, calls, diverged, rho)
+    # the call stopped after step ``step``: step + 1 oracle calls
+    return ReplicaResult(final_w, final_ag, [i.size * (step + 1) for i in ids],
+                         diverged, rho)
 
 
 def _single(result: ReplicaResult) -> RunResult:
@@ -470,8 +472,9 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     Steps are parallel steps: the callback sees chain step s as s*K, with
     one row per replica, and divergence at chain step s is recorded at
     ``(s+1)*K - 1``, the end of its round.  The final averages are the
-    kernel's, of one row per replica.  ``gradient_calls`` is T, as in
-    ``RunResult``; there is no decay-weighted average.
+    kernel's, of one row per replica.  ``gradient_calls`` is K per round
+    taken (T for a whole run), as in ``RunResult``: a round queries M*K
+    streams, K per conceptual worker.  There is no decay-weighted average.
     """
     _validate_run_args(m, t, k)
     if t % k != 0:
@@ -486,8 +489,8 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
                     batch)
     diverged = [None if d is None else ((d[0] + 1) * k - 1, d[1])
                 for d in res.diverged]
-    return ReplicaResult(res.final_avg_w, res.final_avg_w_ag, [t] * len(seeds),
-                         diverged)
+    return ReplicaResult(res.final_avg_w, res.final_avg_w_ag,
+                         [c // m for c in res.gradient_calls], diverged)
 
 
 def mb_sgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,

@@ -21,7 +21,9 @@ Three groups of tools:
   piecewise-curvature objective on which two trajectories started an
   arbitrarily small distance apart separate exponentially, with closed-form
   per-3-step amplification -2 (1 - 1/sqrt(kappa))**3 times an idempotent
-  projector.
+  projector.  Its construction tries each stage's bump widths in one batched
+  AGD run, a row per width, and keeps the first that passes, bit for bit the
+  width a one-at-a-time search keeps.
 """
 
 from __future__ import annotations
@@ -308,14 +310,11 @@ class PiecewiseCurvature1D(Objective):
         if not (0 < base_mu <= big_l):
             raise ValueError(f"need 0 < mu <= L, got {base_mu}, {big_l}")
         self.dim = 1
-        self.base_mu = float(base_mu)
-        self.big_l = float(big_l)
-        self.mu_est = self.base_mu
-        self.l_est = self.big_l
+        self.base_mu = self.mu_est = float(base_mu)
+        self.big_l = self.l_est = float(big_l)
         self.bumps = [(float(c), float(h)) for c, h in bumps]
-        for _, h in self.bumps:
-            if h <= 0:
-                raise ValueError("bump half-width must be positive")
+        if any(h <= 0 for _, h in self.bumps):
+            raise ValueError("bump half-width must be positive")
         self._a = np.array([c - h for c, h in self.bumps])
         self._b = np.array([c + h for c, h in self.bumps])
         order = np.argsort(self._a)
@@ -343,33 +342,39 @@ class PiecewiseCurvature1D(Objective):
         return val
 
     def grad(self, w) -> np.ndarray:
-        x = self._scalar(w)
+        x = self._check_point(np.reshape(w, -1))
         slope = self.base_mu * x
-        if len(self._a):
-            rw = np.clip(x, self._a, self._b)
-            slope += (self.big_l - self.base_mu) * float((rw - self._r0).sum())
-        return np.array([slope])
+        if self._a.shape[-1]:  # summed along rows: bits alike for any count
+            slope = slope + (self.big_l - self.base_mu) * (
+                np.clip(x[:, None], self._a, self._b) - self._r0).sum(axis=-1)
+        return slope
 
     def curvature(self, w) -> float:
         """Second derivative at w; bump membership is boundary-inclusive."""
         x = self._scalar(w)
-        if len(self._a) and bool(((self._a <= x) & (x <= self._b)).any()):
-            return self.big_l
-        return self.base_mu
+        inside = ((self._a <= x) & (x <= self._b)).any()
+        return self.big_l if inside else self.base_mu
 
 
-def _min_pairwise_distance(points: np.ndarray) -> float:
-    s = np.sort(points)
-    return float(np.diff(s).min())
+class _BumpRows(PiecewiseCurvature1D):
+    """``objective.with_bump(centers[c], eps[c])`` for each c, side by side
+    as one separable objective of dim C for ``agd_run``: coordinate c's
+    ``grad`` is that objective's bit for bit, as each row of bumps sums
+    alone.  Only ``grad`` takes rows.  ``ok[c]`` is whether ``with_bump``
+    accepts bump c (a width > 0, no overlap); a refused row has zero-width
+    bumps at 0, which add nothing to the slope."""
 
-
-def _bump_pattern_ok(objective: PiecewiseCurvature1D, mds: np.ndarray,
-                     stages_done: int) -> bool:
-    for t, x in enumerate(mds):
-        want_l = (t % 3 == 1) and t < 3 * stages_done
-        if (objective.curvature(x) == objective.big_l) != want_l:
-            return False
-    return True
+    def __init__(self, objective: PiecewiseCurvature1D, centers: np.ndarray,
+                 eps: np.ndarray):
+        super().__init__(objective.base_mu, objective.big_l)
+        shape = (len(eps), len(objective._a))
+        a = np.column_stack([np.broadcast_to(objective._a, shape), centers - eps])
+        b = np.column_stack([np.broadcast_to(objective._b, shape), centers + eps])
+        order = np.argsort(a, axis=1)
+        a, b = np.take_along_axis(a, order, 1), np.take_along_axis(b, order, 1)
+        self.ok = (eps > 0) & (b[:, :-1] < a[:, 1:]).all(axis=1)
+        self._a, self._b = (np.where(self.ok[:, None], x, 0.0) for x in (a, b))
+        self.dim, self._r0 = len(eps), np.clip(0.0, self._a, self._b)
 
 
 def construct_instability_objective(big_l: float, mu: float, k: int,
@@ -383,7 +388,8 @@ def construct_instability_objective(big_l: float, mu: float, k: int,
     between query points and shrinks geometrically until the perturbed
     trajectory stays within a quarter of that distance and every query point
     sees the intended curvature (L exactly at steps t = 1 mod 3 already
-    covered by a bump, mu elsewhere).
+    covered by a bump, mu elsewhere).  The ``_MAX_SHRINKS`` widths of a stage
+    run side by side, a ``_BumpRows`` row each, and the first to pass wins.
 
     Returns ``(objective, w0, w0_ag, delta)`` where delta is half the final
     minimum clearance between any query point and any region of the opposite
@@ -405,53 +411,43 @@ def construct_instability_objective(big_l: float, mu: float, k: int,
     steps = 3 * k
 
     def mds_of(f):
-        return agd_run(f, w0_ag, w0, big_l, mu, steps).w_md[:, 0]
+        return agd_run(f, w0_ag, w0, big_l, mu, steps).w_md
 
+    md = mds_of(objective)[:, 0]
     for stage in range(k):
-        md = mds_of(objective)
-        d_min = _min_pairwise_distance(md)
+        d_min = float(np.diff(np.sort(md)).min())
         if d_min <= 0:
             raise ConstructionError(
                 f"stage {stage}: coincident gradient-query points; adjust the start")
-        eps = 0.5 * d_min
-        placed = None
-        for _ in range(_MAX_SHRINKS):
-            try:
-                provisional = objective.with_bump(float(md[3 * stage + 1]), eps)
-            except ValueError:
-                eps *= eps_shrink
-                continue
-            md_prov = mds_of(provisional)
-            center = float(md_prov[3 * stage + 1])
-            try:
-                candidate = objective.with_bump(center, eps)
-            except ValueError:
-                eps *= eps_shrink
-                continue
-            md_fin = mds_of(candidate)
-            if (np.abs(md_fin - md).max() <= 0.25 * d_min
-                    and abs(md_fin[3 * stage + 1] - center) <= 0.25 * eps
-                    and _bump_pattern_ok(candidate, md_fin, stage + 1)):
-                placed = candidate
-                break
-            eps *= eps_shrink
-        if placed is None:
+        eps, width = np.empty(_MAX_SHRINKS), 0.5 * d_min
+        for i in range(_MAX_SHRINKS):
+            eps[i], width = width, width * eps_shrink
+        s = 3 * stage + 1
+        provisional = _BumpRows(objective, np.full(eps.size, md[s]), eps)
+        center = mds_of(provisional)[s]
+        candidate = _BumpRows(objective, center, eps)
+        md_fin = mds_of(candidate)
+        inside = ((candidate._a <= md_fin[..., None])
+                  & (md_fin[..., None] <= candidate._b)).any(axis=-1)
+        t = np.arange(steps)[:, None]
+        want_l = (t % 3 == 1) & (t < 3 * stage + 3)
+        ok = (provisional.ok & candidate.ok
+              & (np.abs(md_fin - md[:, None]).max(axis=0) <= 0.25 * d_min)
+              & (np.abs(md_fin[s] - center) <= 0.25 * eps)
+              & (inside == want_l).all(axis=0))
+        if not ok.any():
             raise ConstructionError(
                 f"stage {stage}: no bump width separated the query points "
                 f"after {_MAX_SHRINKS} shrinks")
-        objective = placed
+        first = int(np.argmax(ok))
+        objective = objective.with_bump(float(center[first]), float(eps[first]))
+        md = md_fin[:, first]
 
-    md = mds_of(objective)
-    clearance = math.inf
-    a, b = objective._a, objective._b
-    for t, x in enumerate(md):
-        if t % 3 == 1:
-            inside = (a <= x) & (x <= b)
-            i = int(np.where(inside)[0][0])
-            clearance = min(clearance, x - a[i], b[i] - x)
-        else:
-            clearance = min(clearance, float(np.maximum(a - x, x - b).min()))
-    return objective, w0, w0_ag, 0.5 * clearance
+    # each query point's distance to its nearest bump edge: max(a - x, x - b)
+    # is minus that distance inside a bump, the distance to one outside it
+    x = md[:, None]
+    clearance = np.abs(np.maximum(objective._a - x, x - objective._b)).min()
+    return objective, w0, w0_ag, 0.5 * float(clearance)
 
 
 @dataclass

@@ -686,8 +686,24 @@ def test_a_call_stops_when_every_replica_has_diverged(accelerated):
     assert res.diverged == [(2, 0), (4, 0)]
     assert cap.ts == [0, 1, 2, 3, 4]
     assert obj.calls == 5
+    assert res.gradient_calls == [m * 5] * 2
     assert np.isnan(res.final_avg_w).all()
     assert np.isnan(res.final_avg_w_ag).all()
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+def test_a_stopped_minibatch_call_counts_the_rounds_it_took(accelerated):
+    """Replicas of M*K = 4 streams blowing up in rounds 1 and 3 end the call
+    after four rounds, K queries each per conceptual worker."""
+    m, t, k = 2, 12, 2
+    steps = [schedule_vanilla(e, 1.0) for e in (0.05, 0.1)] \
+        if accelerated else [0.05, 0.1]
+    obj = Spike(spikes={1: [0], 3: [5]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _run_minibatch(obj, m, t, k, steps, [0, 1])
+    assert res.diverged == [(3, 0), (7, 0)]
+    assert obj.calls == 4
+    assert res.gradient_calls == [4 * k] * 2
 
 
 def test_replica_mean_takes_one_m_per_replica():

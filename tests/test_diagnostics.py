@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import fedsim.diagnostics as diagnostics
 from fedsim.algorithms import Hyper, agd_run, fedac_run, schedule_fedac1
 from fedsim.diagnostics import (
+    ConstructionError,
     InstabilityRegionError,
     PiecewiseCurvature1D,
     construct_instability_objective,
@@ -552,6 +554,177 @@ def test_construct_input_validation():
         construct_instability_objective(25.0, 1.0, -1)
     with pytest.raises(ValueError):
         construct_instability_objective(25.0, 1.0, 2, eps_shrink=1.5)
+
+
+def reference_construction(big_l, mu, k, eps_shrink=0.5, max_shrinks=60,
+                           run=agd_run):
+    """The construction as a sequential loop over bump widths: per stage,
+    shrink eps from half the smallest query-point gap until a provisional
+    run, a candidate run and the checks all pass.  ``run`` is ``agd_run``."""
+    w0, w0_ag = 1.0, 0.45
+    objective = PiecewiseCurvature1D(mu, big_l)
+    if k == 0:
+        return objective, w0, w0_ag, math.inf
+    steps = 3 * k
+
+    def mds_of(f):
+        return run(f, w0_ag, w0, big_l, mu, steps).w_md[:, 0]
+
+    def pattern_ok(f, mds, stages_done):
+        return all((f.curvature(x) == f.big_l)
+                   == ((t % 3 == 1) and t < 3 * stages_done)
+                   for t, x in enumerate(mds))
+
+    for stage in range(k):
+        md = mds_of(objective)
+        d_min = float(np.diff(np.sort(md)).min())
+        if d_min <= 0:
+            raise ConstructionError(
+                f"stage {stage}: coincident gradient-query points; adjust the start")
+        eps = 0.5 * d_min
+        placed = None
+        for _ in range(max_shrinks):
+            try:
+                provisional = objective.with_bump(float(md[3 * stage + 1]), eps)
+            except ValueError:
+                eps *= eps_shrink
+                continue
+            center = float(mds_of(provisional)[3 * stage + 1])
+            try:
+                candidate = objective.with_bump(center, eps)
+            except ValueError:
+                eps *= eps_shrink
+                continue
+            md_fin = mds_of(candidate)
+            if (np.abs(md_fin - md).max() <= 0.25 * d_min
+                    and abs(md_fin[3 * stage + 1] - center) <= 0.25 * eps
+                    and pattern_ok(candidate, md_fin, stage + 1)):
+                placed = candidate
+                break
+            eps *= eps_shrink
+        if placed is None:
+            raise ConstructionError(
+                f"stage {stage}: no bump width separated the query points "
+                f"after {max_shrinks} shrinks")
+        objective = placed
+
+    md = mds_of(objective)
+    clearance = math.inf
+    a, b = objective._a, objective._b
+    for t, x in enumerate(md):
+        if t % 3 == 1:
+            i = int(np.where((a <= x) & (x <= b))[0][0])
+            clearance = min(clearance, x - a[i], b[i] - x)
+        else:
+            clearance = min(clearance, float(np.maximum(a - x, x - b).min()))
+    return objective, w0, w0_ag, 0.5 * clearance
+
+
+def construction_outcome(build, kappa, k, eps_shrink):
+    """The bits of ``(objective.bumps, w0, w0_ag, delta)``, or the message of
+    the ConstructionError raised instead."""
+    try:
+        f, w0, w0_ag, delta = build(kappa, 1.0, k, eps_shrink)
+    except ConstructionError as e:
+        return str(e)
+    return [float(x).hex() for pair in f.bumps for x in pair] + \
+        [float(x).hex() for x in (w0, w0_ag, delta)]
+
+
+@pytest.mark.parametrize("kappa,k,eps_shrink", [
+    *((kappa, k, 0.5) for kappa in (25.0, 30.0, 47.5, 100.0, 400.0)
+      for k in (0, 1, 2, 4, 9, 10)),
+    (25.0, 9, 0.3), (47.5, 5, 0.8), (400.0, 4, 0.3), (30.0, 10, 0.8),
+    (100.0, 9, 0.7)])
+def test_construction_matches_the_sequential_search(kappa, k, eps_shrink):
+    """All bump widths of a stage searched in one batched run pick the bumps,
+    start and delta of the loop that tries them one at a time, bit for bit,
+    or fail with its message (kappa 100, K = 9 at shrink 0.7 runs out of
+    widths).  At K = 9 and 10 a row holds 8 or more bumps, which numpy sums
+    in its unrolled branch of the pairwise sum."""
+    assert construction_outcome(construct_instability_objective, kappa, k,
+                                eps_shrink) == \
+        construction_outcome(reference_construction, kappa, k, eps_shrink)
+
+
+@pytest.mark.parametrize("kappa,k,shrinks", [(25.0, 8, 1), (25.0, 8, 4),
+                                             (25.0, 8, 20), (100.0, 6, 2)])
+def test_construction_runs_out_of_widths_as_the_sequential_search(
+        monkeypatch, kappa, k, shrinks):
+    """Fewer widths per stage than it needs end the search at the stage,
+    and with the message, of the sequential loop (stages 0, 1, 6 and 0)."""
+    monkeypatch.setattr(diagnostics, "_MAX_SHRINKS", shrinks)
+    with pytest.raises(ConstructionError) as want:
+        reference_construction(kappa, 1.0, k, max_shrinks=shrinks)
+    with pytest.raises(ConstructionError) as got:
+        construct_instability_objective(kappa, 1.0, k)
+    assert str(got.value) == str(want.value)
+    assert f"after {shrinks} shrinks" in str(got.value)
+
+
+def test_construction_refuses_coincident_query_points(monkeypatch):
+    """A run whose query points collide (here rounded to whole numbers)
+    stops the construction with the sequential search's message."""
+    def rounded(*args):
+        traj = agd_run(*args)
+        traj.w_md = np.round(traj.w_md)
+        return traj
+
+    monkeypatch.setattr(diagnostics, "agd_run", rounded)
+    with pytest.raises(ConstructionError) as want:
+        reference_construction(25.0, 1.0, 3, run=rounded)
+    with pytest.raises(ConstructionError) as got:
+        construct_instability_objective(25.0, 1.0, 3)
+    assert str(got.value) == str(want.value)
+    assert "coincident gradient-query points" in str(got.value)
+
+
+def float_slope(f, x):
+    """F' at the float x by the formula in plain floats, one bump sum."""
+    return f.base_mu * x + (f.big_l - f.base_mu) * float(
+        (np.clip(x, f._a, f._b) - f._r0).sum())
+
+
+@pytest.mark.parametrize("nb", range(1, 13))
+def test_bump_rows_slope_is_the_scalar_slope(nb):
+    """Rows adding one bump of nb in any gap of the other nb - 1 (or beyond
+    them) give the grad of the objective ``with_bump`` makes bit for bit at
+    random points, and it keeps the bits of the plain float formula."""
+    rng = np.random.default_rng(nb)
+    base = PiecewiseCurvature1D(0.04, 1.0, [(2.0 * i - 3.0, rng.uniform(0.1, 0.3))
+                                            for i in range(nb - 1)])
+    gaps = rng.integers(-1, nb, 24)
+    centers = 2.0 * gaps - 2.0 + rng.uniform(-0.1, 0.1, gaps.size)
+    eps = rng.uniform(0.05, 0.3, gaps.size)
+    rows = diagnostics._BumpRows(base, centers, eps)
+    assert rows.ok.all() and rows._a.shape == (gaps.size, nb)
+    objectives = [base.with_bump(c, e) for c, e in zip(centers, eps)]
+    for _ in range(20):
+        x = rng.uniform(-2.0 * nb, 2.0 * nb, gaps.size)
+        batched = rows.grad(x)
+        for c, f in enumerate(objectives):
+            assert f.grad([x[c]]).tolist() == [batched[c]] == [float_slope(f, x[c])]
+
+
+def test_bump_rows_refuse_what_with_bump_refuses():
+    """A width <= 0 or an overlap refuses a row, which then has no bumps that
+    add to the slope: it is the bare quadratic's."""
+    base = PiecewiseCurvature1D(0.04, 1.0, [(0.0, 0.5), (2.0, 0.5)])
+    centers = np.array([1.0, 1.0, 1.0, 1.4, -0.6, 3.0, 3.0])
+    eps = np.array([0.4, 0.0, -0.1, 0.2, 0.2, 0.6, 0.49])
+    rows = diagnostics._BumpRows(base, centers, eps)
+
+    def accepts(center, width):
+        try:
+            base.with_bump(center, width)
+        except ValueError:
+            return False
+        return True
+
+    assert rows.ok.tolist() == [accepts(c, e) for c, e in zip(centers, eps)] \
+        == [True, False, False, False, False, False, True]
+    x = np.linspace(-1.0, 4.0, centers.size)
+    assert (rows.grad(x)[~rows.ok] == 0.04 * x[~rows.ok]).all()
 
 
 # ---------------------------------------------------------------------------
