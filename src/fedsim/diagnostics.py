@@ -431,9 +431,10 @@ def construct_instability_objective(big_l: float, mu: float, k: int,
                   & (md_fin[..., None] <= candidate._b)).any(axis=-1)
         t = np.arange(steps)[:, None]
         want_l = (t % 3 == 1) & (t < 3 * stage + 3)
+        # these keep each query point before s off both new bumps and not
+        # between them, so md_fin[s] lands on center up to rounding
         ok = (provisional.ok & candidate.ok
               & (np.abs(md_fin - md[:, None]).max(axis=0) <= 0.25 * d_min)
-              & (np.abs(md_fin[s] - center) <= 0.25 * eps)
               & (inside == want_l).all(axis=0))
         if not ok.any():
             raise ConstructionError(

@@ -5,17 +5,16 @@ cell (algorithm, M, K, eta, seed) it runs the corresponding driver with an
 evaluation callback that takes the eval point on a fixed step cadence, and
 records F(eval point) - F* there; it then tunes eta per (algorithm, M, K) by
 the best suboptimality attained over evaluations, taking the median across
-seeds.  The cells of one ``run_group`` call run together through the one
-step kernel (``algorithms.run_replicas``; ``algorithms._run_minibatch``
-for the minibatch baselines) in chunks of at most ``ROW_BUDGET`` rows,
-every cell's bits the same as a run of its own; ``tune_and_sweep`` says
-which cells share a call.  Evaluations are deferred to the end of the call:
-the callback only writes the points into its table of eval points, one row
-per cell and eval step, and one ``Objective.eval_many`` call evaluates all
-of them, so F is computed in one pass over the data per batch of points
-instead of one pass per point.  A deterministic full-gradient accelerated
-descent precomputes F* once per (dataset, regularization) pair and caches
-it beside the outputs.
+seeds.  ``tune_and_sweep`` cuts each algorithm's grid into ``_chunks``,
+and each chunk is one ``run_group`` call: one call of the step kernel
+(``algorithms.run_replicas``; ``algorithms._run_minibatch`` for the
+minibatch baselines), every cell's bits the same as a run of its own.
+Evaluations are deferred to the end of the call: the callback only writes
+the points into its table of eval points, one row per cell and eval step,
+and ``Objective.eval_many`` evaluates all of them, so F is computed in one
+pass over the data per batch of points instead of one pass per point.  A
+deterministic full-gradient accelerated descent precomputes F* once per
+(dataset, regularization) pair and caches it beside the outputs.
 
 Evaluation points: accelerated methods report the worker average of the
 ``w_ag`` family, FedAvg the worker average of ``w`` and minibatch SGD its
@@ -52,13 +51,13 @@ ALGORITHMS = ("fedac1", "fedac2", "fedac_vanilla", "fedavg", "mb_sgd", "mb_acsgd
 _ACCELERATED = {"fedac1", "fedac2", "fedac_vanilla", "mb_acsgd"}
 _MINIBATCH = {"mb_sgd", "mb_acsgd"}
 
-# state rows per kernel call (M per replica, M*K for the minibatch chains);
+# state rows per sweep chunk (M per replica, M*K for the minibatch chains);
 # far more rows in flight ran slower than one replica at a time, and at M=64
 # calls of 256 rows ran faster than calls of 1024
 ROW_BUDGET = 256
 
 # bytes of eval points, a (cells, T/eval_every + 2, dim) table, that one
-# run_group call of tune_and_sweep holds, unless one cell's alone are more
+# sweep chunk holds, unless one cell's alone are more
 TABLE_BYTES = 2 ** 26
 
 # 13-point learning-rate grid used for tuning unless overridden
@@ -411,16 +410,21 @@ def _step_rule(algorithm: str, eta: float, mu: float, k: int):
     return eta
 
 
-def _chunks(algorithm: str, ms: Sequence[int], ks: Sequence[int]) -> List[slice]:
-    """Consecutive slices of replicas, each as many as fit under ``ROW_BUDGET``
-    rows (M per replica, M*K streams per minibatch chain), and at least one."""
-    cuts, rows = [], ROW_BUDGET
+def _chunks(algorithm: str, ms: Sequence[int], ks: Sequence[int],
+            cell_bytes: int) -> List[slice]:
+    """Cut a stream of replicas into consecutive slices, each as many as fit
+    under ``ROW_BUDGET`` state rows (M per replica, M*K streams per minibatch
+    chain) and ``TABLE_BYTES`` of eval points (``cell_bytes`` a replica), of
+    one (M, K) for the minibatch baselines, and at least one."""
+    minibatch = algorithm in _MINIBATCH
+    cuts, rows, cells, last = [], ROW_BUDGET, 0, None
     for i, (m, k) in enumerate(zip(ms, ks)):
-        size = m * k if algorithm in _MINIBATCH else m
-        if rows + size > ROW_BUDGET:
+        size = m * k if minibatch else m
+        if rows + size > ROW_BUDGET or (cells + 1) * cell_bytes > TABLE_BYTES \
+                or (minibatch and (m, k) != last):
             cuts.append(i)
-            rows = 0
-        rows += size
+            rows = cells = 0
+        rows, cells, last = rows + size, cells + 1, (m, k)
     return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [len(ms)])]
 
 
@@ -433,19 +437,20 @@ def run_group(obj: Objective, algorithm: str, m, k,
     per replica; the minibatch baselines take one M and one K in all, since
     they take T/K chain steps.
 
-    The replicas run in ``_chunks`` through the one step kernel,
+    All the replicas run in one call of the step kernel,
     ``run_replicas`` (``_run_minibatch`` for the minibatch baselines), a
     call holding replicas of any M and K.  The kernel callback only writes
     the evaluation points into one nan-filled (cells, T/eval_every + 2,
     dim) table, whose last column takes FedAvg's decay-weighted averages;
-    F is evaluated after the last chunk, by ``_suboptimalities`` over the
-    table's finite rows, with the replicas' common start point entered
-    once.  Each value is that of ``obj.eval`` at its point, so the records
-    do not depend on the chunking.  Divergence (non-finite iterates, after
-    which the kernel freezes the replica and its later points are cleared),
-    a non-finite evaluation point and schedule infeasibility at large eta
-    all leave non-finite rows, which yield +inf suboptimality, so tuning
-    naturally discards them.
+    F is evaluated after the call, by ``_suboptimalities`` over the table's
+    finite rows, with the replicas' common start point entered once.  Each
+    value is that of ``obj.eval`` at its point, so the records do not
+    depend on which replicas share the call.  Divergence (non-finite
+    iterates, after which the kernel freezes the replica and its later
+    points are cleared), a non-finite evaluation point and schedule
+    infeasibility at large eta all leave non-finite rows, which yield +inf
+    suboptimality, so tuning naturally discards them; a group with no
+    feasible schedule makes no kernel call.
     Evaluation never consumes random draws.  Floating-point warnings are
     ignored here, whatever the caller's ``np.errstate``: divergence is an
     expected outcome that the records report.
@@ -469,14 +474,6 @@ def run_group(obj: Objective, algorithm: str, m, k,
     # average; nan where no run wrote one or after the cell diverged
     points = np.full((len(cells), t // eval_every + 2, obj.dim), np.nan)
 
-    def observer(rows: np.ndarray):
-        """Callback writing each replica's eval point into ``points``."""
-        def observe(step: int, w: np.ndarray, w_ag: Optional[np.ndarray]):
-            if step % eval_every == 0:
-                points[rows, step // eval_every] = replica_mean(
-                    w_ag if kind == "avg_ag" else w, widths[rows])
-        return observe
-
     with np.errstate(all="ignore"):
         runnable, rules = [], []
         for i, cell in enumerate(cells):
@@ -485,17 +482,23 @@ def run_group(obj: Objective, algorithm: str, m, k,
                 runnable.append(i)
             except (ScheduleError, ValueError):
                 cell.diverged = True
-        run = _run_minibatch if minibatch else run_replicas
-        for part in _chunks(algorithm, ms[runnable], ks[runnable]):
-            chunk = np.array(runnable[part], dtype=int)
+        rows = np.array(runnable, dtype=int)
+
+        def observe(step: int, w: np.ndarray, w_ag: Optional[np.ndarray]):
+            """Callback writing each replica's eval point into ``points``."""
+            if step % eval_every == 0:
+                points[rows, step // eval_every] = replica_mean(
+                    w_ag if kind == "avg_ag" else w, widths[rows])
+
+        if runnable:
+            run = _run_minibatch if minibatch else run_replicas
             mc, kc = (int(ms[0]), int(ks[0])) if minibatch else \
-                (ms[chunk], ks[chunk])
-            result = run(obj, mc, t, kc, rules[part],
-                         [cells[i].seed for i in chunk],
-                         callback=observer(chunk))
+                (ms[rows], ks[rows])
+            result = run(obj, mc, t, kc, rules, [cells[i].seed for i in rows],
+                         callback=observe)
             if result.rho_avg_w is not None:
-                points[chunk, -1] = result.rho_avg_w
-            for i, bad in zip(chunk, result.diverged):
+                points[rows, -1] = result.rho_avg_w
+            for i, bad in zip(rows, result.diverged):
                 cells[i].diverged = bad is not None
                 if bad is not None:  # the frozen replica's later points
                     points[i, bad[0] // eval_every + 1:] = np.nan
@@ -558,37 +561,27 @@ def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
     """Run the full sweep and tune eta per (algorithm, M, K).
 
     Each algorithm's cells, in canonical (M, K, eta, seed) order, form one
-    stream for ``fedac1``, ``fedac2``, ``fedac_vanilla`` and ``fedavg``,
-    across every M and K, and one per (M, K) for the minibatch baselines,
-    which take T/K chain steps.  A stream is cut into as few calls as keep
-    each call's table of eval points within ``TABLE_BYTES``, and a call
-    runs in ``_chunks``, one kernel call each.  ``threads`` (an integer >=
-    1, else ConfigError) caps the worker processes: above 1, where the
-    ``fork`` start method exists, min(threads, usable CPUs, chunks) forked
-    workers run one ``run_group`` call per chunk, most gradient queries
-    first; they inherit ``obj`` copy-on-write and send back only the cells.
-    A worker that dies raises ``BrokenProcessPool``.  In-process, each call
-    is one ``run_group`` call, whose chunks share one ``eval_many`` call.
-    The cells come back in canonical order, so the output is the same for
-    any worker count.  Per cell the best-over-time suboptimality is taken,
-    then the median across seeds; the eta minimizing that median wins, ties
-    going to the smaller eta.  If every eta diverges the row is flagged
-    with best_eta = nan.
+    stream across every M and K, and ``_chunks`` cuts each stream into the
+    sweep's tasks; a task is one ``run_group`` call.  ``threads`` (an
+    integer >= 1, else ConfigError) caps the worker processes: above 1,
+    where the ``fork`` start method exists, min(threads, usable CPUs,
+    tasks) forked workers run the tasks, most gradient queries first; they
+    inherit ``obj`` copy-on-write and send back only the cells.  A worker
+    that dies raises ``BrokenProcessPool``.  Otherwise the same tasks run
+    in order in this process.  The cells come back in canonical order, so
+    the output is the same for any worker count.  Per cell the
+    best-over-time suboptimality is taken, then the median across seeds;
+    the eta minimizing that median wins, ties going to the smaller eta.  If
+    every eta diverges the row is flagged with best_eta = nan.
     """
     if not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     replicas = [(eta, seed) for eta in cfg.etas for seed in cfg.seeds]
-    cap = max(1, TABLE_BYTES // ((cfg.t // cfg.eval_every + 2) * obj.dim * 8))
-    calls = []
-    for alg in cfg.algorithms:
-        grid = [(m, k, rep) for m in cfg.m_list for k in cfg.k_list
-                for rep in replicas]
-        step = len(replicas) if alg in _MINIBATCH else len(grid)
-        for i in range(0, len(grid), step):
-            stream = grid[i:i + step]
-            calls += [(alg, *zip(*stream[j:j + cap])) for j in range(0, step, cap)]
-    tasks = [(alg, ms[part], ks[part], reps[part])
-             for alg, ms, ks, reps in calls for part in _chunks(alg, ms, ks)]
+    cell_bytes = (cfg.t // cfg.eval_every + 2) * obj.dim * 8
+    ms, ks, reps = zip(*[(m, k, rep) for m in cfg.m_list for k in cfg.k_list
+                         for rep in replicas])
+    tasks = [(alg, ms[part], ks[part], reps[part]) for alg in cfg.algorithms
+             for part in _chunks(alg, ms, ks, cell_bytes)]
 
     def one(task):
         return run_group(obj, *task, cfg.t, cfg.eval_every, f_star)
@@ -602,8 +595,8 @@ def tune_and_sweep(cfg: ExperimentConfig, obj: Objective, f_star: float,
                                  _adopt, (one,)) as pool:
             done = dict(zip(ranked, pool.map(_run_adopted, ranked)))
         results = [done[task] for task in tasks]
-    else:  # a call's chunks share one eval_many call: fewer passes over data
-        results = [one(call) for call in calls]
+    else:
+        results = [one(task) for task in tasks]
 
     cells = [cell for task_cells in results for cell in task_cells]
     rows = []

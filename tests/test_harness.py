@@ -472,8 +472,7 @@ def artifact_bytes(cells, rows, tmp_path, tag):
 
 def test_group_evaluates_its_start_point_once(monkeypatch):
     """Every replica of a group starts at the same point, so F there is
-    evaluated once per group, also when the group runs in several chunks."""
-    monkeypatch.setattr(harness, "ROW_BUDGET", 3)  # one M=3 replica per call
+    evaluated once per group."""
     obj = Quadratic([1.0, 2.0], shift=[0.5, -1.0], sigma=0.5)
     points = []
     evaluate = obj.eval_many
@@ -492,8 +491,7 @@ def test_group_evaluates_its_start_point_once(monkeypatch):
 def test_group_records_are_f_at_the_kernel_points(monkeypatch):
     """The deferred batch gives each record F - F* at the point the kernel
     callback saw, and each FedAvg cell's weighted average F - F* at the
-    point the kernel returned, through chunks and mid-run divergence."""
-    monkeypatch.setattr(harness, "ROW_BUDGET", 4)  # two M=2 replicas per call
+    point the kernel returned, through mid-run divergence."""
     obj, _ = build_objective(small_cfg(synthetic_n=300, synthetic_dim=20,
                                        synthetic_nnz=5, lam=1.0))
     f_star = compute_optimum(obj).f_star
@@ -585,13 +583,10 @@ def test_group_takes_one_k_per_replica():
         harness.run_group(obj, "fedavg", 3, [1, 4], replicas, 8, 4, 0.0)
 
 
-@pytest.mark.parametrize("budget", [256, 4])
-def test_group_takes_one_m_per_replica(budget, monkeypatch):
-    """A federated group runs replicas of several M and K in one call at
-    the default row budget, and at 4 rows in chunks that also split the
-    M = 3 replicas, each cell as run alone, the diverging ones included;
-    the minibatch baselines take one M in all."""
-    monkeypatch.setattr(harness, "ROW_BUDGET", budget)
+def test_group_takes_one_m_per_replica(monkeypatch):
+    """A federated group runs replicas of several M and K in one kernel
+    call, each cell as run alone, the diverging ones included; the
+    minibatch baselines take one M in all."""
     calls = []
 
     def counted(obj_, m, *args, run=harness.run_replicas, **kwargs):
@@ -607,8 +602,7 @@ def test_group_takes_one_m_per_replica(budget, monkeypatch):
         calls.clear()
         with np.errstate(over="ignore", invalid="ignore"):
             cells = harness.run_group(obj, alg, ms, ks, replicas, 32, 4, 0.0)
-            assert calls == ([[1, 1], [3], [3], [3], [5], [2]] if budget == 4
-                             else [ms])
+            assert calls == [ms]
             alone = [run_cell(obj, alg, m, k, eta, 32, seed, 4, 0.0)
                      for m, k, (eta, seed) in zip(ms, ks, replicas)]
         assert cells == alone
@@ -748,35 +742,114 @@ def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
             [(c.diverged, c.rho_suboptimality) for c in singles]
 
 
+def test_chunks_cut_a_stream_at_each_bound(monkeypatch):
+    """``_chunks`` cuts a stream into non-empty slices that cover it in
+    order: before a replica that would take a chunk past ``ROW_BUDGET``
+    rows or ``TABLE_BYTES`` of eval points, and, for the minibatch
+    baselines, wherever (M, K) changes.  A replica over a bound alone is a
+    chunk of its own."""
+    monkeypatch.setattr(harness, "ROW_BUDGET", 8)
+    monkeypatch.setattr(harness, "TABLE_BYTES", 300)
+    ms, ks = (1, 1, 1, 2, 2, 4, 4, 16, 1, 1, 1), (2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)
+
+    def cut(algorithm, cell_bytes):
+        parts = harness._chunks(algorithm, ms, ks, cell_bytes)
+        assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]]
+        assert parts[-1].stop == len(ms)
+        assert all(p.start < p.stop and p.step is None for p in parts)
+        return [list(zip(ms[p], ks[p])) for p in parts]
+
+    def m_of(chunks):
+        return [[m for m, _ in chunk] for chunk in chunks]
+
+    # M rows a replica: the row bound alone, then three cells a chunk too
+    assert m_of(cut("fedavg", 1)) == [[1, 1, 1, 2, 2], [4, 4], [16], [1, 1, 1]]
+    assert m_of(cut("fedac1", 100)) == [[1, 1, 1], [2, 2, 4], [4], [16],
+                                        [1, 1, 1]]
+    assert m_of(cut("fedavg", 301)) == [[m] for m in ms]
+    # M*K rows a replica: cut wherever (M, K) changes, also after the
+    # (1, 2) and the (2, 1) replicas, where the rows would fit
+    for cell_bytes in (1, 100):
+        chunks = cut("mb_sgd", cell_bytes)
+        assert m_of(chunks) == [[1, 1, 1], [2, 2], [4, 4], [16], [1, 1, 1]]
+        assert all(len(set(chunk)) == 1 for chunk in chunks)
+
+
+def test_chunked_sweep_runs_each_chunk_as_one_kernel_call(monkeypatch):
+    """At 4 rows a chunk, each federated stream of M in {1, 3} runs as two
+    kernel calls of four M = 1 replicas, then one call per M = 3 replica,
+    and each minibatch (M, K) as its own calls; every chunk is one
+    ``run_group`` call and one kernel call, which evaluates the common
+    start point once.  Every cell, the ones diverging mid-run included,
+    records what its ``run_cell`` records."""
+    monkeypatch.setattr(harness, "ROW_BUDGET", 4)
+    cfg, obj = diverging_grid(algorithms=("fedac1", "fedavg", "mb_sgd"),
+                              etas=(1e-13, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [run_cell(obj, alg, m, k, eta, cfg.t, seed, cfg.eval_every, 0.0)
+                 for alg in cfg.algorithms for m in cfg.m_list
+                 for k in cfg.k_list for eta in cfg.etas for seed in cfg.seeds]
+    calls, groups, starts = [], [], []
+    for name in ("run_replicas", "_run_minibatch"):
+        def counted(obj_, m, t, k, steps, *args, run=getattr(harness, name),
+                    **kwargs):
+            calls.append((list(m), list(k), len(steps)) if np.ndim(m)
+                         else (m, k, len(steps)))
+            return run(obj_, m, t, k, steps, *args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    real, evaluate = harness.run_group, obj.eval_many
+    monkeypatch.setattr(harness, "run_group",
+                        lambda *args: groups.append(args[1]) or real(*args))
+    monkeypatch.setattr(obj, "eval_many", lambda p: starts.append(
+        sum(not row.any() for row in p)) or evaluate(p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells, _ = tune_and_sweep(cfg, obj, f_star=0.0)
+    federated = [([1] * 4, [1] * 4, 4), ([1] * 4, [4] * 4, 4)] + \
+        [([3], [1], 1)] * 4 + [([3], [4], 1)] * 4
+    minibatch = [(1, 1, 4)] + [(1, 4, 1)] * 4 + [(3, 1, 1)] * 4 + \
+        [(3, 4, 1)] * 4
+    assert calls == federated * 2 + minibatch
+    assert groups == ["fedac1"] * 10 + ["fedavg"] * 10 + ["mb_sgd"] * 13
+    assert sum(starts) == len(groups)
+    assert cells == alone
+    for alg in cfg.algorithms:
+        assert any(c.diverged and 0 < sum(r.suboptimality < math.inf
+                                          for r in c.records) < len(c.records)
+                   for c in cells if c.algorithm == alg)
+
+
 @pytest.mark.parametrize("cells_per_budget", [0.5, 3])
 def test_sweep_calls_keep_their_eval_table_within_budget(tmp_path,
                                                          monkeypatch,
                                                          cells_per_budget):
     """A ``TABLE_BYTES`` of 3 cells' eval points cuts every stream into
-    ``run_group`` calls of at most 3 cells, and half a cell's into calls of
-    one; the sweep writes the uncapped sweep's bytes, serially and on two
-    workers."""
+    chunks of at most 3 cells, and half a cell's into chunks of one, each
+    chunk one ``run_group`` call; rows never bind on this grid, so each
+    federated stream and each minibatch (M, K) run of cells takes
+    ceil(cells / 3) chunks.  The sweep writes the uncapped sweep's bytes,
+    serially and on two workers."""
     cfg, obj = diverging_grid()
     per_cell = (cfg.t // cfg.eval_every + 2) * obj.dim * 8
     cap = max(1, int(cells_per_budget))
     with np.errstate(over="ignore", invalid="ignore"):
         whole = tune_and_sweep(cfg, obj, f_star=0.0)
-    calls, real = [], harness.run_group
+    chunks, real = [], harness.run_group
 
     def run_group(obj_, alg, m, k, replicas, *args):
-        calls.append((alg, len(replicas), set(zip(m, k))))
+        chunks.append((alg, len(replicas), set(zip(m, k))))
         return real(obj_, alg, m, k, replicas, *args)
 
     monkeypatch.setattr(harness, "run_group", run_group)
     monkeypatch.setattr(harness, "TABLE_BYTES", int(cells_per_budget * per_cell))
     with np.errstate(over="ignore", invalid="ignore"):
         capped = tune_and_sweep(cfg, obj, f_star=0.0)
-    assert all(n <= cap for _, n, _ in calls)
-    assert all(len(mk) == 1 for alg, _, mk in calls if alg in ("mb_sgd", "mb_acsgd"))
+    assert all(n <= cap for _, n, _ in chunks)
+    assert all(len(mk) == 1 for alg, _, mk in chunks
+               if alg in ("mb_sgd", "mb_acsgd"))
     per_k = len(cfg.etas) * len(cfg.seeds)
-    streams = [(4, len(cfg.m_list) * len(cfg.k_list) * per_k),
-               (2 * len(cfg.m_list) * len(cfg.k_list), per_k)]
-    assert len(calls) == sum(n * -(-cells // cap) for n, cells in streams)
+    runs = [(4, len(cfg.m_list) * len(cfg.k_list) * per_k),
+            (2 * len(cfg.m_list) * len(cfg.k_list), per_k)]
+    assert len(chunks) == sum(n * -(-cells // cap) for n, cells in runs)
     assert artifact_bytes(*capped, tmp_path, "capped") == \
         artifact_bytes(*whole, tmp_path, "whole")
     pooled(monkeypatch)
@@ -849,6 +922,37 @@ def test_sweep_thread_count_invariance(tmp_path, monkeypatch):
         artifact_bytes(cells1, rows1, tmp_path, "serial")
 
 
+def test_serial_and_pooled_sweeps_make_the_same_group_calls(tmp_path,
+                                                            monkeypatch):
+    """The sweep runs one task list: in this process and on two workers it
+    makes the same ``run_group`` calls, argument for argument, here the
+    4-row chunks of six algorithms' streams."""
+    monkeypatch.setattr(harness, "ROW_BUDGET", 4)
+    cfg, obj = diverging_grid()
+    parent, in_process, real = os.getpid(), [], harness.run_group
+    log = tmp_path / "calls"
+
+    def run_group(obj_, *args):
+        assert obj_ is obj
+        if os.getpid() == parent:
+            in_process.append(repr(args))
+        else:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {args!r}\n")
+        return real(obj_, *args)
+
+    monkeypatch.setattr(harness, "run_group", run_group)
+    serial = tune_and_sweep(cfg, obj, f_star=0.0)
+    pooled(monkeypatch)
+    forked = tune_and_sweep(cfg, obj, f_star=0.0, threads=2)
+    pids, args = zip(*(line.split(" ", 1) for line in
+                       log.read_text().splitlines()))
+    assert len(in_process) > 2 * len(cfg.algorithms)
+    assert sorted(args) == sorted(in_process)
+    assert str(parent) not in pids
+    assert forked == serial
+
+
 class WorkerFailure(RuntimeError):
     pass
 
@@ -878,7 +982,7 @@ def test_sweep_without_fork_runs_in_process(monkeypatch):
     cfg = small_cfg(m_list=(1, 2), etas=(0.1, 0.2))
     cells, rows = tune_and_sweep(cfg, Quadratic([1.0, 2.0]), f_star=0.0,
                                  threads=4)
-    assert pids == [os.getpid()]  # the one stream, in one call
+    assert pids == [os.getpid()] * 4  # the four chunks, one by one
     assert (cells, rows) == tune_and_sweep(cfg, Quadratic([1.0, 2.0]),
                                            f_star=0.0, threads=1)
 
