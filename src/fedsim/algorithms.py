@@ -190,10 +190,13 @@ def replica_mean(a: np.ndarray, m) -> np.ndarray:
     """Worker averages of stacked replicas, each M rows in turn (``m`` one
     M or one per replica): row r equals ``worker_mean`` of replica r's rows
     bit for bit, as ``np.mean`` is this sum divided by the count, without
-    the wrapper's per-call overhead."""
+    the wrapper's per-call overhead.  Raises ValueError unless the M
+    values cover exactly the rows of ``a``."""
     if np.ndim(m) == 0:
         m = [m] * (len(a) // m)
     first, out = np.cumsum([0, *m]), np.empty((len(m), a.shape[-1]))
+    if first[-1] != len(a):
+        raise ValueError(f"M values sum to {first[-1]}, not {len(a)} rows")
     for i, j in _runs(m):
         _mean_into(a[first[i]:first[j]].reshape(j - i, m[i], -1), m[i], out[i:j])
     return out

@@ -9,7 +9,9 @@ failure or divergence, 4 verification failure, 5 a sweep worker process
 died (say, killed for memory).  Failures print a single
 ``error: <kind>: <detail>`` line on stderr.  Flag values override config-file
 values, which override defaults; ``--deterministic-output`` suppresses the
-timing lines so identical invocations print identical bytes.
+timing lines so identical invocations print identical bytes.  ``run`` and
+``sweep`` make one flag per key of ``OVERRIDES`` from ``harness.CONFIG_KEYS``;
+``run`` spells ``--algorithm``, ``--eta`` and ``--seed`` in the singular.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 import time
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -28,10 +30,11 @@ from .diagnostics import (ConstructionError, InstabilityRegionError,
                           construct_instability_objective,
                           instability_experiment, norm_bound_draws,
                           norm_bound_sweep)
-from .harness import (ConfigError, OptimumError, build_config, build_objective,
-                      cached_optimum, parse_config_file, resolve_out_dir,
-                      run_cell, tune_and_sweep, write_records_csv,
-                      write_records_json, write_sweep_csv, write_sweep_json)
+from .harness import (CONFIG_KEYS, ConfigError, OptimumError, build_config,
+                      build_objective, cached_optimum, parse_config_file,
+                      resolve_out_dir, run_cell, tune_and_sweep,
+                      write_records_csv, write_records_json, write_sweep_csv,
+                      write_sweep_json)
 from .rng import StreamBundle
 from .verify import run_all
 
@@ -56,6 +59,22 @@ def _error_line(kind: str, detail) -> None:
     print(f"error: {kind}: {detail}", file=sys.stderr)
 
 
+# config keys that run and sweep take as flags, in help order
+OVERRIDES = ("algorithms", "M", "K", "etas", "seeds", "T", "eval_every",
+             "lam", "dataset", "dim")
+
+
+def _add_overrides(p: argparse.ArgumentParser, single: bool) -> None:
+    """One flag per key of ``OVERRIDES``, its dest the key; with ``single``
+    (``run``) a list key takes one value and is spelled in the singular."""
+    for key in OVERRIDES:
+        is_list = CONFIG_KEYS[key].is_list
+        name = key.removesuffix("s") if single and is_list else key
+        what = (" (one value)" if single else " (comma list)") if is_list else ""
+        p.add_argument("--" + name.replace("_", "-"), dest=key,
+                       metavar=name.upper(), help=f"overrides config key {key}{what}")
+
+
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--deterministic-output", action="store_true",
@@ -77,16 +96,7 @@ def build_parser() -> _Parser:
                        help="run one (algorithm, M, K, eta, seed) cell")
     p.add_argument("--config", required=True, help="flat key = value config file")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--algorithm", default=None, help="algorithm id override")
-    p.add_argument("--M", default=None, help="worker count override")
-    p.add_argument("--K", default=None, help="synchronization interval override")
-    p.add_argument("--eta", default=None, help="learning rate override")
-    p.add_argument("--seed", default=None, help="stream seed override")
-    p.add_argument("--T", default=None, help="parallel runtime override")
-    p.add_argument("--eval-every", default=None, help="evaluation cadence override")
-    p.add_argument("--lam", default=None, help="regularization override")
-    p.add_argument("--dataset", default=None, help="dataset path or 'synthetic'")
-    p.add_argument("--dim", default=None, help="declared feature dimension")
+    _add_overrides(p, single=True)
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("sweep", parents=[common],
@@ -96,16 +106,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for the sweep's chunks of cells; "
                         "any count writes the same bytes (default 1)")
-    p.add_argument("--algorithms", default=None, help="comma list override")
-    p.add_argument("--M", default=None, help="comma list override")
-    p.add_argument("--K", default=None, help="comma list override")
-    p.add_argument("--etas", default=None, help="comma list override")
-    p.add_argument("--seeds", default=None, help="comma list override")
-    p.add_argument("--T", default=None, help="parallel runtime override")
-    p.add_argument("--eval-every", default=None, help="evaluation cadence override")
-    p.add_argument("--lam", default=None, help="regularization override")
-    p.add_argument("--dataset", default=None, help="dataset path or 'synthetic'")
-    p.add_argument("--dim", default=None, help="declared feature dimension")
+    _add_overrides(p, single=False)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("instability", parents=[common],
@@ -143,43 +144,33 @@ def cmd_check_data(args) -> int:
     return EXIT_OK
 
 
-def _load_layers(args, flag_map: Dict[str, str]) -> Dict[str, str]:
+def _setup(args, single: bool):
+    """Build the config from ``--config`` and the override flags (``run``:
+    one value per list key), create the out dir, and solve for F*."""
     path = Path(args.config)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    overrides = {}
-    for flag, key in flag_map.items():
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[key] = str(value)
-    return build_config(parse_config_file(path), overrides)
-
-
-_RUN_FLAGS = {"algorithm": "algorithms", "M": "M", "K": "K", "eta": "etas",
-              "seed": "seeds", "T": "T", "eval_every": "eval_every",
-              "lam": "lam", "dataset": "dataset", "dim": "dim"}
-_SWEEP_FLAGS = {"algorithms": "algorithms", "M": "M", "K": "K", "etas": "etas",
-                "seeds": "seeds", "T": "T", "eval_every": "eval_every",
-                "lam": "lam", "dataset": "dataset", "dim": "dim"}
-
-
-def cmd_run(args) -> int:
-    start = time.perf_counter()
-    cfg = _load_layers(args, _RUN_FLAGS)
-    for name, values in (("algorithms", cfg.algorithms), ("M", cfg.m_list),
-                         ("K", cfg.k_list), ("etas", cfg.etas),
-                         ("seeds", cfg.seeds)):
-        if len(values) != 1:
-            raise UsageError(
-                f"run needs exactly one value for {name}, got {len(values)}")
+    overrides = {key: getattr(args, key) for key in OVERRIDES
+                 if getattr(args, key) is not None}
+    cfg = build_config(parse_config_file(path), overrides)
+    for key, spec in CONFIG_KEYS.items():
+        n = len(getattr(cfg, spec.field)) if spec.is_list else 1
+        if single and n != 1:
+            raise UsageError(f"run needs exactly one value for {key}, got {n}")
     out = resolve_out_dir(args.out, cfg)
     out.mkdir(parents=True, exist_ok=True)
     obj, ds = build_objective(cfg)
     opt = cached_optimum(obj, ds, cfg.lam, cfg.opt_tol,
                          out / "optimum_cache.json")
+    return cfg, out, obj, opt.f_star
+
+
+def cmd_run(args) -> int:
+    start = time.perf_counter()
+    cfg, out, obj, f_star = _setup(args, single=True)
     alg, m, k = cfg.algorithms[0], cfg.m_list[0], cfg.k_list[0]
     eta, seed = cfg.etas[0], cfg.seeds[0]
-    cell = run_cell(obj, alg, m, k, eta, cfg.t, seed, cfg.eval_every, opt.f_star)
+    cell = run_cell(obj, alg, m, k, eta, cfg.t, seed, cfg.eval_every, f_star)
     write_records_csv([cell], out / "records.csv")
     write_records_json([cell], out / "records.json")
     last = cell.records[-1]
@@ -202,13 +193,8 @@ def cmd_sweep(args) -> int:
     start = time.perf_counter()
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    cfg = _load_layers(args, _SWEEP_FLAGS)
-    out = resolve_out_dir(args.out, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    obj, ds = build_objective(cfg)
-    opt = cached_optimum(obj, ds, cfg.lam, cfg.opt_tol,
-                         out / "optimum_cache.json")
-    cells, rows = tune_and_sweep(cfg, obj, opt.f_star, threads=args.threads)
+    cfg, out, obj, f_star = _setup(args, single=False)
+    cells, rows = tune_and_sweep(cfg, obj, f_star, threads=args.threads)
     write_records_csv(cells, out / "records.csv")
     write_records_json(cells, out / "records.json")
     write_sweep_csv(rows, out / "sweep.csv")

@@ -34,6 +34,7 @@ import math
 import multiprocessing
 import os
 import statistics
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -135,10 +136,9 @@ class ExperimentConfig:
             raise ConfigError("eta grid must be nonempty, positive and finite")
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
-        for key, values in (("algorithms", self.algorithms), ("M", self.m_list),
-                            ("K", self.k_list), ("etas", self.etas),
-                            ("seeds", self.seeds)):
-            if len(set(values)) < len(values):
+        for key, spec in CONFIG_KEYS.items():
+            values = getattr(self, spec.field)
+            if spec.is_list and len(set(values)) < len(values):
                 raise ConfigError(f"{key} lists a value twice: {values}")
         if not (self.lam > 0):
             raise ConfigError(f"lam must be positive, got {self.lam}")
@@ -152,25 +152,33 @@ class ExperimentConfig:
                 raise ConfigError("synthetic nnz must lie in [1, dim]")
 
 
-_CONFIG_KEYS = {
-    "dataset": str,
-    "dim": int,
-    "synthetic_n": int,
-    "synthetic_dim": int,
-    "synthetic_seed": int,
-    "synthetic_nnz": int,
-    "lam": float,
-    "algorithms": str,
-    "T": int,
-    "K": int,
-    "M": int,
-    "etas": float,
-    "seeds": int,
-    "eval_every": int,
-    "opt_tol": float,
-    "out_dir": str,
+class ConfigKey(NamedTuple):
+    """How a config key becomes an ``ExperimentConfig`` field."""
+    field: str
+    kind: type
+    is_list: bool = False  # a comma list, kept as a tuple
+
+
+# the config schema: every key a config file or flag may set; list keys in
+# the order run's one-value check and the repeated-value check read them
+CONFIG_KEYS = {
+    "dataset": ConfigKey("dataset", str),
+    "dim": ConfigKey("declared_dim", int),
+    "synthetic_n": ConfigKey("synthetic_n", int),
+    "synthetic_dim": ConfigKey("synthetic_dim", int),
+    "synthetic_seed": ConfigKey("synthetic_seed", int),
+    "synthetic_nnz": ConfigKey("synthetic_nnz", int),
+    "lam": ConfigKey("lam", float),
+    "algorithms": ConfigKey("algorithms", str, True),
+    "T": ConfigKey("t", int),
+    "M": ConfigKey("m_list", int, True),
+    "K": ConfigKey("k_list", int, True),
+    "etas": ConfigKey("etas", float, True),
+    "seeds": ConfigKey("seeds", int, True),
+    "eval_every": ConfigKey("eval_every", int),
+    "opt_tol": ConfigKey("opt_tol", float),
+    "out_dir": ConfigKey("out_dir", str),
 }
-_LIST_KEYS = {"algorithms", "K", "M", "etas", "seeds"}
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
@@ -185,7 +193,7 @@ def parse_config_text(text: str) -> Dict[str, str]:
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
         values[key] = value
     return values
@@ -196,34 +204,24 @@ def parse_config_file(path) -> Dict[str, str]:
 
 
 def build_config(*layers: Dict[str, str]) -> ExperimentConfig:
-    """Merge string-valued layers (later wins) and convert to a typed config."""
-    merged: Dict[str, str] = {}
-    for layer in layers:
-        for key, value in layer.items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown key '{key}'")
-            merged[key] = value
-
-    def convert(key, value):
-        kind = _CONFIG_KEYS[key]
-        if key in _LIST_KEYS:
-            items = [p.strip() for p in value.split(",") if p.strip()]
-            try:
-                return tuple(kind(p) for p in items)
-            except ValueError as exc:
-                raise ConfigError(f"key '{key}': {exc}") from None
+    """Merge string-valued layers (later wins) and convert each key to its
+    ``ExperimentConfig`` field as ``CONFIG_KEYS`` says: a list key splits on
+    commas, and an empty ``opt_tol`` leaves the solver's default."""
+    merged = {key: value for layer in layers for key, value in layer.items()}
+    for key in merged:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown key '{key}'")
+    kwargs = {}
+    for key, value in merged.items():
+        name, kind, is_list = CONFIG_KEYS[key]
+        if key == "opt_tol" and value == "":
+            kwargs[name] = None
+            continue
         try:
-            return kind(value)
+            kwargs[name] = tuple(kind(p.strip()) for p in value.split(",")
+                                 if p.strip()) if is_list else kind(value)
         except ValueError as exc:
             raise ConfigError(f"key '{key}': {exc}") from None
-
-    kwargs = {}
-    rename = {"T": "t", "K": "k_list", "M": "m_list", "dim": "declared_dim"}
-    for key, value in merged.items():
-        if key == "opt_tol" and value == "":
-            kwargs["opt_tol"] = None
-            continue
-        kwargs[rename.get(key, key)] = convert(key, value)
     return ExperimentConfig(**kwargs)
 
 
@@ -346,9 +344,11 @@ def cached_optimum(obj: Objective, dataset: Dataset, lam: float,
 def _replace_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically: to a temporary file beside
     it, then renamed over it, so a reader sees the old file or the new one
-    and never a part of it."""
+    and never a part of it.  The temporary file is this thread's own, so
+    writers in other threads or processes never share or remove it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)

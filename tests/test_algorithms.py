@@ -717,6 +717,15 @@ def test_replica_mean_takes_one_m_per_replica():
     assert replica_mean(a[:0], []).shape == (0, 5)
 
 
+@pytest.mark.parametrize("m", [4, [4, 4], [4, 4, 4]])
+def test_replica_mean_rejects_m_values_that_miss_rows(m):
+    """Ten rows are neither replicas of 4 nor 8 or 12 rows in all: no row
+    is dropped or read past without an error."""
+    a = np.arange(30.0).reshape(10, 3)
+    with pytest.raises(ValueError, match="rows"):
+        replica_mean(a, m)
+
+
 # ---------------------------------------------------------------------------
 # mb_sgd_run
 

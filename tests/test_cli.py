@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsim import cli
+from fedsim import cli, harness
 
 SUBCOMMANDS = ("check-data", "run", "sweep", "instability", "norm-bounds",
                "verify")
@@ -102,6 +102,113 @@ def test_help_lists_exactly_the_accepted_flags():
                     for flag in action.option_strings if flag.startswith("--")}
         listed = set(re.findall(r"--[A-Za-z][A-Za-z-]*", subparser.format_help()))
         assert listed == declared, name
+
+
+# ---------------------------------------------------------------------------
+# override flags and the config schema
+
+# the override flags of run and sweep, each with the config key it sets
+RUN_OVERRIDES = {"--algorithm": "algorithms", "--M": "M", "--K": "K",
+                 "--eta": "etas", "--seed": "seeds", "--T": "T",
+                 "--eval-every": "eval_every", "--lam": "lam",
+                 "--dataset": "dataset", "--dim": "dim"}
+SWEEP_OVERRIDES = {"--algorithms": "algorithms", "--M": "M", "--K": "K",
+                   "--etas": "etas", "--seeds": "seeds", "--T": "T",
+                   "--eval-every": "eval_every", "--lam": "lam",
+                   "--dataset": "dataset", "--dim": "dim"}
+# a value for each overridable key that differs from SMALL_CONFIG's: one
+# value per list key for run, comma lists for sweep
+RUN_VALUES = {"algorithms": "mb_sgd", "M": "3", "K": "4", "etas": "0.3",
+              "seeds": "7", "T": "16", "eval_every": "8", "lam": "0.5",
+              "dataset": "data.svm", "dim": "12"}
+SWEEP_VALUES = dict(RUN_VALUES, algorithms="fedac1, fedavg", M="4,1",
+                    K="4,2", etas="0.2,0.1", seeds="1,0")
+
+
+def subparser(name):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def flags_of(name):
+    return {flag for action in subparser(name)._actions
+            for flag in action.option_strings}
+
+
+def test_run_and_sweep_accept_exactly_their_flags():
+    common = {"-h", "--help", "--deterministic-output", "--config", "--out"}
+    assert flags_of("run") == common | set(RUN_OVERRIDES)
+    assert flags_of("sweep") == common | {"--threads"} | set(SWEEP_OVERRIDES)
+    assert set(RUN_OVERRIDES.values()) == set(cli.OVERRIDES)
+    assert set(SWEEP_OVERRIDES.values()) == set(cli.OVERRIDES)
+
+
+@pytest.mark.parametrize("command, flag, metavar", [
+    ("run", "--algorithm", "ALGORITHM"), ("run", "--eta", "ETA"),
+    ("run", "--seed", "SEED"), ("sweep", "--algorithms", "ALGORITHMS"),
+    ("sweep", "--etas", "ETAS"), ("sweep", "--eval-every", "EVAL_EVERY"),
+    ("run", "--M", "M")])
+def test_override_flags_show_their_own_metavar(command, flag, metavar):
+    usage = subparser(command).format_usage()
+    assert re.search(rf"\[{flag} {metavar}\]", usage), usage
+
+
+def config_built(argv, monkeypatch):
+    """The ExperimentConfig that ``argv`` builds; stops before any solve."""
+
+    class Built(Exception):
+        pass
+
+    def stop(cfg):
+        raise Built(cfg)
+
+    monkeypatch.setattr(cli, "build_objective", stop)
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(Built) as caught:
+        args.handler(args)
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("command, flags, values", [
+    ("run", RUN_OVERRIDES, RUN_VALUES),
+    ("sweep", SWEEP_OVERRIDES, SWEEP_VALUES)])
+def test_each_override_flag_equals_its_config_line(command, flags, values,
+                                                   tmp_path, monkeypatch):
+    base = write_config(tmp_path)
+    start = ["--out", str(tmp_path / "out")]
+    default = config_built([command, "--config", base, *start], monkeypatch)
+    for flag, key in flags.items():
+        value = values[key]
+        by_flag = config_built([command, "--config", base, *start,
+                                flag, value], monkeypatch)
+        line = write_config(tmp_path, SMALL_CONFIG + f"{key} = {value}\n",
+                            name=f"{key}.txt")
+        by_line = config_built([command, "--config", line, *start],
+                               monkeypatch)
+        assert by_flag == by_line != default, flag
+
+
+@pytest.mark.parametrize("key", ["algorithms", "M", "K", "etas", "seeds"])
+def test_run_names_the_list_key_with_more_than_one_value(key, tmp_path,
+                                                         capsys):
+    cfg = write_config(tmp_path, SMALL_CONFIG + f"{key} = {SWEEP_VALUES[key]}\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["run", "--config", cfg, "--out", str(out_dir)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: usage: run needs exactly one value for {key}, got 2\n"
+    assert not out_dir.exists()
+
+
+def test_readme_config_table_names_exactly_the_schema_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n### ", 1)[0]
+    keys = set()
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    assert keys == set(harness.CONFIG_KEYS)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -1302,6 +1303,38 @@ def test_failed_artifact_write_leaves_the_old_file(tmp_path, monkeypatch):
         write_records_csv(make_cells()[:1], path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
+
+
+def test_concurrent_writes_in_one_process_stay_whole(tmp_path):
+    """Two threads writing one target while a third reads it: no writer
+    fails, and every read sees one writer's whole text."""
+    path = tmp_path / "optimum_cache.json"
+    payloads = ["a" * 2_000_000, "b" * 3_000_000]
+    harness._replace_text(path, payloads[0])
+    errors, reads, done = [], [], threading.Event()
+
+    def write(text):
+        try:
+            for _ in range(40):
+                harness._replace_text(path, text)
+        except OSError as exc:
+            errors.append(exc)
+
+    def read():
+        while not done.is_set():
+            reads.append(path.read_text() in payloads)
+
+    writers = [threading.Thread(target=write, args=(t,)) for t in payloads]
+    reader = threading.Thread(target=read)
+    for thread in (reader, *writers):
+        thread.start()
+    for thread in writers:
+        thread.join()
+    done.set()
+    reader.join()
+    assert errors == []
+    assert reads and all(reads)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_read_rejects_wrong_header(tmp_path):
