@@ -20,8 +20,8 @@ All drivers share conventions:
 * ``run_replicas`` is the one step kernel: it runs any number of
   (hyperparameters, M, K, seed) replicas side by side, a diverged one
   frozen in place.  ``fedac_run`` and ``fedavg_run`` are its one-replica
-  calls; ``_run_minibatch`` maps the minibatch baselines onto it, and
-  ``mb_sgd_run`` and ``mb_acsgd_run`` are its one-replica calls.
+  calls; ``_run_minibatch`` runs both minibatch baselines on its batch rows,
+  and ``mb_sgd_run`` and ``mb_acsgd_run`` are its one-replica calls.
 
 A trajectory is a pure function of ``(config, seed)``: rerunning with any
 sweep worker count, or beside any other replicas, reproduces it exactly.
@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .objectives import BatchedOracle, Objective
+from .objectives import Objective
 from .rng import StreamBundle
 
 Callback = Callable[[int, np.ndarray, Optional[np.ndarray]], None]
@@ -72,9 +72,9 @@ class Hyper:
     def __post_init__(self):
         if not (self.eta > 0):
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.gamma < self.eta:
+        if not (self.gamma >= self.eta):
             raise ValueError(f"gamma must be >= eta, got gamma={self.gamma} eta={self.eta}")
-        if self.alpha < 1 or self.beta < 1:
+        if not (self.alpha >= 1 and self.beta >= 1):
             raise ValueError(f"alpha and beta must be >= 1, got {self.alpha}, {self.beta}")
 
 
@@ -234,8 +234,9 @@ class ReplicaResult:
 class _Run(NamedTuple):
     """Views of a run of replicas with equal M over its ``rows`` of the state,
     one row of M*dim per replica: ``w`` (and FedAc's ``ag`` and ``md``), the
-    gradients ``g`` and the step's temporary ``tmp``; ``w3`` is ``w`` as
-    (R, M, dim), ``mean`` its mean-buffer rows, ``h`` its hyperparameters."""
+    gradients ``g`` (``batch`` rows per state row) and the step's temporary
+    ``tmp``, as wide as ``g`` for SGD and as ``w`` for FedAc; ``w3`` is ``w``
+    as (R, M, dim), ``mean`` its mean-buffer rows, ``h`` its hyperparameters."""
 
     m: int
     rows: slice
@@ -283,10 +284,11 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
               mu: Optional[float], batch: int = 1) -> ReplicaResult:
     """The body of ``run_replicas``.  ``mu=None`` skips FedAvg's
     decay-weighted average, which the minibatch baselines discard.
-    ``batch`` > 1 runs minibatch SGD: each of the M = 1 state rows queries
-    ``batch`` streams, and the step averages the candidates ``w - eta*g_j``
-    back into the row, which is FedAvg on M*batch workers at K = 1 without
-    its equal rows.
+    ``batch`` > 1 runs the minibatch baselines: each of the M = 1 state rows
+    queries ``batch`` streams.  A step size averages the candidates
+    ``w - eta*g_j`` back into the row, which is FedAvg on M*batch workers at
+    K = 1 without its equal rows; a ``Hyper`` steps on the batch's mean
+    gradient, taken into the ``mean`` rows.
 
     After each step the due blocks of equal (M, K) sync in place and every
     row is checked: a synced replica's rows are copies of its mean, so a
@@ -348,7 +350,8 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
         grads = slice(first[a] * batch, first[b] * batch)
         flat = [None if x is None else x[part].reshape(b - a, -1)
                 for x, part in ((w, rows), (w_ag, rows), (w_md, rows),
-                                (scratch, grads), (out, grads))]
+                                (scratch, rows if accelerated else grads),
+                                (out, grads))]
         runs.append(_Run(int(ms[a]), rows, *flat,
                          w[rows].reshape(b - a, -1, dim), mean[a:b],
                          {name: c[a:b] for name, c in cols.items()}))
@@ -367,14 +370,16 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
                 np.add(r.md, r.tmp, out=r.md)
             obj.stoch_grad_multi(w_md, bundle, out=out, scratch=scratch)
             for r in runs:
+                g = r.g if batch == 1 else _mean_into(
+                    r.g.reshape(len(r.w), batch, dim), batch, r.mean)
                 # w_ag = w_md - eta * g
-                np.multiply(r.h["eta"], r.g, out=r.tmp)
+                np.multiply(r.h["eta"], g, out=r.tmp)
                 np.subtract(r.md, r.tmp, out=r.ag)
                 # w = c_a * w + inv_a * w_md - gamma * g
                 np.multiply(r.h["c_a"], r.w, out=r.w)
                 np.multiply(r.h["inv_a"], r.md, out=r.tmp)
                 np.add(r.w, r.tmp, out=r.w)
-                np.multiply(r.h["gamma"], r.g, out=r.tmp)
+                np.multiply(r.h["gamma"], g, out=r.tmp)
                 np.subtract(r.w, r.tmp, out=r.w)
         else:
             if mu is not None:
@@ -470,7 +475,7 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     steps on the streams ``(seeds[r], 0..M*K-1)`` from one state row.  A
     step size runs minibatch SGD, FedAvg on M*K workers with K = 1 held as
     the one row they share; a ``Hyper`` runs accelerated minibatch SGD, one
-    worker on a ``BatchedOracle`` of M*K.
+    worker stepping on the mean of M*K gradients.
 
     Steps are parallel steps: the callback sees chain step s as s*K, with
     one row per replica, and divergence at chain step s is recorded at
@@ -482,14 +487,9 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
     _validate_run_args(m, t, k)
     if t % k != 0:
         raise ValueError(f"K must divide T, got T={t} K={k}")
-    rounds, batch = t // k, m * k
-    oracle = obj
-    if steps and isinstance(steps[0], Hyper):
-        oracle, batch = BatchedOracle(obj, batch), 1
     observe = None if callback is None else \
         lambda step, w, w_ag: callback(step * k, w, w_ag)
-    res = _replicas(oracle, 1, rounds, 1, steps, seeds, w0, observe, None,
-                    batch)
+    res = _replicas(obj, 1, t // k, 1, steps, seeds, w0, observe, None, m * k)
     diverged = [None if d is None else ((d[0] + 1) * k - 1, d[1])
                 for d in res.diverged]
     return ReplicaResult(res.final_avg_w, res.final_avg_w_ag,
@@ -515,7 +515,7 @@ def mb_acsgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
     """Minibatch accelerated SGD baseline: T/K accelerated steps, batch M*K.
 
     Literally the single-worker, per-step-synchronized accelerated driver on
-    a batch-averaging oracle, with the vanilla schedule gamma = sqrt(eta/mu)
+    its batch's mean gradient, with the vanilla schedule gamma = sqrt(eta/mu)
     (no synchronization-interval correction -- the chain has no local steps).
     A one-replica ``_run_minibatch``.
     """

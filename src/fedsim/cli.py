@@ -184,7 +184,7 @@ def cmd_run(args) -> int:
     if not args.deterministic_output:
         print(f"elapsed {time.perf_counter() - start:.2f}s")
     if cell.diverged:
-        _error_line("numerical", f"cell diverged; records carry inf tail")
+        _error_line("numerical", "cell diverged; records carry inf tail")
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -140,8 +140,8 @@ class ExperimentConfig:
             values = getattr(self, spec.field)
             if spec.is_list and len(set(values)) < len(values):
                 raise ConfigError(f"{key} lists a value twice: {values}")
-        if not (self.lam > 0):
-            raise ConfigError(f"lam must be positive, got {self.lam}")
+        if not (0 < self.lam < math.inf):
+            raise ConfigError(f"lam must be positive and finite, got {self.lam}")
         if self.opt_tol is not None and not (0 < self.opt_tol < math.inf):
             raise ConfigError(
                 f"opt_tol must be positive and finite, got {self.opt_tol}")

@@ -19,8 +19,9 @@ is what makes multi-worker runs reproducible under any scheduling.
 
 Reduction orders are pinned: row dot products use elementwise multiply
 followed by ``sum`` over the last axis, and averages over workers or batch
-members use ``np.mean`` over the leading axis.  Keeping one canonical order
-is what allows the bitwise-equivalence guarantees between the batched and
+members use ``np.add.reduce`` over the leading axis and then divide by the
+count, which is ``np.mean``'s arithmetic.  Keeping one canonical order is
+what allows the bitwise-equivalence guarantees between the batched and
 per-worker code paths.
 
 Every oracle implements one protocol, ``stoch_grad_multi(W, bundle, *,
@@ -49,9 +50,13 @@ class GradSample(NamedTuple):
     grad: np.ndarray
 
 
-def _log1p_exp(t: np.ndarray) -> np.ndarray:
-    """Numerically stable log(1 + exp(t)) = log1p(exp(-|t|)) + max(t, 0)."""
-    return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
+def _log1p_exp(t: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numerically stable log(1 + exp(t)) = log1p(exp(-|t|)) + max(t, 0), in
+    place: ``t`` is overwritten, and the result written into ``out``, or
+    into a new array when ``out`` is None."""
+    out = np.negative(np.abs(t, out=out), out=out)
+    np.log1p(np.exp(out, out=out), out=out)
+    return np.add(out, np.maximum(t, 0.0, out=t), out=out)
 
 
 def _by_point(points: np.ndarray, a: np.ndarray):
@@ -270,15 +275,8 @@ class Logistic(Objective):
                     block = self._dense[a:b]
                     for j, w in enumerate(batch):
                         np.matmul(block, w, out=z[j, a:b])
-            # _log1p_exp(-z) in place: log1p(exp(-|t|)) + max(t, 0), t = -z
             np.multiply(self.labels, z, out=z)
-            np.negative(z, out=z)
-            np.abs(z, out=t)
-            np.negative(t, out=t)
-            np.exp(t, out=t)
-            np.log1p(t, out=t)
-            np.maximum(z, 0.0, out=z)
-            np.add(t, z, out=t)
+            _log1p_exp(np.negative(z, out=z), out=t)
             # np.mean is this sum divided by the count
             np.divide(np.add.reduce(t, axis=1), n, out=loss[first:first + len(t)])
         return loss + 0.5 * self.lam * (points * points).sum(axis=1)
@@ -298,14 +296,11 @@ class Logistic(Objective):
 
     def eval_grad(self, w):
         w = self._check_point(w)
-        z = self.labels * (self.X @ w if self._dense is None else self._dense @ w)
+        a = self.X if self._dense is None else self._dense
+        z = self.labels * (a @ w)
         loss = float(_log1p_exp(-z).mean() + 0.5 * self.lam * (w * w).sum())
         coefs = (-self.labels * expit(-z)) / self.n
-        if self._dense is not None:
-            g = self._dense.T @ coefs
-        else:
-            g = np.asarray(self.X.T @ coefs).ravel()
-        return GradSample(loss, g + self.lam * w)
+        return GradSample(loss, a.T @ coefs + self.lam * w)
 
     def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
         W, out, scratch = self._work(W, bundle, out, scratch)
@@ -375,7 +370,9 @@ class BatchedOracle(Objective):
     A driver running M logical workers on this objective allocates M * batch
     underlying streams; worker m owns the contiguous block
     ``[m*batch, (m+1)*batch)``.  Deterministic quantities delegate to the
-    inner objective unchanged.
+    inner objective unchanged.  No driver runs on it: ``verify`` and the
+    tests require ``fedac_run`` on it to equal ``mb_acsgd_run`` bit for bit,
+    its averaging written apart from the step kernel's.
     """
 
     def __init__(self, inner: Objective, batch: int):

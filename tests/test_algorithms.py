@@ -23,7 +23,7 @@ from fedsim.algorithms import (
     schedule_vanilla,
     worker_mean,
 )
-from fedsim.harness import make_synthetic_logistic
+from fedsim.harness import make_synthetic_logistic, run_group
 from fedsim.objectives import BatchedOracle, Logistic, Quadratic
 from fedsim.rng import StreamBundle
 
@@ -116,6 +116,12 @@ def test_hyper_invariants():
         Hyper(eta=0.1, gamma=0.2, alpha=0.5, beta=2.0)
     with pytest.raises(ValueError):
         Hyper(eta=0.1, gamma=0.2, alpha=2.0, beta=0.5)
+    nan = float("nan")  # each invariant is written so that a nan fails it
+    for values in [(nan, 0.2, 2.0, 2.0), (0.1, nan, 2.0, 2.0),
+                   (0.1, 0.2, nan, 2.0), (0.1, 0.2, 2.0, nan),
+                   (0.1, 0.2, nan, float("inf"))]:
+        with pytest.raises(ValueError):
+            Hyper(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -823,6 +829,35 @@ def test_mb_acsgd_equals_fedac_on_batched_oracle():
                     w0=[1.0, 1.0])
     np.testing.assert_array_equal(res.final_avg_w, ref.final_avg_w)
     np.testing.assert_array_equal(res.final_avg_w_ag, ref.final_avg_w_ag)
+
+
+def test_no_run_path_calls_the_batched_oracle(monkeypatch):
+    """The kernel averages mb_acsgd's batches itself.  With
+    ``BatchedOracle``'s oracle made to raise, the driver and a sweep group
+    of several replicas still equal ``fedac_run`` on a ``BatchedOracle``,
+    the reference, bit for bit."""
+    obj = small_logistic()
+    m, t, k, every = 3, 24, 4, 8
+    replicas = [(0.05, 5), (0.2, 6), (0.5, 7)]
+    refs, values = [], []
+    for eta, seed in replicas:
+        cap = Capture()
+        refs.append(fedac_run(BatchedOracle(obj, m * k), 1, t // k, 1,
+                              schedule_vanilla(eta, obj.mu_est), seed,
+                              callback=cap))
+        values.append([obj.eval(w_ag[0]) for s, w_ag in zip(cap.ts, cap.w_ag)
+                       if s * k % every == 0])
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a run path called BatchedOracle")
+
+    monkeypatch.setattr(BatchedOracle, "stoch_grad_multi", refuse)
+    for (eta, seed), ref in zip(replicas, refs):
+        res = mb_acsgd_run(obj, m, t, k, eta, seed)
+        np.testing.assert_array_equal(res.final_avg_w, ref.final_avg_w)
+        np.testing.assert_array_equal(res.final_avg_w_ag, ref.final_avg_w_ag)
+    cells = run_group(obj, "mb_acsgd", m, k, replicas, t, every, 0.0)
+    assert [[r.suboptimality for r in c.records] for c in cells] == values
 
 
 def test_mb_acsgd_callback_steps_are_rescaled():

@@ -488,6 +488,17 @@ def test_run_rejects_a_bad_opt_tol(tol, tmp_path, capsys):
     assert err.startswith("error: usage: opt_tol must be positive and finite")
 
 
+@pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])
+def test_run_rejects_a_bad_lam(lam, tmp_path, capsys):
+    """An infinite lam is a usage error (exit 1), not a numerical failure
+    of the optimum solver (exit 3)."""
+    cfg = write_config(tmp_path, SMALL_CONFIG.replace("lam = 1e-2", f"lam = {lam}"))
+    code, out, err = run_cli(
+        ["run", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage: lam must be positive and finite")
+
+
 def test_sweep_whole_grid_infeasible_exits_3(tmp_path, capsys):
     # lam is the strong-convexity estimate; gamma * mu >= 1 makes the
     # fedac2 coupling weight infeasible at every eta on the grid

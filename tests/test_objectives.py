@@ -559,6 +559,19 @@ def one_point_value(obj, w):
     return float(loss + 0.5 * obj.lam * (w * w).sum())
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_log1p_exp_in_place_is_the_plain_formula(out):
+    """The in-place loss overwrites its argument and gives the plain
+    expression's bits, into ``out`` or a new array."""
+    t = np.random.default_rng(3).normal(scale=30.0, size=257)
+    plain = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
+    arg, buf = t.copy(), np.empty_like(t)
+    got = _log1p_exp(arg, out=buf if out else None)
+    assert (got is buf) == out
+    np.testing.assert_array_equal(got, plain)
+    np.testing.assert_array_equal(arg, np.maximum(t, 0.0))
+
+
 def random_logistic(n, dim, seed=0):
     """n rows with about half of dim features set, so that a product summed
     in another order shows in the last bits.  The 1280-row products the
@@ -570,6 +583,23 @@ def random_logistic(n, dim, seed=0):
                   data_rvs=rng.standard_normal)
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     return Logistic(Dataset(X=x, labels=labels), lam=0.05)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("n", [60, 2000, 8001])
+def test_eval_grad_value_is_eval_bit_for_bit(n, dense, monkeypatch):
+    """F* comes from ``eval_grad`` and the records from ``eval_many``, so
+    the two share F's bits, on the dense cache and on the sparse matrix.
+    At one BLAS thread every margin agrees too; at more, a whole-matrix gemv
+    of 8001 rows may split off a 4-row boundary and move a few margins'
+    last bits, which the loss mean has hidden at the thread counts tried."""
+    if not dense:
+        monkeypatch.setattr(Logistic, "_DENSE_CACHE_LIMIT", 0)
+    obj = random_logistic(n, 123, seed=n)
+    assert (obj._dense is not None) == dense
+    points = np.random.default_rng(n).normal(scale=0.3, size=(20, 123))
+    assert [obj.eval_grad(w).value for w in points] == \
+        [obj.eval(w) for w in points] == obj.eval_many(points).tolist()
 
 
 BLOCKINGS = [
