@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import Objective, _as_row
 from .rng import StreamBundle
 
 Callback = Callable[[int, np.ndarray, Optional[np.ndarray]], None]
@@ -144,19 +144,6 @@ def schedule_vanilla(eta: float, mu: float) -> Hyper:
     gamma = math.sqrt(eta / mu)
     alpha = 1.0 / (gamma * mu)
     return Hyper(eta, gamma, alpha, alpha + 1.0)
-
-
-def _start_row(obj: Objective, w0) -> np.ndarray:
-    """The start point as a (dim,) row; None is the origin and a scalar is
-    broadcast to every coordinate."""
-    if w0 is None:
-        return np.zeros(obj.dim)
-    row = np.asarray(w0, dtype=np.float64).ravel()
-    if row.size == 1 and obj.dim > 1:
-        row = np.full(obj.dim, float(row[0]))
-    if row.size != obj.dim:
-        raise ValueError("w0 length does not match objective dimension")
-    return row.copy()
 
 
 def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -316,10 +303,10 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
             raise ValueError("steps must be all Hyper or all step sizes")
         if not accelerated and not (rule > 0):
             raise ValueError(f"eta must be positive, got {rule}")
-    ids = [obj.stream_workers(mr * batch) for mr in ms]
+    ids = [np.arange(mr * batch) for mr in ms]
     bundle = StreamBundle([s for s, i in zip(seeds, ids) for _ in i],
                           np.concatenate(ids))
-    start = _start_row(obj, w0)
+    start = _as_row(w0, dim, "w0")
     w = np.tile(start, (ms.sum(), 1))
 
     def column(values) -> np.ndarray:
@@ -568,8 +555,8 @@ def agd_run(obj: Objective, w0_ag, w0, big_l: float, mu: float,
     if steps < 0:
         raise ValueError("steps must be >= 0")
 
-    w = _start_row(obj, w0)
-    w_ag = _start_row(obj, w0_ag)
+    w = _as_row(w0, obj.dim, "w0")
+    w_ag = _as_row(w0_ag, obj.dim, "w0_ag")
     ws = np.empty((steps + 1, w.size))
     ags = np.empty((steps + 1, w.size))
     mds = np.empty((steps, w.size))

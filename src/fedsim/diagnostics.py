@@ -203,6 +203,8 @@ _TRANSFER = {"fedac1": (transfer_matrix_fedac1, norm_bound_fedac1),
 # a transformed norm this far above its bound still counts as within it
 _TOLERANCE = 1e-9
 _MAX_SHRINKS = 60  # bump widths tried per instability construction stage
+_EPS_SHRINK = 0.5  # ratio of each stage's successive bump widths
+_MU_RANGE, _KAPPA_RANGE = (1e-3, 1.0), (1.5, 1e4)
 
 
 @dataclass(frozen=True)
@@ -266,17 +268,16 @@ def norm_bound_sweep(mu, big_l, points, n_h: int = 21) -> NormBoundReport:
         for i in range(gamma.size) for name, norms, bounds in columns])
 
 
-def sample_admissible(seed: int, count: int,
-                      mu_range: Tuple[float, float] = (1e-3, 1.0),
-                      kappa_range: Tuple[float, float] = (1.5, 1e4)) -> np.ndarray:
+def sample_admissible(seed: int, count: int) -> np.ndarray:
     """Random (mu, L, gamma, eta) tuples satisfying the norm-sweep preconditions.
 
-    mu and kappa are log-uniform, eta is uniform in (0, 1/L], gamma uniform in
-    [eta, sqrt(eta/mu)].  Returns an array of shape (count, 4).
+    mu and kappa are log-uniform over ``_MU_RANGE`` and ``_KAPPA_RANGE``, eta
+    is uniform in (0, 1/L], gamma uniform in [eta, sqrt(eta/mu)].  Returns an
+    array of shape (count, 4).
     """
     u = StreamBundle(seed, [0]).uniforms(4 * count).reshape(count, 4)
-    log_mu = np.log(mu_range[0]) + u[:, 0] * (np.log(mu_range[1]) - np.log(mu_range[0]))
-    log_k = np.log(kappa_range[0]) + u[:, 1] * (np.log(kappa_range[1]) - np.log(kappa_range[0]))
+    log_mu = np.log(_MU_RANGE[0]) + u[:, 0] * (np.log(_MU_RANGE[1]) - np.log(_MU_RANGE[0]))
+    log_k = np.log(_KAPPA_RANGE[0]) + u[:, 1] * (np.log(_KAPPA_RANGE[1]) - np.log(_KAPPA_RANGE[0]))
     mu = np.exp(log_mu)
     big_l = mu * np.exp(log_k)
     gamma, eta = norm_bound_draws(u[:, 2:], mu, big_l)
@@ -328,18 +329,15 @@ class PiecewiseCurvature1D(Objective):
         return PiecewiseCurvature1D(self.base_mu, self.big_l,
                                     self.bumps + [(center, half_width)])
 
-    def _scalar(self, w) -> float:
-        return float(self._check_point(np.reshape(w, -1))[0])
-
-    def eval(self, w) -> float:
-        x = self._scalar(w)
+    def eval_many(self, points) -> np.ndarray:
+        x = self._check_rows(points)
         val = 0.5 * self.base_mu * x * x
-        if len(self._a):
-            rw = np.clip(x, self._a, self._b)
-            r0 = self._r0
-            val += (self.big_l - self.base_mu) * float(
-                (rw * x - 0.5 * rw * rw + 0.5 * r0 * r0 - r0 * x).sum())
-        return val
+        if self._a.shape[-1]:  # summed along rows, as in grad
+            x = x[..., None]
+            rw, r0 = np.clip(x, self._a, self._b), self._r0
+            val = val + (self.big_l - self.base_mu) * (
+                rw * x - 0.5 * rw * rw + 0.5 * r0 * r0 - r0 * x).sum(axis=-1)
+        return val.sum(axis=-1)
 
     def grad(self, w) -> np.ndarray:
         x = self._check_point(np.reshape(w, -1))
@@ -351,7 +349,7 @@ class PiecewiseCurvature1D(Objective):
 
     def curvature(self, w) -> float:
         """Second derivative at w; bump membership is boundary-inclusive."""
-        x = self._scalar(w)
+        x = float(self._check_point(np.reshape(w, -1))[0])
         inside = ((self._a <= x) & (x <= self._b)).any()
         return self.big_l if inside else self.base_mu
 
@@ -360,9 +358,10 @@ class _BumpRows(PiecewiseCurvature1D):
     """``objective.with_bump(centers[c], eps[c])`` for each c, side by side
     as one separable objective of dim C for ``agd_run``: coordinate c's
     ``grad`` is that objective's bit for bit, as each row of bumps sums
-    alone.  Only ``grad`` takes rows.  ``ok[c]`` is whether ``with_bump``
-    accepts bump c (a width > 0, no overlap); a refused row has zero-width
-    bumps at 0, which add nothing to the slope."""
+    alone, and ``eval_many`` sums the C objectives' F; ``curvature`` takes
+    no rows.  ``ok[c]`` is whether ``with_bump`` accepts bump c (a width > 0,
+    no overlap); a refused row has zero-width bumps at 0, which add nothing
+    to the slope or to F."""
 
     def __init__(self, objective: PiecewiseCurvature1D, centers: np.ndarray,
                  eps: np.ndarray):
@@ -377,15 +376,14 @@ class _BumpRows(PiecewiseCurvature1D):
         self.dim, self._r0 = len(eps), np.clip(0.0, self._a, self._b)
 
 
-def construct_instability_objective(big_l: float, mu: float, k: int,
-                                    eps_shrink: float = 0.5):
+def construct_instability_objective(big_l: float, mu: float, k: int):
     """Build the 1-D piecewise-curvature objective that destabilizes AGD.
 
     Starting from the bare quadratic (mu/2) w**2, repeat K times: run AGD for
     3K steps, place a provisional L-curvature bump of half-width eps centered
     at the step-(3k+1) gradient-query point, rerun, then fix the bump at the
     recomputed query point.  eps starts at half the minimum pairwise distance
-    between query points and shrinks geometrically until the perturbed
+    between query points and shrinks by ``_EPS_SHRINK`` until the perturbed
     trajectory stays within a quarter of that distance and every query point
     sees the intended curvature (L exactly at steps t = 1 mod 3 already
     covered by a bump, mu elsewhere).  The ``_MAX_SHRINKS`` widths of a stage
@@ -399,8 +397,6 @@ def construct_instability_objective(big_l: float, mu: float, k: int,
         raise ValueError(f"need L/mu >= 25, got {big_l / mu if mu > 0 else 'inf'}")
     if k < 0:
         raise ValueError("K must be >= 0")
-    if not (0 < eps_shrink < 1):
-        raise ValueError("eps_shrink must be in (0, 1)")
     # a generic start: w0_ag on the invariant ray of the bare quadratic
     # (e.g. 0.6 for kappa 25) makes early query points coincide exactly
     w0 = 1.0
@@ -421,7 +417,7 @@ def construct_instability_objective(big_l: float, mu: float, k: int,
                 f"stage {stage}: coincident gradient-query points; adjust the start")
         eps, width = np.empty(_MAX_SHRINKS), 0.5 * d_min
         for i in range(_MAX_SHRINKS):
-            eps[i], width = width, width * eps_shrink
+            eps[i], width = width, width * _EPS_SHRINK
         s = 3 * stage + 1
         provisional = _BumpRows(objective, np.full(eps.size, md[s]), eps)
         center = mds_of(provisional)[s]

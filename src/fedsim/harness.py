@@ -315,8 +315,9 @@ def cached_optimum(obj: Objective, dataset: Dataset, lam: float,
                    tol: Optional[float], cache_path) -> OptimumResult:
     """compute_optimum with a JSON cache keyed by dataset content and lam.
 
-    An unreadable or corrupt cache file counts as a miss.  Writes replace the
-    file atomically, so a reader never sees a partly written cache.
+    A cache file that is unreadable or corrupt, or whose entry under the key
+    is not as written here, counts as a miss.  Writes replace the file
+    atomically, so a reader never sees a partly written cache.
     """
     cache_path = Path(cache_path)
     key = f"{dataset.content_hash()}|lam={lam!r}|tol={tol!r}"
@@ -326,10 +327,13 @@ def cached_optimum(obj: Objective, dataset: Dataset, lam: float,
         cache = {}
     if not isinstance(cache, dict):
         cache = {}
-    if key in cache:
-        entry = cache[key]
-        return OptimumResult(np.array(entry["w_star"]), entry["f_star"],
-                             entry["iterations"], entry["grad_norm"])
+    entry, names = cache.get(key), ("w_star", "f_star", "iterations", "grad_norm")
+    if isinstance(entry, dict) and all(name in entry for name in names):
+        w_star, f_star, iterations, grad_norm = (entry[name] for name in names)
+        floats = w_star + [f_star, grad_norm] if isinstance(w_star, list) else []
+        if len(floats) == obj.dim + 2 and type(iterations) is int and all(
+                type(v) is float and math.isfinite(v) for v in floats):
+            return OptimumResult(np.array(w_star), f_star, iterations, grad_norm)
     result = compute_optimum(obj, tol)
     cache[key] = {
         "w_star": [float(v) for v in result.w_star],

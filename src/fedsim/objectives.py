@@ -7,10 +7,10 @@ inner objective.  Each objective carries curvature estimates ``mu_est`` (strong
 convexity) and ``l_est`` (smoothness) that drive schedule and step-size
 choices downstream.
 
-Each objective defines F once: in ``eval_many`` over the rows of a (P, dim)
-array, of which ``Objective.eval`` is the one-row call, or in ``eval``, over
-which the base ``eval_many`` loops.  Every objective raises the same
-``ValueError``s for a point of the wrong shape or with non-finite entries.
+Each objective defines F once, in ``eval_many`` over the rows of a (P, dim)
+array, of which ``Objective.eval`` is the one-row call.  Every objective
+raises the same ``ValueError``s for a point of the wrong shape or with
+non-finite entries.
 
 All stochastic draws come from caller-owned streams (see :mod:`fedsim.rng`),
 so objectives are immutable and safe to share across threads.  The number of
@@ -59,6 +59,18 @@ def _log1p_exp(t: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.add(out, np.maximum(t, 0.0, out=t), out=out)
 
 
+def _as_row(value, dim: int, what: str) -> np.ndarray:
+    """``value`` as a new (dim,) float64 row: None is zeros and a one-entry
+    value is broadcast to every coordinate; another length raises a
+    ValueError that names ``what``."""
+    row = np.zeros(dim) if value is None else np.array(value, np.float64).ravel()
+    if row.size == 1:
+        row = np.full(dim, row[0])
+    if row.size != dim:
+        raise ValueError(f"{what} length {row.size} does not match dimension {dim}")
+    return row
+
+
 def _by_point(points: np.ndarray, a: np.ndarray):
     """``points`` (G, dim) or (dim,) as (G, 1, dim), and ``a``'s B stream rows
     as (G, B/G, dim) blocks: the streams of block g query point row g."""
@@ -70,7 +82,7 @@ def _by_point(points: np.ndarray, a: np.ndarray):
 
 
 class Objective:
-    """Base class; subclasses fill in eval_many (or eval)/grad/stoch_grad_multi.
+    """Base class; subclasses fill in eval_many/grad/stoch_grad_multi.
 
     Attributes
     ----------
@@ -109,9 +121,8 @@ class Objective:
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """F at each row of the (P, dim) ``points``, as a (P,) array; row p
-        is ``eval(points[p])`` bit for bit.  This default loops over an
-        ``eval`` that the subclass overrides."""
-        return np.array([self.eval(p) for p in self._check_rows(points)], np.float64)
+        is ``eval(points[p])`` bit for bit."""
+        raise NotImplementedError
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -149,10 +160,6 @@ class Objective:
             scratch = np.empty_like(out)
         return W, out, scratch
 
-    def stream_workers(self, m: int) -> np.ndarray:
-        """Worker ids whose streams a driver should allocate for M logical workers."""
-        return np.arange(m, dtype=np.int64)
-
 
 class Quadratic(Objective):
     """F(w) = 0.5 * sum_j spectrum[j] * (w[j] - shift[j])**2 with gaussian noise.
@@ -171,13 +178,7 @@ class Quadratic(Objective):
             raise ValueError("empty spectrum")
         if (self.spectrum < 0).any():
             raise ValueError("spectrum entries must be nonnegative")
-        if shift is None:
-            shift = np.zeros(self.dim)
-        self.shift = np.asarray(shift, dtype=np.float64).ravel()
-        if self.shift.size == 1 and self.dim > 1:
-            self.shift = np.full(self.dim, float(self.shift[0]))
-        if self.shift.size != self.dim:
-            raise ValueError("shift length does not match spectrum")
+        self.shift = _as_row(shift, self.dim, "shift")
         self.sigma = float(sigma)
         self.mu_est = float(self.spectrum.min() if mu_est is None else mu_est)
         self.l_est = float(self.spectrum.max() if l_est is None else l_est)
@@ -330,14 +331,9 @@ class Augmented(Objective):
     def __init__(self, inner: Objective, lam: float, w0):
         if lam <= 0:
             raise ValueError("augmentation strength must be positive")
-        w0 = np.asarray(w0, dtype=np.float64).ravel()
-        if w0.size == 1 and inner.dim > 1:
-            w0 = np.full(inner.dim, float(w0[0]))
-        if w0.size != inner.dim:
-            raise ValueError("anchor length does not match inner objective")
         self.inner = inner
         self.lam = float(lam)
-        self.w0 = w0
+        self.w0 = _as_row(w0, inner.dim, "anchor")
         self.dim = inner.dim
         self.mu_est = inner.mu_est + self.lam
         self.l_est = inner.l_est + self.lam
@@ -359,54 +355,6 @@ class Augmented(Objective):
         np.multiply(self.lam, pull, out=pull)
         np.add(blocks, pull, out=blocks)
         return g
-
-    def stream_workers(self, m):
-        return self.inner.stream_workers(m)
-
-
-class BatchedOracle(Objective):
-    """Averages `batch` independent stochastic gradients per logical worker.
-
-    A driver running M logical workers on this objective allocates M * batch
-    underlying streams; worker m owns the contiguous block
-    ``[m*batch, (m+1)*batch)``.  Deterministic quantities delegate to the
-    inner objective unchanged.  No driver runs on it: ``verify`` and the
-    tests require ``fedac_run`` on it to equal ``mb_acsgd_run`` bit for bit,
-    its averaging written apart from the step kernel's.
-    """
-
-    def __init__(self, inner: Objective, batch: int):
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        self.inner = inner
-        self.batch = int(batch)
-        self.dim = inner.dim
-        self.mu_est = inner.mu_est
-        self.l_est = inner.l_est
-
-    def eval_many(self, points):
-        return self.inner.eval_many(points)
-
-    def grad(self, w):
-        return self.inner.grad(w)
-
-    def eval_grad(self, w):
-        return self.inner.eval_grad(w)
-
-    def stream_workers(self, m):
-        return np.arange(m * self.batch, dtype=np.int64)
-
-    def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
-        W, out, scratch = self._work(W, bundle, out, scratch)
-        m = W.size // self.dim
-        if len(bundle) != m * self.batch:
-            raise ValueError("bundle size does not match workers * batch")
-        # the members of a worker's batch share its row of W
-        g = self.inner.stoch_grad_multi(W, bundle, out=out, scratch=scratch)
-        g = g.reshape(m, self.batch, self.dim)
-        # np.mean is this sum divided by the count
-        total = np.add.reduce(g, axis=1, out=scratch[:m])
-        return np.divide(total, self.batch, out=out[:m])
 
 
 def smoothness_bounds(dataset, lam: float):

@@ -24,7 +24,7 @@ from fedsim.algorithms import (
     worker_mean,
 )
 from fedsim.harness import make_synthetic_logistic, run_group
-from fedsim.objectives import BatchedOracle, Logistic, Quadratic
+from fedsim.objectives import Logistic, Quadratic, _as_row
 from fedsim.rng import StreamBundle
 
 
@@ -192,7 +192,7 @@ def test_fedac_k1_equals_averaged_gradient_chain(m):
     cap = Capture()
     fedac_run(obj, m=m, t=t, k=1, hyper=hyper, seed=42, w0=w0, callback=cap)
 
-    bundle = StreamBundle(42, obj.stream_workers(m))
+    bundle = StreamBundle(42, np.arange(m))
     w = w0.copy()
     w_ag = w0.copy()
     ref = [w.copy()]
@@ -274,7 +274,7 @@ def test_fedavg_m1_kt_is_sequential_sgd():
     t = 25
     res = fedavg_run(obj, m=1, t=t, k=t, eta=0.1, seed=4, w0=[0.0])
 
-    bundle = StreamBundle(4, obj.stream_workers(1))
+    bundle = StreamBundle(4, np.arange(1))
     w = np.array([0.0])
     for _ in range(t):
         w = w - 0.1 * obj.stoch_grad_multi(w, bundle)[0]
@@ -820,42 +820,28 @@ def test_mb_acsgd_hand_stepped_single_update():
     assert res.final_avg_w_ag[0] == 0.0
 
 
-def test_mb_acsgd_equals_fedac_on_batched_oracle():
+def test_mb_acsgd_equals_the_plain_reference():
     obj = Quadratic([1.0, 2.0], shift=[0.3, 0.6], sigma=1.0)
     m, t, k, eta = 3, 24, 4, 0.05
     res = mb_acsgd_run(obj, m=m, t=t, k=k, eta=eta, seed=77, w0=[1.0, 1.0])
-    hyper = schedule_vanilla(eta, obj.mu_est)
-    ref = fedac_run(BatchedOracle(obj, m * k), 1, t // k, 1, hyper, 77,
-                    w0=[1.0, 1.0])
+    ref = reference_mb_acsgd(obj, m, t, k, eta, 77, [1.0, 1.0],
+                             lambda *state: None)
     np.testing.assert_array_equal(res.final_avg_w, ref.final_avg_w)
     np.testing.assert_array_equal(res.final_avg_w_ag, ref.final_avg_w_ag)
 
 
-def test_no_run_path_calls_the_batched_oracle(monkeypatch):
-    """The kernel averages mb_acsgd's batches itself.  With
-    ``BatchedOracle``'s oracle made to raise, the driver and a sweep group
-    of several replicas still equal ``fedac_run`` on a ``BatchedOracle``,
-    the reference, bit for bit."""
+def test_mb_acsgd_group_records_equal_the_plain_reference():
+    """A sweep group of three mb_acsgd replicas records F at the plain
+    reference's ``w_ag`` at every eval step, bit for bit."""
     obj = small_logistic()
     m, t, k, every = 3, 24, 4, 8
     replicas = [(0.05, 5), (0.2, 6), (0.5, 7)]
-    refs, values = [], []
+    values = []
     for eta, seed in replicas:
         cap = Capture()
-        refs.append(fedac_run(BatchedOracle(obj, m * k), 1, t // k, 1,
-                              schedule_vanilla(eta, obj.mu_est), seed,
-                              callback=cap))
+        reference_mb_acsgd(obj, m, t, k, eta, seed, None, cap)
         values.append([obj.eval(w_ag[0]) for s, w_ag in zip(cap.ts, cap.w_ag)
-                       if s * k % every == 0])
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a run path called BatchedOracle")
-
-    monkeypatch.setattr(BatchedOracle, "stoch_grad_multi", refuse)
-    for (eta, seed), ref in zip(replicas, refs):
-        res = mb_acsgd_run(obj, m, t, k, eta, seed)
-        np.testing.assert_array_equal(res.final_avg_w, ref.final_avg_w)
-        np.testing.assert_array_equal(res.final_avg_w_ag, ref.final_avg_w_ag)
+                       if s % every == 0])
     cells = run_group(obj, "mb_acsgd", m, k, replicas, t, every, 0.0)
     assert [[r.suboptimality for r in c.records] for c in cells] == values
 
@@ -893,16 +879,15 @@ def test_mb_acsgd_gradient_calls():
 def test_mb_acsgd_divergence_reports_parallel_step():
     obj = Quadratic([1e-3, 1e3])
     m, t, k, eta = 2, 400, 4, 1e3
-    hyper = schedule_vanilla(eta, obj.mu_est)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as inner:
-            fedac_run(BatchedOracle(obj, m * k), 1, t // k, 1, hyper, 0,
-                      w0=[1.0, 1.0])
+        with pytest.raises(DivergenceError) as ref:
+            reference_mb_acsgd(obj, m, t, k, eta, 0, [1.0, 1.0],
+                               lambda *state: None)
         with pytest.raises(DivergenceError) as outer:
             mb_acsgd_run(obj, m, t, k, eta, 0, w0=[1.0, 1.0])
-    assert inner.value.step > 0
-    assert (outer.value.step, outer.value.worker) == (
-        (inner.value.step + 1) * k - 1, 0)
+    # a later round than the first, reported at its last parallel step
+    assert ref.value.step > k - 1 and (ref.value.step + 1) % k == 0
+    assert (outer.value.step, outer.value.worker) == (ref.value.step, 0)
 
 
 def test_mb_acsgd_requires_positive_mu():
@@ -918,8 +903,8 @@ def test_mb_acsgd_requires_positive_mu():
 def reference_mb_sgd(obj, m, t, k, eta, seed, w0, callback):
     """Minibatch SGD as its own loop: one (dim,) iterate and T/K steps, each
     the mean over the M*K streams of ``w - eta * g_j``."""
-    bundle = StreamBundle(seed, obj.stream_workers(m * k))
-    w = np.asarray(w0, dtype=np.float64).copy()
+    bundle = StreamBundle(seed, np.arange(m * k))
+    w = _as_row(w0, obj.dim, "w0")
     for r in range(t // k):
         callback(r * k, w[None, :], None)
         g = obj.stoch_grad_multi(w, bundle)
@@ -931,15 +916,23 @@ def reference_mb_sgd(obj, m, t, k, eta, seed, w0, callback):
 
 
 def reference_mb_acsgd(obj, m, t, k, eta, seed, w0, callback):
-    """Accelerated minibatch SGD as ``fedac_run`` on a batched oracle, its
-    chain steps rescaled to parallel steps."""
-    hyper = schedule_vanilla(eta, obj.mu_est)
-    try:
-        res = fedac_run(BatchedOracle(obj, m * k), 1, t // k, 1, hyper, seed, w0,
-                        lambda step, w, w_ag: callback(step * k, w, w_ag))
-    except DivergenceError as exc:
-        raise DivergenceError((exc.step + 1) * k - 1, exc.worker) from None
-    return RunResult(res.final_avg_w, res.final_avg_w_ag, t)
+    """Accelerated minibatch SGD as its own loop: one (dim,) pair of iterates
+    and T/K steps of FedAc's update with the vanilla schedule, each on the
+    mean gradient of the M*K streams at the coupled point."""
+    h = schedule_vanilla(eta, obj.mu_est)
+    inv_a, inv_b = 1.0 / h.alpha, 1.0 / h.beta
+    bundle = StreamBundle(seed, np.arange(m * k))
+    w = w_ag = _as_row(w0, obj.dim, "w0")
+    for r in range(t // k):
+        callback(r * k, w[None, :], w_ag[None, :])
+        w_md = inv_b * w + (1.0 - inv_b) * w_ag
+        g = np.add.reduce(obj.stoch_grad_multi(w_md, bundle), axis=0) / (m * k)
+        w_ag = w_md - h.eta * g
+        w = (1.0 - inv_a) * w + inv_a * w_md - h.gamma * g
+        if not (np.isfinite(w).all() and np.isfinite(w_ag).all()):
+            raise DivergenceError((r + 1) * k - 1, 0)
+    callback(t, w[None, :], w_ag[None, :])
+    return RunResult(w, w_ag, t)
 
 
 MINIBATCH = {"mb_sgd": (mb_sgd_run, reference_mb_sgd),

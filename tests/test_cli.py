@@ -211,6 +211,30 @@ def test_readme_config_table_names_exactly_the_schema_keys():
     assert keys == set(harness.CONFIG_KEYS)
 
 
+def test_readme_python_examples_run():
+    """README's Python API blocks run in order in one namespace, and each
+    ``print(...)  # expected`` prints a line that is the expected text, or
+    starts with it when it ends in ``...``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 4
+    printed, expected = [], []
+    namespace = {"print": lambda *args: printed.append(" ".join(map(str, args)))}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+        expected += [line.partition("#")[2].strip() for line in block.splitlines()
+                     if line.startswith("print(")]
+    assert len(printed) == len(expected)
+    checked = [(out, want) for out, want in zip(printed, expected) if want]
+    assert [want for _, want in checked] == \
+        ["(2, 5) [None, None]", "(5, 2, 2) 0.9179...", "200 []"]
+    for out, want in checked:
+        if want.endswith("..."):
+            assert out.startswith(want[:-3]), (out, want)
+        else:
+            assert out == want
+
+
 # ---------------------------------------------------------------------------
 # check-data
 
@@ -311,6 +335,31 @@ def test_run_with_truncated_optimum_cache_exits_0(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out == fresh[1].replace(str(tmp_path / "fresh"), str(out_dir))
     json.loads((out_dir / "optimum_cache.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("spoil", [
+    lambda entry: {k: v for k, v in entry.items() if k != "iterations"},
+    lambda entry: "entry",
+    lambda entry: dict(entry, f_star=str(entry["f_star"])),
+], ids=["no-iterations", "string-entry", "string-f_star"])
+def test_bad_optimum_cache_entry_is_recomputed(tmp_path, capsys, command,
+                                               spoil):
+    """A cache entry under the run's own key that was not written as it is
+    counts as a miss: the command exits 0 with the output of a cold run and
+    writes the entry again."""
+    cfg = write_config(tmp_path)
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out_dir),
+            "--deterministic-output"]
+    cold = run_cli(argv, capsys)
+    assert cold[0] == 0
+    cache = out_dir / "optimum_cache.json"
+    written = cache.read_text()
+    (key, entry), = json.loads(written).items()
+    cache.write_text(json.dumps({key: spoil(entry)}))
+    assert run_cli(argv, capsys) == cold
+    assert cache.read_text() == written
 
 
 def test_run_flag_overrides_config_value(tmp_path, capsys):

@@ -500,6 +500,30 @@ def test_piecewise_takes_a_point_in_any_one_value_shape():
     assert Quadratic([0.04]).eval([[-2.0]]) == Quadratic([0.04]).eval(-2.0)
 
 
+def scalar_value(f, x):
+    """F at the float x by the formula in plain floats, one bump sum."""
+    val = 0.5 * f.base_mu * x * x
+    if len(f._a):
+        rw, r0 = np.clip(x, f._a, f._b), f._r0
+        val += (f.big_l - f.base_mu) * float(
+            (rw * x - 0.5 * rw * rw + 0.5 * r0 * r0 - r0 * x).sum())
+    return val
+
+
+@pytest.mark.parametrize("nb", range(10))
+def test_piecewise_rows_keep_the_scalar_formula_bits(nb):
+    """Row-wise F equals the plain-float formula bit for bit with 0 to 9
+    bumps (8 or more sum in numpy's unrolled branch of the pairwise sum), at
+    points of scale 0.01, 1 and 100, in bumps and between them."""
+    rng = np.random.default_rng(nb)
+    f = PiecewiseCurvature1D(0.04, 1.0, [(2.0 * i - nb, rng.uniform(0.05, 0.9))
+                                         for i in range(nb)])
+    for scale in (0.01, 1.0, 100.0):
+        x = rng.normal(scale=scale, size=800)
+        assert f.eval_many(x[:, None]).tolist() == \
+            [scalar_value(f, v) for v in x.tolist()]
+
+
 def test_piecewise_gradient_matches_finite_differences():
     f = PiecewiseCurvature1D(0.04, 1.0, [(0.5, 0.1), (-1.2, 0.3)])
     for x in [-2.0, -1.2, -0.5, 0.45, 0.5, 0.8, 2.0]:
@@ -552,8 +576,6 @@ def test_construct_gradient_continuity_at_boundaries():
 def test_construct_input_validation():
     with pytest.raises(ValueError):
         construct_instability_objective(25.0, 1.0, -1)
-    with pytest.raises(ValueError):
-        construct_instability_objective(25.0, 1.0, 2, eps_shrink=1.5)
 
 
 def reference_construction(big_l, mu, k, eps_shrink=0.5, max_shrinks=60,
@@ -620,11 +642,11 @@ def reference_construction(big_l, mu, k, eps_shrink=0.5, max_shrinks=60,
     return objective, w0, w0_ag, 0.5 * clearance
 
 
-def construction_outcome(build, kappa, k, eps_shrink):
+def construction_outcome(build, kappa, k):
     """The bits of ``(objective.bumps, w0, w0_ag, delta)``, or the message of
     the ConstructionError raised instead."""
     try:
-        f, w0, w0_ag, delta = build(kappa, 1.0, k, eps_shrink)
+        f, w0, w0_ag, delta = build(kappa, 1.0, k)
     except ConstructionError as e:
         return str(e)
     return [float(x).hex() for pair in f.bumps for x in pair] + \
@@ -636,15 +658,18 @@ def construction_outcome(build, kappa, k, eps_shrink):
       for k in (0, 1, 2, 4, 9, 10)),
     (25.0, 9, 0.3), (47.5, 5, 0.8), (400.0, 4, 0.3), (30.0, 10, 0.8),
     (100.0, 9, 0.7)])
-def test_construction_matches_the_sequential_search(kappa, k, eps_shrink):
+def test_construction_matches_the_sequential_search(kappa, k, eps_shrink,
+                                                    monkeypatch):
     """All bump widths of a stage searched in one batched run pick the bumps,
     start and delta of the loop that tries them one at a time, bit for bit,
     or fail with its message (kappa 100, K = 9 at shrink 0.7 runs out of
     widths).  At K = 9 and 10 a row holds 8 or more bumps, which numpy sums
     in its unrolled branch of the pairwise sum."""
-    assert construction_outcome(construct_instability_objective, kappa, k,
-                                eps_shrink) == \
-        construction_outcome(reference_construction, kappa, k, eps_shrink)
+    monkeypatch.setattr(diagnostics, "_EPS_SHRINK", eps_shrink)
+    assert construction_outcome(construct_instability_objective, kappa, k) == \
+        construction_outcome(
+            lambda *args: reference_construction(*args, eps_shrink=eps_shrink),
+            kappa, k)
 
 
 @pytest.mark.parametrize("kappa,k,shrinks", [(25.0, 8, 1), (25.0, 8, 4),
@@ -725,6 +750,21 @@ def test_bump_rows_refuse_what_with_bump_refuses():
         == [True, False, False, False, False, False, True]
     x = np.linspace(-1.0, 4.0, centers.size)
     assert (rows.grad(x)[~rows.ok] == 0.04 * x[~rows.ok]).all()
+
+
+def test_bump_rows_value_sums_the_row_objectives_values():
+    """``eval_many`` on rows of C coordinates sums, bit for bit, the F of
+    each row's ``with_bump`` objective at its coordinate, and the bare
+    quadratic's for a refused row."""
+    base = PiecewiseCurvature1D(0.04, 1.0, [(0.0, 0.5), (2.0, 0.5)])
+    centers, eps = np.array([1.0, 1.0, -1.5, 3.3]), np.array([0.4, 0.0, 0.3, 0.2])
+    rows = diagnostics._BumpRows(base, centers, eps)
+    assert rows.ok.tolist() == [True, False, True, True]
+    objectives = [base.with_bump(c, e) if ok else PiecewiseCurvature1D(0.04, 1.0)
+                  for c, e, ok in zip(centers, eps, rows.ok)]
+    points = np.random.default_rng(3).uniform(-3.0, 4.0, (6, centers.size))
+    assert rows.eval_many(points).tolist() == [
+        np.array([f.eval(x) for f, x in zip(objectives, p)]).sum() for p in points]
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,54 @@ def test_cached_optimum_treats_corrupt_cache_as_miss(tmp_path, content):
     assert [p.name for p in tmp_path.iterdir()] == ["optima.json"]
 
 
+def spoil(entry, name, value):
+    """``entry`` with field ``name`` set to ``value``, or dropped for None."""
+    spoiled = dict(entry)
+    spoiled.pop(name) if value is None else spoiled.update({name: value})
+    return spoiled
+
+
+# each turns the entry under the key into one that was not written as it is
+BAD_ENTRIES = {
+    "no-iterations": lambda e: spoil(e, "iterations", None),
+    "no-w_star": lambda e: spoil(e, "w_star", None),
+    "string-entry": lambda e: "entry",
+    "list-entry": lambda e: list(e.values()),
+    "null-entry": lambda e: None,
+    "string-f_star": lambda e: spoil(e, "f_star", str(e["f_star"])),
+    "int-f_star": lambda e: spoil(e, "f_star", 0),
+    "nan-f_star": lambda e: spoil(e, "f_star", math.nan),
+    "inf-grad_norm": lambda e: spoil(e, "grad_norm", math.inf),
+    "string-grad_norm": lambda e: spoil(e, "grad_norm", "0.0"),
+    "float-iterations": lambda e: spoil(e, "iterations", float(e["iterations"])),
+    "bool-iterations": lambda e: spoil(e, "iterations", True),
+    "short-w_star": lambda e: spoil(e, "w_star", e["w_star"][:-1]),
+    "long-w_star": lambda e: spoil(e, "w_star", e["w_star"] + [0.0]),
+    "nan-in-w_star": lambda e: spoil(e, "w_star", [math.nan] + e["w_star"][1:]),
+    "string-in-w_star": lambda e: spoil(e, "w_star", ["0.5"] + e["w_star"][1:]),
+    "string-w_star": lambda e: spoil(e, "w_star", "0.5"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+def test_cached_optimum_recomputes_a_bad_entry(tmp_path, bad):
+    """An entry under the key that the cache would not have written is a
+    miss: the result is the cold run's bit for bit, and the entry is
+    written again as the cold run wrote it."""
+    ds = make_synthetic_logistic(40, 10, seed=1, nnz=3)
+    obj = Logistic(ds, lam=0.1)
+    cache = tmp_path / "optima.json"
+    cold = cached_optimum(obj, ds, 0.1, None, cache)
+    written = cache.read_text()
+    (key, entry), = json.loads(written).items()
+    cache.write_text(json.dumps({key: BAD_ENTRIES[bad](entry)}))
+    again = cached_optimum(obj, ds, 0.1, None, cache)
+    assert again.w_star.tobytes() == cold.w_star.tobytes()
+    assert (again.f_star, again.iterations, again.grad_norm) == \
+        (cold.f_star, cold.iterations, cold.grad_norm)
+    assert cache.read_text() == written
+
+
 def test_cached_optimum_round_trip(tmp_path):
     ds = make_synthetic_logistic(40, 10, seed=1, nnz=3)
     obj = Logistic(ds, lam=0.1)

@@ -8,9 +8,9 @@ from scipy.special import expit
 from fedsim.dataio import Dataset, parse_libsvm
 from fedsim.objectives import (
     Augmented,
-    BatchedOracle,
     Logistic,
     Quadratic,
+    _as_row,
     _log1p_exp,
     smoothness_bounds,
 )
@@ -114,6 +114,28 @@ def test_non_finite_input_raises():
     q = Quadratic([1.0])
     with pytest.raises(ValueError):
         q.eval(np.array([np.nan]))
+
+
+def test_rows_from_none_scalars_and_vectors():
+    """None is the origin and one entry, a -0.0 too, fills the row; a vector
+    is copied, and a wrong length raises naming the argument, for the shift,
+    the anchor and the drivers' starts alike."""
+    from fedsim.algorithms import agd_run, fedavg_run
+    assert _as_row(None, 3, "w0").tolist() == [0.0, 0.0, 0.0]
+    assert np.signbit(_as_row([[-0.0]], 2, "w0")).tolist() == [True, True]
+    given = np.array([1.0, 2.0])
+    _as_row(given, 2, "w0")[0] = 5.0
+    assert given.tolist() == [1.0, 2.0]
+    assert Quadratic([1.0, 2.0], shift=3.0).shift.tolist() == [3.0, 3.0]
+    quad = Quadratic([1.0, 2.0])
+    for call, what in [
+            (lambda: Quadratic([1.0, 2.0], shift=[1.0, 2.0, 3.0]), "shift"),
+            (lambda: Augmented(quad, 0.5, [1.0, 2.0, 3.0]), "anchor"),
+            (lambda: agd_run(quad, [1.0, 2.0, 3.0], 0.0, 2.0, 1.0, 3), "w0_ag"),
+            (lambda: fedavg_run(quad, 1, 2, 1, 0.1, 0, w0=np.zeros(3)), "w0")]:
+        with pytest.raises(ValueError,
+                           match=f"^{what} length 3 does not match dimension 2$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -351,48 +373,6 @@ def test_multi_shared_point_broadcast():
     np.testing.assert_array_equal(g, np.full((3, 1), 3.0))
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
-def test_batched_oracle_averages_member_gradients(kind, workers):
-    """Row m is ``np.mean`` of the reference gradients of worker m's batch
-    members at its point, bit for bit."""
-    if kind == "quadratic":
-        inner = Quadratic([1.0, 2.0], sigma=1.0)
-    else:
-        inner = make_logistic("+1 1:1 2:1\n-1 1:0.5\n+1 2:2\n-1 1:1 2:1\n",
-                              lam=0.1)
-    batch = 4
-    oracle = BatchedOracle(inner, batch)
-    W = np.random.default_rng(17).normal(size=(workers, 2))
-    ids = oracle.stream_workers(workers)
-    np.testing.assert_array_equal(ids, np.arange(workers * batch))
-
-    g = oracle.stoch_grad_multi(W, StreamBundle(seed=13, worker_ids=ids))
-    assert g.shape == (workers, 2)
-    for m in range(workers):
-        members = np.stack(
-            [reference_stoch_grad(inner, W[m],
-                                  RngStream(seed=13, worker_id=m * batch + j))
-             for j in range(batch)])
-        np.testing.assert_array_equal(g[m], np.mean(members, axis=0))
-
-
-def test_batched_oracle_deterministic_passthrough():
-    inner = Quadratic([1.0], shift=[2.0])
-    oracle = BatchedOracle(inner, 3)
-    w = np.array([5.0])
-    assert oracle.eval(w) == inner.eval(w)
-    np.testing.assert_array_equal(oracle.grad(w), inner.grad(w))
-    assert (oracle.mu_est, oracle.l_est) == (inner.mu_est, inner.l_est)
-
-
-def test_batched_oracle_bundle_size_check():
-    oracle = BatchedOracle(Quadratic([1.0]), 2)
-    bundle = StreamBundle(seed=0, worker_ids=[0, 1, 2])
-    with pytest.raises(ValueError):
-        oracle.stoch_grad_multi(np.zeros((2, 1)), bundle)
-
-
 def test_multi_matches_single_streams_augmented():
     inner = make_logistic("+1 1:1 2:1\n-1 1:0.5\n+1 2:2\n", lam=0.1)
     obj = Augmented(inner, 0.3, [0.2, -0.1])
@@ -403,24 +383,6 @@ def test_multi_matches_single_streams_augmented():
             multi[m], reference_stoch_grad(obj, W[m], RngStream(4, m)))
         np.testing.assert_array_equal(
             multi[m], one_stream_grad(obj, W[m], StreamBundle(4, [m])))
-
-
-@pytest.mark.parametrize("inner", ["quadratic", "logistic"])
-def test_batched_oracle_rejects_bad_points_like_its_inner(inner):
-    if inner == "quadratic":
-        obj = Quadratic([1.0, 2.0], sigma=0.5)
-    else:
-        obj = make_logistic("+1 1:1 2:1\n-1 1:0.5\n", lam=0.1)
-    oracle = BatchedOracle(obj, 3)
-    for bad, message in ((np.array([[0.1, np.nan]]), "non-finite"),
-                         (np.array([[0.1, np.inf]]), "non-finite"),
-                         (np.zeros((1, 3)), "dimension 3, objective has 2"),
-                         (np.zeros(3), "dimension 3, objective has 2")):
-        with pytest.raises(ValueError) as direct:
-            obj.stoch_grad_multi(bad, StreamBundle(0, [0]))
-        with pytest.raises(ValueError, match=message) as batched:
-            oracle.stoch_grad_multi(bad, StreamBundle(0, oracle.stream_workers(1)))
-        assert str(batched.value) == str(direct.value)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +402,7 @@ def _logistic_rows(dense: bool, monkeypatch):
 
 
 ORACLES = ["quadratic", "quadratic_noisy", "logistic_dense", "logistic_sparse",
-           "augmented", "batched"]
+           "augmented"]
 
 
 def make_oracle(kind, monkeypatch):
@@ -452,8 +414,6 @@ def make_oracle(kind, monkeypatch):
     if kind == "augmented":
         return Augmented(_logistic_rows(True, monkeypatch), 0.3,
                          [0.2, -0.1, 0.0, 0.5])
-    if kind == "batched":
-        return BatchedOracle(_logistic_rows(True, monkeypatch), 3)
     return _logistic_rows(kind == "logistic_dense", monkeypatch)
 
 
@@ -472,7 +432,7 @@ def with_buffers(obj, W, bundle):
 def test_buffered_call_matches_plain_call(kind, monkeypatch):
     obj = make_oracle(kind, monkeypatch)
     W = np.random.default_rng(3).normal(size=(4, obj.dim))
-    ids = obj.stream_workers(4)
+    ids = np.arange(4)
     plain, bundle = StreamBundle(11, ids), StreamBundle(11, ids)
     for _ in range(2):  # the second call draws the next slots in both
         np.testing.assert_array_equal(with_buffers(obj, W, bundle),
@@ -539,7 +499,7 @@ def test_plain_call_still_rejects_bad_points(kind, monkeypatch):
     dimension raise the ValueError of ``Objective._check_point``."""
     obj = make_oracle(kind, monkeypatch)
     dim = obj.dim
-    bundle = StreamBundle(0, obj.stream_workers(1))
+    bundle = StreamBundle(0, np.arange(1))
     for bad, message in ((np.r_[np.nan, np.zeros(dim - 1)], "non-finite"),
                          (np.r_[np.zeros(dim - 1), -np.inf], "non-finite"),
                          (np.zeros(dim + 1), f"dimension {dim + 1}, objective has {dim}")):
@@ -667,9 +627,10 @@ def test_logistic_eval_many_sparse_path(monkeypatch):
         [one_point_value(obj, p) for p in points] == [obj.eval(p) for p in points]
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "quadratic_noisy", "augmented",
-                                  "batched"])
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic_noisy", "augmented"])
 def test_eval_many_default_loops_over_eval(kind, monkeypatch):
+    """Row p of ``eval_many`` is ``eval`` at point p, bit for bit, and no
+    rows give no values."""
     obj = make_oracle(kind, monkeypatch)
     points = np.random.default_rng(7).normal(size=(5, obj.dim))
     assert obj.eval_many(points).tolist() == [obj.eval(p) for p in points]
@@ -687,7 +648,7 @@ def test_logistic_eval_many_checks_points(dense, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "quadratic_noisy", "augmented",
-                                  "batched", "piecewise"])
+                                  "piecewise"])
 def test_eval_many_checks_points(kind, monkeypatch):
     """Every objective takes an empty (0, dim) array and refuses 1-D input,
     a wrong dim and a non-finite row with the ValueErrors that
@@ -724,8 +685,8 @@ EVAL_DIMS = [1, 2, 9, 129, 300]
 
 @pytest.mark.parametrize("dim", EVAL_DIMS)
 def test_eval_many_equals_the_per_row_formulas(dim):
-    """``eval_many`` of Quadratic, Augmented and BatchedOracle against the
-    one-point formulas, row by row, bit for bit."""
+    """``eval_many`` of Quadratic and Augmented against the one-point
+    formulas, row by row, bit for bit."""
     rng = np.random.default_rng(dim)
     quad = Quadratic(rng.uniform(0.1, 10.0, dim), shift=rng.normal(size=dim))
     points = quad.shift + rng.normal(size=(21, dim)) * np.geomspace(
@@ -740,10 +701,9 @@ def test_eval_many_equals_the_per_row_formulas(dim):
         "augmented-logistic": [
             augmented_value(aug_logistic, one_point_value(logistic, w), w)
             for w in points],
-        "batched": [quadratic_value(quad, w) for w in points],
     }
     objs = {"quadratic": quad, "augmented": aug,
-            "augmented-logistic": aug_logistic, "batched": BatchedOracle(quad, 3)}
+            "augmented-logistic": aug_logistic}
     for name, obj in objs.items():
         assert obj.eval_many(points).tolist() == expected[name], name
         assert [obj.eval(w) for w in points] == expected[name], name
