@@ -25,10 +25,14 @@ All drivers share conventions:
 
 A trajectory is a pure function of ``(config, seed)``: rerunning with any
 sweep worker count, or beside any other replicas, reproduces it exactly.
-The drivers use no BLAS.  The evaluations of F and the optimum F* do, and a
-multi-threaded BLAS splits a gemv's rows between its threads, which for some
-dataset sizes moves the last bits of F; byte-stable artifacts across hosts
-need ``OPENBLAS_NUM_THREADS=1``.
+Artifacts are byte-identical per BLAS thread count and per CPU dispatch
+class.  The drivers use no BLAS.  The evaluations of F and the optimum F*
+do, and a multi-threaded BLAS splits a gemv's rows between its threads,
+which for some dataset sizes moves the last bits of F; byte-stable
+artifacts across hosts need ``OPENBLAS_NUM_THREADS=1``.  numpy's AVX-512
+``exp``/``log1p``/``log``/``cos`` loops round differently from its other
+SIMD levels, which moves F's loss terms and the Gaussian draws of the
+``Quadratic`` oracle's noise.
 """
 
 from __future__ import annotations
@@ -253,12 +257,13 @@ def run_replicas(obj: Objective, m, t: int, k, steps: Sequence,
     Every replica follows the same float expressions as a run of its own,
     its hyperparameters held as columns that scale each run of equal M as
     one (replicas, M*dim) array, so each replica is bit-identical to the
-    run it stands for.
+    run it stands for.  ``w0`` is every replica's start point (None is the
+    origin) or an (R, dim) array of one start row per replica.
 
     ``callback(t, W, W_ag)`` is invoked before step t and at t = T with
     read-only views of every replica's state rows, valid until the callback
     returns.  A replica whose iterates go non-finite at step s is recorded
-    in ``diverged`` and frozen: its rows are reset to the start point and
+    in ``diverged`` and frozen: its rows are reset to its start row and
     its step sizes to zero.  It keeps its share of oracle work until T, or
     until every replica has diverged, when the call ends at once.
     """
@@ -280,7 +285,7 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
     After each step the due blocks of equal (M, K) sync in place and every
     row is checked: a synced replica's rows are copies of its mean, so a
     blow-up there reports worker 0.  M = 1 builds no blocks.  A frozen
-    replica only takes convex combinations of the start row, so the check
+    replica only takes convex combinations of its start row, so the check
     trips only on new divergences.
 
     Every step is written in place, in the operation order of the plain
@@ -306,8 +311,8 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
     ids = [np.arange(mr * batch) for mr in ms]
     bundle = StreamBundle([s for s, i in zip(seeds, ids) for _ in i],
                           np.concatenate(ids))
-    start = _as_row(w0, dim, "w0")
-    w = np.tile(start, (ms.sum(), 1))
+    starts = np.broadcast_to(_as_row(w0, dim, "w0", (reps,)), (reps, dim))
+    w = np.repeat(starts, ms, axis=0)
 
     def column(values) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)[:, None]
@@ -398,7 +403,7 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
                 if diverged[i] is None:
                     diverged[i] = (step, worker)
                 for x in state:
-                    x[first[i]:first[i + 1]] = start
+                    x[first[i]:first[i + 1]] = starts[i]
                 for c in sizes:
                     c[i] = 0.0
         if None not in diverged:

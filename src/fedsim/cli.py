@@ -271,12 +271,11 @@ def cmd_norm_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_all()
-    failed = 0
+    failed = sum(not result.passed for result in results)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         timing = "" if args.deterministic_output else f" [{result.elapsed:.2f}s]"
         print(f"{status} {result.name}{timing}: {result.detail}")
-        failed += 0 if result.passed else 1
     print(f"{len(results) - failed}/{len(results)} checks passed")
     if failed:
         _error_line("verification", f"{failed} check(s) failed")

@@ -227,12 +227,7 @@ def build_config(*layers: Dict[str, str]) -> ExperimentConfig:
 
 def resolve_out_dir(flag_value: Optional[str], cfg: ExperimentConfig) -> Path:
     """Output directory precedence: --out flag, then $FEDSIM_OUT, then config."""
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(cfg.out_dir)
+    return Path(flag_value or os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
 
 
 def make_synthetic_logistic(n: int, dim: int, seed: int, nnz: int = 14,
@@ -653,42 +648,30 @@ def _write_lines(path, lines: Sequence[str]) -> None:
 
 
 def write_records_csv(cells: Sequence[CellResult], path) -> None:
-    lines = [RECORD_HEADER]
-    for r in records_to_rows(cells):
-        lines.append(",".join([r.algorithm, _fmt(r.m), _fmt(r.k), _fmt(r.eta),
-                               _fmt(r.seed), _fmt(r.t), _fmt(r.suboptimality)]))
-    _write_lines(path, lines)
+    _write_lines(path, [RECORD_HEADER] + [",".join([r[0], *map(_fmt, r[1:])])
+                                          for r in records_to_rows(cells)])
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(",".join([row.algorithm, _fmt(row.m), _fmt(row.k),
-                               _fmt(row.best_eta), _fmt(row.best_suboptimality)]))
-    _write_lines(path, lines)
+    _write_lines(path, [SWEEP_HEADER] + [",".join([r[0], *map(_fmt, r[1:])])
+                                         for r in rows])
 
 
 def read_records_csv(path) -> List[RecordRow]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != RECORD_HEADER:
         raise ValueError(f"{path}: missing records header")
-    out = []
-    for line in lines[1:]:
-        alg, m, k, eta, seed, t, sub = line.split(",")
-        out.append(RecordRow(alg, int(m), int(k), float(eta), int(seed),
-                             int(t), float(sub)))
-    return out
+    return [RecordRow(alg, int(m), int(k), float(eta), int(seed), int(t),
+                      float(sub)) for alg, m, k, eta, seed, t, sub in
+            (line.split(",") for line in lines[1:])]
 
 
 def read_sweep_csv(path) -> List[SweepRow]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != SWEEP_HEADER:
         raise ValueError(f"{path}: missing sweep header")
-    out = []
-    for line in lines[1:]:
-        alg, m, k, eta, sub = line.split(",")
-        out.append(SweepRow(alg, int(m), int(k), float(eta), float(sub)))
-    return out
+    return [SweepRow(alg, int(m), int(k), float(eta), float(sub))
+            for alg, m, k, eta, sub in (line.split(",") for line in lines[1:])]
 
 
 def write_records_json(cells: Sequence[CellResult], path) -> None:

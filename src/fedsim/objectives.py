@@ -59,15 +59,16 @@ def _log1p_exp(t: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.add(out, np.maximum(t, 0.0, out=t), out=out)
 
 
-def _as_row(value, dim: int, what: str) -> np.ndarray:
-    """``value`` as a new (dim,) float64 row: None is zeros and a one-entry
-    value is broadcast to every coordinate; another length raises a
-    ValueError that names ``what``."""
-    row = np.zeros(dim) if value is None else np.array(value, np.float64).ravel()
-    if row.size == 1:
-        row = np.full(dim, row[0])
-    if row.size != dim:
-        raise ValueError(f"{what} length {row.size} does not match dimension {dim}")
+def _as_row(value, dim: int, what: str, lead: tuple = ()) -> np.ndarray:
+    """``value`` as a new float64 array, as it is if its shape is ``lead +
+    (dim,)`` and else as a (dim,) row: None is zeros and a one-entry value
+    is broadcast to every coordinate; another length raises a ValueError
+    that names ``what``."""
+    row = np.zeros(dim) if value is None else np.array(value, np.float64)
+    if row.shape != (*lead, dim):
+        row = np.full(dim, row.ravel()[0]) if row.size == 1 else row.ravel()
+        if row.size != dim:
+            raise ValueError(f"{what} length {row.size} does not match dimension {dim}")
     return row
 
 
@@ -167,18 +168,22 @@ class Quadratic(Objective):
     The stochastic oracle returns grad(w) + z where z has independent
     N(0, sigma**2 / dim) coordinates, so E||z||**2 == sigma**2 exactly.
     One oracle call consumes ``dim`` stream slots when sigma > 0 and none
-    otherwise.
+    otherwise.  A (rows, dim) spectrum, with a shift of one row or as many,
+    stacks one quadratic per row: every method broadcasts its points
+    against the stack, so the oracle's row b on ``rows`` streams is
+    quadratic b's.
     """
 
     def __init__(self, spectrum, shift=None, sigma: float = 0.0,
                  mu_est: Optional[float] = None, l_est: Optional[float] = None):
-        self.spectrum = np.asarray(spectrum, dtype=np.float64).ravel()
-        self.dim = self.spectrum.size
-        if self.dim == 0:
+        spectrum = np.asarray(spectrum, dtype=np.float64)
+        self.spectrum = spectrum if spectrum.ndim == 2 else spectrum.ravel()
+        self.dim = self.spectrum.shape[-1]
+        if self.spectrum.size == 0:
             raise ValueError("empty spectrum")
         if (self.spectrum < 0).any():
             raise ValueError("spectrum entries must be nonnegative")
-        self.shift = _as_row(shift, self.dim, "shift")
+        self.shift = _as_row(shift, self.dim, "shift", self.spectrum.shape[:-1])
         self.sigma = float(sigma)
         self.mu_est = float(self.spectrum.min() if mu_est is None else mu_est)
         self.l_est = float(self.spectrum.max() if l_est is None else l_est)
@@ -201,7 +206,8 @@ class Quadratic(Objective):
     def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
         W, out, _ = self._work(W, bundle, out, scratch)
         pts, blocks = _by_point(W, out)
-        np.subtract(pts, self.shift, out=blocks)
+        shift = np.broadcast_to(self.shift, out.shape).reshape(blocks.shape)
+        np.subtract(pts, shift, out=blocks)
         np.multiply(self.spectrum, out, out=out)
         if self.sigma != 0.0:
             noise = bundle.gaussians(self.dim)

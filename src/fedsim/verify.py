@@ -8,6 +8,8 @@ run in seconds on one core:
 * spectral-norm bounds for the difference transfer matrices over random
   admissible hyperparameters,
 * per-step contraction of the decentralized potential on random quadratics,
+  whose trials share one kernel call, as do the sync-frequency
+  equivalence's K values,
 * the piecewise-curvature instability experiment against its closed forms,
 * finite-difference validation of every gradient implementation,
 * byte-identical artifacts across sweep worker-process counts.
@@ -16,23 +18,24 @@ run in seconds on one core:
 from __future__ import annotations
 
 import math
-import os
 import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .algorithms import (AgdStep, fedac_run, fedavg_run, mb_acsgd_run,
-                         mb_sgd_run, schedule_fedac1, schedule_vanilla,
-                         worker_mean)
+from .algorithms import (AgdStep, DivergenceError, fedavg_run, mb_acsgd_run,
+                         mb_sgd_run, run_replicas, schedule_fedac1,
+                         schedule_vanilla, worker_mean)
 from .diagnostics import (InstabilityResult, PiecewiseCurvature1D,
                           construct_instability_objective,
                           instability_experiment, norm_bound_sweep,
                           potential_psi, sample_admissible)
 from .harness import (ExperimentConfig, build_objective, compute_optimum,
-                      tune_and_sweep, write_records_csv, write_sweep_csv)
+                      make_synthetic_logistic, tune_and_sweep,
+                      write_records_csv, write_sweep_csv)
 from .objectives import Augmented, Logistic, Objective, Quadratic
 from .rng import StreamBundle
 
@@ -71,13 +74,10 @@ def _equivalence_fedavg_mb_sgd() -> Tuple[bool, str]:
 
 def _equivalence_sync_free() -> Tuple[bool, str]:
     obj = Quadratic(np.linspace(1.0, 4.0, 6), shift=0.7, sigma=0.0)
-    eta, mu = 0.2, obj.mu_est
-    hyper = schedule_fedac1(eta, mu, 1)
-    finals = []
-    for k in (1, 2, 5, 100):
-        res = fedac_run(obj, 3, 100, k, hyper, seed=5, w0=np.ones(6))
-        finals.append(res.final_avg_w_ag)
-    worst = max(float(np.abs(f - finals[0]).max()) for f in finals[1:])
+    hyper = schedule_fedac1(0.2, obj.mu_est, 1)
+    finals = run_replicas(obj, 3, 100, [1, 2, 5, 100], [hyper] * 4, [5] * 4,
+                          w0=np.ones(6)).final_avg_w_ag
+    worst = float(np.abs(finals[1:] - finals[0]).max())
     return worst <= 1e-12, f"max deviation across K {worst:.2e}"
 
 
@@ -130,33 +130,49 @@ def check_norm_bounds(samples: int = 1000, n_h: int = 21,
     return _timed(run, "norm-bounds")
 
 
+def potential_trials(trials: int, steps: int, seed: int):
+    """(psi at steps + 1 states, rate 1 - gamma mu) of FedAc (M = 4, K = 1,
+    eta = 1/L) on each of ``trials`` random quadratics.  All are drawn
+    first, then run as the replicas of one ``run_replicas`` call, each
+    padded to width 10 by coordinates of zero curvature, shift and start,
+    which stay 0; psi on a trial's own rows and columns is its run alone's."""
+    stream, m = StreamBundle(seed, [0]), 4
+    spectra, shifts, starts = np.zeros((3, trials, 10))
+    quads, hypers = [], []
+    for i in range(trials):
+        dim = 2 + int(stream.indices(9, 1)[0, 0])
+        u = stream.uniforms(2)[0]
+        mu = 0.05 + u[0]
+        # kappa >= 20 keeps the potential above the float measurement
+        # floor of the w - shift cancellation through all 100 steps
+        kappa = 20.0 + 30.0 * u[1]
+        spectra[i, :dim] = np.linspace(mu, mu * kappa, dim)
+        shifts[i, :dim] = stream.gaussians(dim)[0]
+        quads.append(Quadratic(spectra[i, :dim], shift=shifts[i, :dim]))
+        hypers.append(schedule_fedac1(1.0 / quads[i].l_est, mu, 1))
+        starts[i, :dim] = shifts[i, :dim] + stream.gaussians(dim)[0]
+    ws, w_ags = np.empty((2, steps + 1, trials * m, 10))
+
+    def cb(step, w, w_ag):
+        ws[step], w_ags[step] = w, w_ag
+
+    stack = Quadratic(np.repeat(spectra, m, 0), shift=np.repeat(shifts, m, 0))
+    res = run_replicas(stack, m, steps, 1, hypers, [3] * trials, w0=starts,
+                       callback=cb)
+    for failed in filter(None, res.diverged):
+        raise DivergenceError(*failed)
+    return [(potential_psi(ws[:, m * i:m * i + m, :q.dim],
+                           w_ags[:, m * i:m * i + m, :q.dim], q, q.mu_est,
+                           q.shift, 0.0), 1.0 - h.gamma * q.mu_est)
+            for i, (q, h) in enumerate(zip(quads, hypers))]
+
+
 def check_potential_contraction(trials: int = 50, steps: int = 100,
                                 seed: int = 77) -> CheckResult:
     def run():
-        stream = StreamBundle(seed, [0])
         worst_excess = -math.inf
         bad = 0
-        for _ in range(trials):
-            dim = 2 + int(stream.indices(9, 1)[0, 0])
-            u = stream.uniforms(2)[0]
-            mu = 0.05 + u[0]
-            # kappa >= 20 keeps the potential above the float measurement
-            # floor of the w - shift cancellation through all 100 steps
-            kappa = 20.0 + 30.0 * u[1]
-            spectrum = np.linspace(mu, mu * kappa, dim)
-            shift = stream.gaussians(dim)[0]
-            obj = Quadratic(spectrum, shift=shift, sigma=0.0)
-            eta = 1.0 / obj.l_est
-            hyper = schedule_fedac1(eta, mu, 1)
-            rate = 1.0 - hyper.gamma * mu
-            ws, w_ags = np.empty((2, steps + 1, 4, dim))
-
-            def cb(step, w, w_ag):
-                ws[step], w_ags[step] = w, w_ag
-
-            w0 = shift + stream.gaussians(dim)[0]
-            fedac_run(obj, 4, steps, 1, hyper, seed=3, w0=w0, callback=cb)
-            psis = potential_psi(ws, w_ags, obj, mu, shift, 0.0)
+        for psis, rate in potential_trials(trials, steps, seed):
             excess = psis[1:] - rate * psis[:-1] * (1.0 + 1e-9)
             worst_excess = excess.max(initial=worst_excess)
             bad += int((~(excess <= 0)).sum())
@@ -201,15 +217,11 @@ def _fd_gradient(obj: Objective, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return (obj.eval_many(w + e) - obj.eval_many(w - e)) / (2.0 * h)
 
 
-def _small_logistic() -> Logistic:
-    from .harness import make_synthetic_logistic
-    return Logistic(make_synthetic_logistic(60, 12, seed=21, nnz=5), lam=0.05)
-
-
 def check_gradients(points: int = 20, seed: int = 99) -> CheckResult:
     def run():
         stream = StreamBundle(seed, [0])
-        logistic = _small_logistic()
+        logistic = Logistic(make_synthetic_logistic(60, 12, seed=21, nnz=5),
+                            lam=0.05)
         bumpy = PiecewiseCurvature1D(1.0, 25.0, [(0.35, 0.05), (-0.8, 0.1)])
         kinds: List[Tuple[str, Objective]] = [
             ("quadratic", Quadratic(np.linspace(0.5, 5.0, 8),
@@ -254,15 +266,10 @@ def check_determinism() -> CheckResult:
         def artifact(threads: int) -> bytes:
             cells, rows = tune_and_sweep(cfg, obj, opt.f_star, threads=threads)
             with tempfile.TemporaryDirectory() as tmp:
-                rec = os.path.join(tmp, "records.csv")
-                swp = os.path.join(tmp, "sweep.csv")
+                rec, swp = Path(tmp, "records.csv"), Path(tmp, "sweep.csv")
                 write_records_csv(cells, rec)
                 write_sweep_csv(rows, swp)
-                with open(rec, "rb") as f:
-                    blob = f.read()
-                with open(swp, "rb") as f:
-                    blob += f.read()
-            return blob
+                return rec.read_bytes() + swp.read_bytes()
 
         same = artifact(1) == artifact(4)
         return same, "serial and 4-thread sweeps wrote identical bytes"

@@ -679,6 +679,51 @@ def test_frozen_replicas_hold_the_start_row_beside_their_own_runs(
 
 
 @pytest.mark.parametrize("accelerated", [True, False])
+def test_one_start_row_per_replica(accelerated):
+    """With ``w0`` one row per replica, each replica is its one-replica run
+    from its own row, bit for bit.  Replica 1 blows up at worker 1 on step
+    2, a local step for K = 2, and holds its own start row from step 3 on,
+    not the others' rows."""
+    m, t, k, call = 2, 8, 2, 2
+    etas, seeds = [0.05, 0.1, 0.2], [0, 1, 2]
+    steps = [schedule_fedac1(e, 1.0, k) for e in etas] if accelerated \
+        else etas
+    starts = np.array([[1.0, -1.0], [0.5, 2.0], [-3.0, 0.25]])
+    cap = Capture()
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_replicas(Spike(rows=[3], call=call), m, t, k, steps, seeds,
+                           w0=starts, callback=cap)
+    assert res.diverged == [None, (call, 1), None]
+    for r in range(3):
+        own = Capture()
+        alone = run_replicas(Spike(), m, t, k, steps[r:r + 1], seeds[r:r + 1],
+                             w0=starts[r], callback=own)
+        states = replica_rows(cap, r, [m] * 3)
+        if r == 1:
+            states, frozen = states[:call + 1], states[call + 1:]
+            assert len(frozen) == t - call
+            for _, w, ag in frozen:
+                for state in (w, ag) if accelerated else (w,):
+                    assert (state == starts[1]).all()
+        else:
+            assert_bits(res.final_avg_w[r], alone.final_avg_w[0])
+            assert_bits(res.final_avg_w_ag[r], alone.final_avg_w_ag[0])
+        for (_, w, ag), (_, w1, ag1) in zip(states, replica_rows(own, 0, [m])):
+            assert_bits(w, w1)
+            if accelerated:
+                assert_bits(ag, ag1)
+
+
+@pytest.mark.parametrize("w0", [np.zeros((2, 2)), np.zeros((3, 3)),
+                                np.zeros(3), np.zeros((3, 2, 1))])
+def test_run_replicas_rejects_a_start_of_the_wrong_shape(w0):
+    """Three replicas of dim 2 take one start, one entry or three rows of
+    two; any other shape raises a ValueError that names ``w0``."""
+    with pytest.raises(ValueError, match="^w0 length"):
+        run_replicas(Spike(), 2, 4, 1, [0.1] * 3, [0, 1, 2], w0=w0)
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
 def test_a_call_stops_when_every_replica_has_diverged(accelerated):
     """Replicas blowing up at steps 2 and 4 end the call after step 4: the
     callback runs before steps 0 to 4 and not at T, and the oracle is

@@ -385,6 +385,36 @@ def test_multi_matches_single_streams_augmented():
             multi[m], one_stream_grad(obj, W[m], StreamBundle(4, [m])))
 
 
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("shift", ["stacked", "one row"])
+def test_stacked_quadratic_rows_are_each_quadratics_own(shared, shift):
+    """Row b of a stacked quadratic's oracle, on one stream per row, is
+    quadratic b's call on stream b alone, bit for bit, noise included, at
+    one point per row or at one shared point."""
+    spectra = np.array([[1.0, 3.0], [0.5, 0.0], [2.0, 2.5]])
+    shifts = np.array([[0.2, -0.1], [1.0, 0.0], [-0.7, 0.3]])
+    sigma, given = 0.8, shifts if shift == "stacked" else shifts[0]
+    stack = Quadratic(spectra, shift=given, sigma=sigma)
+    assert (stack.dim, stack.mu_est, stack.l_est) == (2, 0.0, 3.0)
+    W = np.array([1.5, -2.0]) if shared else \
+        np.array([[0.5, 1.0], [-1.0, 0.25], [2.0, 2.0]])
+    multi = stack.stoch_grad_multi(W, StreamBundle(seed=6, worker_ids=[0, 1, 2]))
+    for b in range(3):
+        own = Quadratic(spectra[b], shift=np.broadcast_to(given, (3, 2))[b],
+                        sigma=sigma)
+        point = W if shared else W[b]
+        assert multi[b].tobytes() == \
+            one_stream_grad(own, point, StreamBundle(6, [b])).tobytes()
+
+
+def test_stacked_quadratic_rejects_a_shift_of_other_rows():
+    for shift in (np.zeros((2, 2)), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match="^shift length"):
+            Quadratic(np.ones((3, 2)), shift=shift)
+    with pytest.raises(ValueError, match="^shift length"):
+        Quadratic(np.ones(2), shift=np.zeros((1, 2)) + [[0.0], [1.0]])
+
+
 # ---------------------------------------------------------------------------
 # caller-owned work arrays (the step kernel's path)
 
