@@ -265,12 +265,15 @@ def run_replicas(obj: Objective, m, t: int, k, steps: Sequence,
     returns.  A replica whose iterates go non-finite at step s is recorded
     in ``diverged`` and frozen: its rows are reset to its start row and
     its step sizes to zero.  It keeps its share of oracle work until T, or
-    until every replica has diverged, when the call ends at once.
+    until every replica has diverged, when the call ends at once.  So the
+    kernel ignores floating-point overflow and invalid operations, whatever
+    the caller's ``np.errstate``, and callbacks run under that setting.
     """
     return _replicas(obj, m, t, k, steps, seeds, w0, callback,
                      obj.mu_est if mu is None else mu)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
               seeds: Sequence[int], w0, callback: Optional[Callback],
               mu: Optional[float], batch: int = 1) -> ReplicaResult:

@@ -137,6 +137,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_check_data(args) -> int:
+    if args.dim is not None and args.dim < 1:
+        raise UsageError(f"--dim must be >= 1, got {args.dim}")
     stats = dataset_stats(load_dataset(args.path, args.dim))
     print(f"n={stats.n} dim={stats.dim} "
           f"max_row_norm_sq={stats.max_row_norm_sq:.6g} "

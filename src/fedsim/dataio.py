@@ -7,6 +7,11 @@ indices are 0-based and rows live in a CSR matrix.  Files ending in ``.gz``
 are transparently decompressed.  Parsing is strict: malformed input raises
 :class:`DataFormatError` with the offending line number rather than being
 silently skipped.
+
+Input is parsed in slices of about ``_SLICE_BYTES`` of whole lines, one
+decision per slice: a slice whose every line is plain is parsed by numpy
+array operations (``_array_rows``), any other slice line by line by
+``_parse_line``, the one home of the grammar and its error messages.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ class DatasetStats(NamedTuple):
 _SLICE_BYTES = 1 << 18
 # 0-based column indices are stored as int32.
 _INDEX_LIMIT = 2 ** 31
-# Longer index tokens (leading zeros, say) take the per-line path.
+# A longer index token (leading zeros, say) sends its slice line by line.
 _INDEX_DIGITS = 10
 # Every integer of at most 15 decimal digits is exact in float64.
 _VALUE_DIGITS = 15
@@ -195,101 +200,81 @@ def _newlines(buf: bytes, universal: bool) -> bytes:
 
 
 def _parse_slice(buf: bytes, line0: int, declared_dim, errors: str) -> _Rows:
-    """Parse whole lines (``buf``'s first line is line ``line0 + 1``).
-
-    Array predicates accept the lines made of ASCII, an exact ``+1``/``1``/
-    ``-1`` label and ``digits:value`` features whose indices are in range and
-    strictly increase.  Short digit-only values are decoded here; any other
-    value goes through ``float()``.  Every other line, in order, goes through
-    ``_parse_line``, which accepts it or raises its error.
-    """
-    b = np.frombuffer(buf, dtype=np.uint8)
-    size = b.size
-    nl = np.flatnonzero(b == 10)
-    text = b > 32
-    if np.count_nonzero(b < 32) != nl.size:  # control bytes besides \n
-        text = ~_WHITESPACE[b]
-    if b"#" in buf:
-        text &= ~_comments(b, nl)
-    edges = np.zeros(size + 2, dtype=bool)
-    edges[1:-1] = text
-    edges = np.flatnonzero(edges[1:] != edges[:-1])
-    starts, stops = edges[0::2], edges[1::2]
-    first_tok = np.searchsorted(starts, np.append(0, nl + 1))  # of each line
-    line = np.repeat(np.arange(first_tok.size), np.diff(first_tok, append=starts.size))
-    first = _run_starts(line)
-    bad = np.zeros(nl.size + 1, dtype=bool)  # lines for the per-line path
-    if size and b.max() >= 128:
-        bad[np.searchsorted(nl, np.flatnonzero(b >= 128))] = True
-
-    row_line, lo, width = line[first], starts[first], stops[first] - starts[first]
-    c0, c1 = b[lo], b[np.minimum(lo + 1, size - 1)]
-    label_ok = (((width == 1) & (c0 == ord("1")))
-                | ((width == 2) & (c1 == ord("1")) & ((c0 == ord("+")) | (c0 == ord("-")))))
-    bad[row_line[~label_ok]] = True
-    row_label = np.where(c0 == ord("-"), -1.0, 1.0)
-
-    tok_line, lo, hi = line[~first], starts[~first], stops[~first]
-    colon = np.flatnonzero((b == ord(":")) & text)
-    if not (colon.size == lo.size and (colon >= lo).all() and (colon < hi).all()):
-        # not one colon per feature token: find each token's first
-        colon = np.minimum(np.append(colon, size)[np.searchsorted(colon, lo)], hi)
-    idx, idx_ok = _digits(b, lo, colon, _INDEX_DIGITS)
-    val, val_ok = _digits(b, colon + 1, hi, _VALUE_DIGITS)
-    val = val.astype(np.float64)
-    prev = np.zeros_like(idx)
-    prev[1:] = idx[:-1]
-    prev[_run_starts(tok_line)] = 0
-    tok_bad = (colon == hi) | ~idx_ok | (idx < 1) | (idx <= prev)
-    if declared_dim is not None:
-        tok_bad |= idx > declared_dim
-    bad[tok_line[tok_bad]] = True
-    other = np.flatnonzero(~val_ok & ~bad[tok_line])
-    for t, a, z in zip(other.tolist(), (colon[other] + 1).tolist(), hi[other].tolist()):
-        try:
-            val[t] = float(buf[a:z])
-        except ValueError:
-            bad[tok_line[t]] = True
-
-    keep_row, keep_tok = ~bad[row_line], ~bad[tok_line]
-    row_line, row_label = row_line[keep_row], row_label[keep_row]
-    counts = np.bincount(tok_line[keep_tok], minlength=bad.size)[row_line]
-    tok_line, idx, val = tok_line[keep_tok], idx[keep_tok], val[keep_tok]
-    over = np.flatnonzero(idx > _INDEX_LIMIT)
-    too_big = (line0 + int(tok_line[over[0]]) + 1, int(idx[over[0]])) if over.size else None
-
-    bad_lines = np.flatnonzero(bad).tolist()
-    if not bad_lines:
-        return _Rows(row_label, counts, idx, val, too_big)
-    ends = np.append(nl, size).tolist()
-    s_line, s_label, s_count, s_tok_line, s_idx, s_val = [], [], [], [], [], []
-    for i in bad_lines:
+    """Parse whole lines (``buf``'s first line is line ``line0 + 1``): by
+    ``_array_rows`` when every line is plain, else each line in order by
+    ``_parse_line``, which accepts it or raises its error.  An index above
+    ``_INDEX_LIMIT`` is kept, capped, for the error at the end of the file."""
+    rows = _array_rows(buf, line0, declared_dim)
+    if rows is not None:
+        return rows
+    labels, counts, indices, values, too_big = [], [], [], [], None
+    for i, raw in enumerate(buf.removesuffix(b"\n").split(b"\n")):
         line_no = line0 + i + 1
-        row = _parse_line(buf[ends[i - 1] + 1 if i else 0:ends[i]], line_no,
-                          declared_dim, errors)
+        row = _parse_line(raw, line_no, declared_dim, errors)
         if row is None:
             continue
         label, row_idx, row_val = row
         if row_idx and row_idx[-1] > _INDEX_LIMIT:
-            if too_big is None or line_no < too_big[0]:
-                too_big = (line_no, next(j for j in row_idx if j > _INDEX_LIMIT))
+            too_big = too_big or (line_no, next(j for j in row_idx if j > _INDEX_LIMIT))
             row_idx = [min(j, _INDEX_LIMIT + 1) for j in row_idx]
-        s_line.append(i)
-        s_label.append(label)
-        s_count.append(len(row_idx))
-        s_tok_line += [i] * len(row_idx)
-        s_idx += row_idx
-        s_val += row_val
-    rows = np.argsort(np.concatenate([row_line, np.asarray(s_line, dtype=row_line.dtype)]),
-                      kind="stable")
-    toks = np.argsort(np.concatenate([tok_line, np.asarray(s_tok_line, dtype=tok_line.dtype)]),
-                      kind="stable")
-    return _Rows(
-        np.concatenate([row_label, np.asarray(s_label, dtype=np.float64)])[rows],
-        np.concatenate([counts, np.asarray(s_count, dtype=counts.dtype)])[rows],
-        np.concatenate([idx, np.asarray(s_idx, dtype=np.int64)])[toks],
-        np.concatenate([val, np.asarray(s_val, dtype=np.float64)])[toks],
-        too_big)
+        labels.append(label)
+        counts.append(len(row_idx))
+        indices += row_idx
+        values += row_val
+    return _Rows(np.array(labels, dtype=float), np.array(counts, dtype=int),
+                 np.array(indices, dtype=int), np.array(values, dtype=float), too_big)
+
+
+def _array_rows(buf: bytes, line0: int, declared_dim) -> Optional[_Rows]:
+    """The slice's rows by numpy array operations, or None unless every line
+    is plain: ASCII without ``#``, an exact ``+1``/``1``/``-1`` label and
+    ``digits:value`` features whose indices have at most ``_INDEX_DIGITS``
+    digits, are in range and strictly increase.  A value of at most
+    ``_VALUE_DIGITS`` digits is decoded here; any other goes through
+    ``float()``."""
+    if b"#" in buf or not buf.isascii():
+        return None
+    b = np.frombuffer(buf, dtype=np.uint8)
+    nl = np.flatnonzero(b == 10)
+    text = b > 32
+    if np.count_nonzero(b < 32) != nl.size:  # control bytes besides \n
+        text = ~_WHITESPACE[b]
+    edges = np.flatnonzero(np.diff(text, prepend=False, append=False))
+    starts, stops = edges[0::2], edges[1::2]
+    first_tok = np.searchsorted(starts, np.append(0, nl + 1))  # of each line
+    line = np.repeat(np.arange(first_tok.size), np.diff(first_tok, append=starts.size))
+    first = _run_starts(line)
+
+    lo, width = starts[first], stops[first] - starts[first]
+    c0, c1 = b[lo], b[np.minimum(lo + 1, b.size - 1)]
+    if not ((width == 1) & (c0 == ord("1"))
+            | (width == 2) & (c1 == ord("1")) & ((c0 == ord("+")) | (c0 == ord("-")))).all():
+        return None
+    tok_line, lo, hi = line[~first], starts[~first], stops[~first]
+    colon = np.flatnonzero(b == ord(":"))  # one per feature token, inside it
+    if colon.size != lo.size or not ((colon > lo) & (colon < hi)).all():
+        return None
+    idx, idx_ok = _digits(b, lo, colon, _INDEX_DIGITS)
+    val, val_ok = _digits(b, colon + 1, hi, _VALUE_DIGITS)
+    prev = np.zeros_like(idx)
+    prev[1:] = idx[:-1]
+    prev[_run_starts(tok_line)] = 0
+    bad = ~idx_ok | (idx <= prev)
+    if declared_dim is not None:
+        bad |= idx > declared_dim
+    if bad.any():
+        return None
+    val = val.astype(np.float64)
+    other = np.flatnonzero(~val_ok)
+    for t, a, z in zip(other.tolist(), (colon[other] + 1).tolist(), hi[other].tolist()):
+        try:
+            val[t] = float(buf[a:z])
+        except ValueError:
+            return None
+    over = np.flatnonzero(idx > _INDEX_LIMIT)
+    too_big = (line0 + int(tok_line[over[0]]) + 1, int(idx[over[0]])) if over.size else None
+    counts = np.bincount(tok_line, minlength=first_tok.size)[line[first]]
+    return _Rows(np.where(c0 == ord("-"), -1.0, 1.0), counts, idx, val, too_big)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -297,17 +282,6 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     starts = np.ones(keys.size, dtype=bool)
     starts[1:] = keys[1:] != keys[:-1]
     return starts
-
-
-def _comments(b: np.ndarray, nl: np.ndarray) -> np.ndarray:
-    """Mask of the bytes from the first ``#`` of each line to its end."""
-    hashes = np.flatnonzero(b == ord("#"))
-    line = np.searchsorted(nl, hashes)
-    first = _run_starts(line)
-    marks = np.zeros(b.size + 1, dtype=np.int8)
-    marks[hashes[first]] = 1
-    marks[np.append(nl, b.size)[line[first]]] = -1
-    return np.cumsum(marks[:-1], dtype=np.int8).view(bool)
 
 
 def _digits(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, most: int):

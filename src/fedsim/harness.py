@@ -140,6 +140,8 @@ class ExperimentConfig:
             values = getattr(self, spec.field)
             if spec.is_list and len(set(values)) < len(values):
                 raise ConfigError(f"{key} lists a value twice: {values}")
+        if self.declared_dim is not None and self.declared_dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {self.declared_dim}")
         if not (0 < self.lam < math.inf):
             raise ConfigError(f"lam must be positive and finite, got {self.lam}")
         if self.opt_tol is not None and not (0 < self.opt_tol < math.inf):

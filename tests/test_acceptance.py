@@ -185,8 +185,7 @@ def speedup():
         t=1024, k_list=(1, 16, 64), m_list=(1, 4, 16, 64),
         etas=DEFAULT_ETA_GRID, seeds=(0, 1, 2), eval_every=128)
     opt = compute_optimum(obj)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cells, rows = tune_and_sweep(cfg, obj, opt.f_star, threads=8)
+    cells, rows = tune_and_sweep(cfg, obj, opt.f_star, threads=8)
     return SimpleNamespace(cfg=cfg, obj=obj, f_star=opt.f_star,
                            cells=cells, rows=rows, note=note)
 
@@ -252,9 +251,8 @@ def test_acceptance_8_thread_and_repeat_determinism(speedup, tmp_path):
     with criterion(8, speedup.note):
         # the sweep is the only path with worker processes: rerun it
         # serially and require byte-identical artifacts
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cells1, rows1 = tune_and_sweep(speedup.cfg, speedup.obj,
-                                           speedup.f_star, threads=1)
+        cells1, rows1 = tune_and_sweep(speedup.cfg, speedup.obj,
+                                       speedup.f_star, threads=1)
         assert artifact_bytes(cells1, rows1, tmp_path, "serial") == \
             artifact_bytes(speedup.cells, speedup.rows, tmp_path, "pooled")
 

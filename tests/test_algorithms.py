@@ -238,11 +238,31 @@ def test_fedac_gradient_calls_and_validation():
 def test_fedac_divergence_reports_step_and_worker():
     obj = Quadratic([1.0])
     hyper = Hyper(eta=1e300, gamma=1e300, alpha=2.0, beta=2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as ei:
-            fedac_run(obj, m=2, t=10, k=1, hyper=hyper, seed=0, w0=[1.0])
+    with pytest.raises(DivergenceError) as ei:
+        fedac_run(obj, m=2, t=10, k=1, hyper=hyper, seed=0, w0=[1.0])
     assert ei.value.step >= 0
     assert ei.value.worker in (0, 1)
+
+
+def test_the_kernel_reports_divergence_under_a_strict_errstate():
+    """A caller's ``np.errstate(all="raise")`` neither turns a divergence
+    into a FloatingPointError nor reaches the callback: the kernel owns
+    its overflow and invalid-operation policy."""
+    obj = Quadratic([1.0])
+    seen = []
+
+    def policy(t, w, w_ag):
+        seen.append((np.geterr()["over"], np.geterr()["invalid"]))
+
+    with np.errstate(all="raise"):
+        res = run_replicas(obj, 2, 10, 1, [0.1, 1e300], [0, 1], w0=[1.0],
+                           callback=policy)
+        with pytest.raises(DivergenceError):
+            fedac_run(obj, m=2, t=10, k=1, seed=0, w0=[1.0],
+                      hyper=Hyper(eta=1e300, gamma=1e300, alpha=2.0, beta=2.0))
+        assert np.geterr()["over"] == "raise"
+    assert res.diverged[0] is None and res.diverged[1] is not None
+    assert set(seen) == {("ignore", "ignore")}
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +336,8 @@ def test_fedavg_gradient_calls_and_divergence():
     obj = Quadratic([1.0])
     res = fedavg_run(obj, m=3, t=7, k=7, eta=0.1, seed=0)
     assert res.gradient_calls == 21
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as ei:
-            fedavg_run(obj, m=2, t=10, k=1, eta=1e300, seed=0, w0=[1.0])
+    with pytest.raises(DivergenceError) as ei:
+        fedavg_run(obj, m=2, t=10, k=1, eta=1e300, seed=0, w0=[1.0])
     assert ei.value.step >= 0
 
 
@@ -391,9 +410,8 @@ def test_run_replicas_drops_a_diverged_replica(accelerated):
     etas, seeds = [0.05, 0.1, 0.2], [3, 4, 5]
     steps = [schedule_fedac1(e, 1.0, k) for e in etas] if accelerated else etas
     cap = Capture()
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = run_replicas(Spike(rows=[m + 1, m + 2], call=2), m, t, k, steps,
-                           seeds, callback=cap)
+    res = run_replicas(Spike(rows=[m + 1, m + 2], call=2), m, t, k, steps,
+                       seeds, callback=cap)
     assert res.diverged == [None, (2, 1), None]
     assert cap.ts == list(range(t + 1))
     for step, W, W_ag in zip(cap.ts, cap.w, cap.w_ag):
@@ -419,14 +437,13 @@ def spike_divergence(driver, call):
     workers 1 and 2 blow up at oracle call ``call``, and the callback steps."""
     obj = Spike(rows=[1, 2], call=call)
     seen = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as ei:
-            if driver == "fedac":
-                fedac_run(obj, 3, 8, 4, schedule_fedac1(0.1, 1.0, 4), 0,
-                          callback=lambda t, w, w_ag: seen.append(t))
-            else:
-                fedavg_run(obj, 3, 8, 4, 0.1, 0,
-                           callback=lambda t, w, w_ag: seen.append(t))
+    with pytest.raises(DivergenceError) as ei:
+        if driver == "fedac":
+            fedac_run(obj, 3, 8, 4, schedule_fedac1(0.1, 1.0, 4), 0,
+                      callback=lambda t, w, w_ag: seen.append(t))
+        else:
+            fedavg_run(obj, 3, 8, 4, 0.1, 0,
+                       callback=lambda t, w, w_ag: seen.append(t))
     return (ei.value.step, ei.value.worker), seen
 
 
@@ -545,13 +562,12 @@ def test_mixed_k_divergence_reports_the_pair_of_a_run_alone(accelerated,
     etas, seeds = [0.05, 0.1, 0.2, 0.1], [3, 4, 5, 6]
     steps = [schedule_fedac1(e, 1.0, k) for e, k in zip(etas, ks)] \
         if accelerated else etas
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = run_replicas(Spike(rows=[4, 5, 7, 8], call=call), m, t, ks,
-                           steps, seeds)
-        alone = [run_replicas(Spike(rows=[1, 2] if r in (1, 2) else [],
-                                    call=call),
-                              m, t, ks[r], steps[r:r + 1], seeds[r:r + 1])
-                 for r in range(4)]
+    res = run_replicas(Spike(rows=[4, 5, 7, 8], call=call), m, t, ks,
+                       steps, seeds)
+    alone = [run_replicas(Spike(rows=[1, 2] if r in (1, 2) else [],
+                                call=call),
+                          m, t, ks[r], steps[r:r + 1], seeds[r:r + 1])
+             for r in range(4)]
     assert res.diverged == [a.diverged[0] for a in alone]
     assert res.diverged == [None, (call, 0), (call, 1 if call == 3 else 0),
                             None]
@@ -592,20 +608,18 @@ def test_mixed_m_call_equals_one_replica_runs(accelerated, order, call):
     blown = {0, 5, 7, 11}
     first = np.cumsum([0, *ms])
     cap = Capture()
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = run_replicas(Spike(rows=[first[r + 1] - 1 for r in sorted(blown)],
-                                 call=call),
-                           ms, t, ks, steps, seeds, w0=w0, callback=cap)
+    res = run_replicas(Spike(rows=[first[r + 1] - 1 for r in sorted(blown)],
+                             call=call),
+                       ms, t, ks, steps, seeds, w0=w0, callback=cap)
     assert res.gradient_calls == [m * t for m in ms]
     assert [d is not None for d in res.diverged] == \
         [r in blown for r in range(len(cells))]
     for r, (m, k) in enumerate(cells):
         own = Capture()
-        with np.errstate(over="ignore", invalid="ignore"):
-            alone = run_replicas(Spike(rows=[m - 1] if r in blown else [],
-                                       call=call),
-                                 m, t, k, steps[r:r + 1], seeds[r:r + 1],
-                                 w0=w0, callback=own)
+        alone = run_replicas(Spike(rows=[m - 1] if r in blown else [],
+                                   call=call),
+                             m, t, k, steps[r:r + 1], seeds[r:r + 1],
+                             w0=w0, callback=own)
         assert res.diverged[r] == alone.diverged[0]
         if r in blown:
             assert res.diverged[r] == \
@@ -648,9 +662,8 @@ def test_frozen_replicas_hold_the_start_row_beside_their_own_runs(
     spikes = {3: [first[2] - 1], 5: [first[4] - 1],
               7: list(range(first[1], first[2]))}
     cap = Capture()
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = run_replicas(Spike(spikes=spikes), ms, t, ks, steps, seeds,
-                           callback=cap)
+    res = run_replicas(Spike(spikes=spikes), ms, t, ks, steps, seeds,
+                       callback=cap)
     assert res.diverged == [None, (3, 0), None, (5, 2), None]
     assert cap.ts == list(range(t + 1))
     for r, step in ((1, 3), (3, 5)):
@@ -690,9 +703,8 @@ def test_one_start_row_per_replica(accelerated):
         else etas
     starts = np.array([[1.0, -1.0], [0.5, 2.0], [-3.0, 0.25]])
     cap = Capture()
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = run_replicas(Spike(rows=[3], call=call), m, t, k, steps, seeds,
-                           w0=starts, callback=cap)
+    res = run_replicas(Spike(rows=[3], call=call), m, t, k, steps, seeds,
+                       w0=starts, callback=cap)
     assert res.diverged == [None, (call, 1), None]
     for r in range(3):
         own = Capture()
@@ -732,8 +744,7 @@ def test_a_call_stops_when_every_replica_has_diverged(accelerated):
     steps = [schedule_fedac1(e, 1.0, k) for e in (0.05, 0.1)] \
         if accelerated else [0.05, 0.1]
     obj, cap = Spike(spikes={2: [0], 4: [2, 3]}), Capture()
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = run_replicas(obj, m, t, k, steps, [0, 1], callback=cap)
+    res = run_replicas(obj, m, t, k, steps, [0, 1], callback=cap)
     assert res.diverged == [(2, 0), (4, 0)]
     assert cap.ts == [0, 1, 2, 3, 4]
     assert obj.calls == 5
@@ -750,8 +761,7 @@ def test_a_stopped_minibatch_call_counts_the_rounds_it_took(accelerated):
     steps = [schedule_vanilla(e, 1.0) for e in (0.05, 0.1)] \
         if accelerated else [0.05, 0.1]
     obj = Spike(spikes={1: [0], 3: [5]})
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = _run_minibatch(obj, m, t, k, steps, [0, 1])
+    res = _run_minibatch(obj, m, t, k, steps, [0, 1])
     assert res.diverged == [(3, 0), (7, 0)]
     assert obj.calls == 4
     assert res.gradient_calls == [4 * k] * 2
@@ -829,16 +839,14 @@ def test_mb_sgd_gradient_calls():
 
 def test_mb_sgd_divergence():
     obj = Quadratic([1.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError):
-            mb_sgd_run(obj, m=1, t=10, k=1, eta=1e300, seed=0, w0=[1.0])
+    with pytest.raises(DivergenceError):
+        mb_sgd_run(obj, m=1, t=10, k=1, eta=1e300, seed=0, w0=[1.0])
 
 
 def test_mb_sgd_divergence_reports_parallel_step():
     obj = Quadratic([1.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as ei:
-            mb_sgd_run(obj, m=2, t=16, k=4, eta=1e300, seed=0, w0=[1.0])
+    with pytest.raises(DivergenceError) as ei:
+        mb_sgd_run(obj, m=2, t=16, k=4, eta=1e300, seed=0, w0=[1.0])
     # round 0 lands on -1e300, round 1 overflows; its last parallel step is 7
     assert (ei.value.step, ei.value.worker) == (7, 0)
 
@@ -847,9 +855,8 @@ def test_divergence_report_matches_between_fedavg_and_mb_sgd_at_k1():
     obj = Quadratic([1.0])
     reports = []
     for run in (fedavg_run, mb_sgd_run):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as ei:
-                run(obj, m=3, t=10, k=1, eta=1e300, seed=0, w0=[1.0])
+        with pytest.raises(DivergenceError) as ei:
+            run(obj, m=3, t=10, k=1, eta=1e300, seed=0, w0=[1.0])
         reports.append((ei.value.step, ei.value.worker))
     assert reports[0] == reports[1] == (1, 0)
 
@@ -1054,10 +1061,9 @@ def test_run_minibatch_replicas_match_single_runs(algorithm):
     seeds = [1, 1, 2]
     driver = MINIBATCH[algorithm][0]
     cap = Capture()
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = _run_minibatch(obj, m, t, k, steps, seeds, callback=cap)
-        with pytest.raises(DivergenceError) as ei:
-            driver(obj, m, t, k, etas[1], seeds[1])
+    res = _run_minibatch(obj, m, t, k, steps, seeds, callback=cap)
+    with pytest.raises(DivergenceError) as ei:
+        driver(obj, m, t, k, etas[1], seeds[1])
     assert res.gradient_calls == [t] * 3
     assert res.rho_avg_w is None
     assert res.diverged == [None, (ei.value.step, ei.value.worker), None]

@@ -258,6 +258,15 @@ def test_check_data_declared_dim_pads(tmp_path, capsys):
     assert out.startswith("n=1 dim=7 ")
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_check_data_rejects_a_nonpositive_dim(dim, tmp_path, capsys):
+    path = tmp_path / "tiny.txt"
+    path.write_text("1 1:1.0\n")
+    code, out, err = run_cli(["check-data", str(path), "--dim", dim], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: usage: --dim must be >= 1, got {dim}")
+
+
 def test_check_data_reads_gzip(tmp_path, capsys):
     path = tmp_path / "tiny.txt.gz"
     with gzip.open(path, "wt") as fh:
@@ -407,10 +416,9 @@ def test_run_config_syntax_error_reports_line(tmp_path, capsys):
 def test_run_divergent_cell_exits_3_but_writes_records(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out_dir = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run_cli(
-            ["run", "--config", cfg, "--out", str(out_dir),
-             "--eta", "1e300"], capsys)
+    code, out, err = run_cli(
+        ["run", "--config", cfg, "--out", str(out_dir),
+         "--eta", "1e300"], capsys)
     assert code == 3
     assert err.startswith("error: numerical:")
     body = (out_dir / "records.csv").read_text()
@@ -535,6 +543,26 @@ def test_run_rejects_a_bad_opt_tol(tol, tmp_path, capsys):
         ["run", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: usage: opt_tol must be positive and finite")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("dataset", ["synthetic", "file"])
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_run_and_sweep_reject_a_nonpositive_dim(command, dataset, dim, tmp_path,
+                                                capsys):
+    """A nonpositive --dim is a usage error (exit 1) whatever the dataset:
+    not a data error on a file, and not ignored on the synthetic set."""
+    text = SMALL_CONFIG
+    if dataset == "file":
+        data = tmp_path / "tiny.txt"
+        data.write_text("1 1:1.0 3:1.0\n-1 2:2.0\n")
+        text = text.replace("dataset = synthetic", f"dataset = {data}")
+    code, out, err = run_cli(
+        [command, "--config", write_config(tmp_path, text), "--dim", dim,
+         "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: usage: dim must be >= 1, got {dim}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])

@@ -385,7 +385,9 @@ def test_array_parser_matches_reference(text, tmp_path, monkeypatch):
                     outcome(reference_load, path, dim), (path, slice_bytes)
 
 
-def test_only_other_lines_take_the_per_line_path(monkeypatch):
+def test_each_slice_takes_one_path(monkeypatch):
+    """One irregular line sends its whole slice, and no other, through
+    ``_parse_line``; a plain slice makes no ``_parse_line`` call."""
     lines_seen = []
     per_line = dataio._parse_line
 
@@ -394,11 +396,20 @@ def test_only_other_lines_take_the_per_line_path(monkeypatch):
         return per_line(raw, line_no, *args)
 
     monkeypatch.setattr(dataio, "_parse_line", counted)
-    text = ("# header\n+1 5:1 9:0.5  # note\n-1 1:1e-3\t2:-0\x0b3:nan\n1\n"
-            "+1 3:7 # 4:x\n-1 +2:1\n+1 1:1 # caf\u00e9\n")
-    ds = parse_libsvm(text)
-    assert ds.n == 6
-    assert lines_seen == [6, 7]
+    monkeypatch.setattr(dataio, "_SLICE_BYTES", 4 * 24)  # four lines a slice
+    lines = [f"{'+1' if i % 2 else '-1'} {i % 5 + 1}:0.5 {i % 5 + 7}:{i}".encode()
+             for i in range(32)]
+    plain = b"".join(line.ljust(23) + b"\n" for line in lines)
+    assert outcome(parse_libsvm, plain) == outcome(reference_parse, plain)
+    assert lines_seen == []
+
+    lines[5] = b"# a header comment"
+    lines[14] = "+1 1:1\u00a02:2".encode()  # a non-ASCII space
+    lines[16] = b"+1 +2:1"
+    lines[27] = b"+1 00000000001:1"  # 11 digits
+    text = b"".join(line.ljust(23) + b"\n" for line in lines)
+    assert outcome(parse_libsvm, text) == outcome(reference_parse, text)
+    assert lines_seen == [*range(5, 9), *range(13, 21), *range(25, 29)]
 
 
 def test_negative_zero_keeps_its_sign():

@@ -412,9 +412,8 @@ def test_run_cell_minibatch_sgd_reports_the_synced_iterate():
 
 def test_run_cell_divergence_pads_with_inf():
     obj = Quadratic([1.0], shift=[1.0], sigma=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cell = run_cell(obj, "fedavg", m=2, k=1, eta=1e300, t=8, seed=0,
-                        eval_every=2, f_star=0.0)
+    cell = run_cell(obj, "fedavg", m=2, k=1, eta=1e300, t=8, seed=0,
+                    eval_every=2, f_star=0.0)
     assert cell.diverged
     assert [r.t for r in cell.records] == [0, 2, 4, 6, 8]
     assert cell.records[0].suboptimality < math.inf
@@ -446,8 +445,7 @@ def test_run_cell_evaluation_does_not_consume_randomness():
 def test_sweep_prefers_converging_eta():
     cfg = small_cfg(etas=(1e300, 0.1), seeds=(0, 1))
     obj = Quadratic([1.0], shift=[1.0], sigma=0.2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells, rows = tune_and_sweep(cfg, obj, f_star=0.0)
+    cells, rows = tune_and_sweep(cfg, obj, f_star=0.0)
     assert len(rows) == 1
     assert rows[0].best_eta == 0.1
     assert math.isfinite(rows[0].best_suboptimality)
@@ -495,8 +493,7 @@ def test_sweep_runtime_divergence_keeps_pre_divergence_best():
     row stays finite; only never-evaluable cells flag the row."""
     cfg = small_cfg(etas=(1e300,))
     obj = Quadratic([1.0], shift=[1.0], sigma=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, rows = tune_and_sweep(cfg, obj, f_star=0.0)
+    _, rows = tune_and_sweep(cfg, obj, f_star=0.0)
     assert rows[0].best_eta == 1e300
     assert rows[0].best_suboptimality == 0.5
 
@@ -649,11 +646,10 @@ def test_group_takes_one_m_per_replica(monkeypatch):
                 (1.5e-12, 0), (1.0, 2)]
     for alg in ("fedac1", "fedavg"):
         calls.clear()
-        with np.errstate(over="ignore", invalid="ignore"):
-            cells = harness.run_group(obj, alg, ms, ks, replicas, 32, 4, 0.0)
-            assert calls == [ms]
-            alone = [run_cell(obj, alg, m, k, eta, 32, seed, 4, 0.0)
-                     for m, k, (eta, seed) in zip(ms, ks, replicas)]
+        cells = harness.run_group(obj, alg, ms, ks, replicas, 32, 4, 0.0)
+        assert calls == [ms]
+        alone = [run_cell(obj, alg, m, k, eta, 32, seed, 4, 0.0)
+                 for m, k, (eta, seed) in zip(ms, ks, replicas)]
         assert cells == alone
         assert [(c.m, c.k) for c in cells] == list(zip(ms, ks))
         finite = [sum(r.suboptimality < math.inf for r in c.records)
@@ -676,10 +672,9 @@ def test_a_chunk_with_a_diverging_replica_records_as_run_cell(algorithm):
     chains."""
     _, obj = diverging_grid()
     replicas = [(1e-13, 0), (1.0, 0), (1.5e-12, 1)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells = harness.run_group(obj, algorithm, 3, 4, replicas, 128, 8, 0.0)
-        alone = [run_cell(obj, algorithm, 3, 4, eta, 128, seed, 8, 0.0)
-                 for eta, seed in replicas]
+    cells = harness.run_group(obj, algorithm, 3, 4, replicas, 128, 8, 0.0)
+    alone = [run_cell(obj, algorithm, 3, 4, eta, 128, seed, 8, 0.0)
+             for eta, seed in replicas]
     assert cells == alone
     assert [c.diverged for c in cells] == [False, True, False]
     finite = [r.suboptimality < math.inf for r in cells[1].records]
@@ -735,11 +730,10 @@ def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
             return run(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
     cfg, obj = diverging_grid()
-    with np.errstate(over="ignore", invalid="ignore"):
-        singles = [run_cell(obj, alg, m, k, eta, cfg.t, seed, cfg.eval_every, 0.0)
-                   for alg in cfg.algorithms for m in cfg.m_list
-                   for k in cfg.k_list for eta in sorted(cfg.etas)
-                   for seed in cfg.seeds]
+    singles = [run_cell(obj, alg, m, k, eta, cfg.t, seed, cfg.eval_every, 0.0)
+               for alg in cfg.algorithms for m in cfg.m_list
+               for k in cfg.k_list for eta in sorted(cfg.etas)
+               for seed in cfg.seeds]
     expected_rows = []
     per_group = len(cfg.etas) * len(cfg.seeds)
     for g in range(0, len(singles), per_group):
@@ -756,8 +750,7 @@ def test_grouped_sweep_equals_per_cell_runs(tmp_path, monkeypatch):
     for budget in (harness.ROW_BUDGET, 5):
         monkeypatch.setattr(harness, "ROW_BUDGET", budget)
         calls.clear()
-        with np.errstate(over="ignore", invalid="ignore"):
-            cells, rows = tune_and_sweep(cfg, obj, f_star=0.0)
+        cells, rows = tune_and_sweep(cfg, obj, f_star=0.0)
         for name, m, k, n in calls:
             state_rows = n * m * k if name == "_run_minibatch" else sum(m)
             assert n == 1 or state_rows <= budget
@@ -834,10 +827,9 @@ def test_chunked_sweep_runs_each_chunk_as_one_kernel_call(monkeypatch):
     monkeypatch.setattr(harness, "ROW_BUDGET", 4)
     cfg, obj = diverging_grid(algorithms=("fedac1", "fedavg", "mb_sgd"),
                               etas=(1e-13, 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        alone = [run_cell(obj, alg, m, k, eta, cfg.t, seed, cfg.eval_every, 0.0)
-                 for alg in cfg.algorithms for m in cfg.m_list
-                 for k in cfg.k_list for eta in cfg.etas for seed in cfg.seeds]
+    alone = [run_cell(obj, alg, m, k, eta, cfg.t, seed, cfg.eval_every, 0.0)
+             for alg in cfg.algorithms for m in cfg.m_list
+             for k in cfg.k_list for eta in cfg.etas for seed in cfg.seeds]
     calls, groups, starts = [], [], []
     for name in ("run_replicas", "_run_minibatch"):
         def counted(obj_, m, t, k, steps, *args, run=getattr(harness, name),
@@ -851,8 +843,7 @@ def test_chunked_sweep_runs_each_chunk_as_one_kernel_call(monkeypatch):
                         lambda *args: groups.append(args[1]) or real(*args))
     monkeypatch.setattr(obj, "eval_many", lambda p: starts.append(
         sum(not row.any() for row in p)) or evaluate(p))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells, _ = tune_and_sweep(cfg, obj, f_star=0.0)
+    cells, _ = tune_and_sweep(cfg, obj, f_star=0.0)
     federated = [([1] * 4, [1] * 4, 4), ([1] * 4, [4] * 4, 4)] + \
         [([3], [1], 1)] * 4 + [([3], [4], 1)] * 4
     minibatch = [(1, 1, 4)] + [(1, 4, 1)] * 4 + [(3, 1, 1)] * 4 + \
@@ -880,8 +871,7 @@ def test_sweep_calls_keep_their_eval_table_within_budget(tmp_path,
     cfg, obj = diverging_grid()
     per_cell = (cfg.t // cfg.eval_every + 2) * obj.dim * 8
     cap = max(1, int(cells_per_budget))
-    with np.errstate(over="ignore", invalid="ignore"):
-        whole = tune_and_sweep(cfg, obj, f_star=0.0)
+    whole = tune_and_sweep(cfg, obj, f_star=0.0)
     chunks, real = [], harness.run_group
 
     def run_group(obj_, alg, m, k, replicas, *args):
@@ -890,8 +880,7 @@ def test_sweep_calls_keep_their_eval_table_within_budget(tmp_path,
 
     monkeypatch.setattr(harness, "run_group", run_group)
     monkeypatch.setattr(harness, "TABLE_BYTES", int(cells_per_budget * per_cell))
-    with np.errstate(over="ignore", invalid="ignore"):
-        capped = tune_and_sweep(cfg, obj, f_star=0.0)
+    capped = tune_and_sweep(cfg, obj, f_star=0.0)
     assert all(n <= cap for _, n, _ in chunks)
     assert all(len(mk) == 1 for alg, _, mk in chunks
                if alg in ("mb_sgd", "mb_acsgd"))
@@ -902,8 +891,7 @@ def test_sweep_calls_keep_their_eval_table_within_budget(tmp_path,
     assert artifact_bytes(*capped, tmp_path, "capped") == \
         artifact_bytes(*whole, tmp_path, "whole")
     pooled(monkeypatch)
-    with np.errstate(over="ignore", invalid="ignore"):
-        capped2 = tune_and_sweep(cfg, obj, f_star=0.0, threads=2)
+    capped2 = tune_and_sweep(cfg, obj, f_star=0.0, threads=2)
     assert artifact_bytes(*capped2, tmp_path, "capped2") == \
         artifact_bytes(*whole, tmp_path, "whole")
 
@@ -1259,9 +1247,8 @@ def test_records_csv_round_trip(tmp_path):
 
 def test_records_csv_preserves_inf(tmp_path):
     obj = Quadratic([1.0], shift=[1.0], sigma=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cell = run_cell(obj, "fedavg", m=1, k=1, eta=1e300, t=4, seed=0,
-                        eval_every=2, f_star=0.0)
+    cell = run_cell(obj, "fedavg", m=1, k=1, eta=1e300, t=4, seed=0,
+                    eval_every=2, f_star=0.0)
     path = tmp_path / "records.csv"
     write_records_csv([cell], path)
     back = read_records_csv(path)
