@@ -22,6 +22,8 @@ All drivers share conventions:
   frozen in place.  ``fedac_run`` and ``fedavg_run`` are its one-replica
   calls; ``_run_minibatch`` runs both minibatch baselines on its batch rows,
   and ``mb_sgd_run`` and ``mb_acsgd_run`` are its one-replica calls.
+* FedAvg's decay-weighted average and ``mb_acsgd_run``'s schedule take mu
+  from ``obj.mu_est``; ``mu_est = 0`` gives the uniform average.
 
 A trajectory is a pure function of ``(config, seed)``: rerunning with any
 sweep worker count, or beside any other replicas, reproduces it exactly.
@@ -243,22 +245,22 @@ class _Run(NamedTuple):
 
 def run_replicas(obj: Objective, m, t: int, k, steps: Sequence,
                  seeds: Sequence[int], w0=None,
-                 callback: Optional[Callback] = None,
-                 mu: Optional[float] = None) -> ReplicaResult:
+                 callback: Optional[Callback] = None) -> ReplicaResult:
     """R independent runs in lockstep, replica r as the next M state rows.
 
     Replica r draws from the streams ``(seeds[r], worker)`` and steps with
     ``steps[r]``: a ``Hyper`` runs FedAc (see ``fedac_run``), a plain step
-    size runs FedAvg (see ``fedavg_run``, whose ``mu`` sets the decay of the
-    weighted average).  ``m`` and ``k`` are the worker count and sync
-    interval of every replica, or one value per replica: after step s, the
-    replicas whose K divides s + 1 average and broadcast their rows, each
-    run of consecutive replicas with equal M and K as one block of rows.
-    Every replica follows the same float expressions as a run of its own,
-    its hyperparameters held as columns that scale each run of equal M as
-    one (replicas, M*dim) array, so each replica is bit-identical to the
-    run it stands for.  ``w0`` is every replica's start point (None is the
-    origin) or an (R, dim) array of one start row per replica.
+    size runs FedAvg (see ``fedavg_run``; its decay-weighted average takes
+    mu = ``obj.mu_est``, and 0 gives the uniform average).  ``m`` and ``k``
+    are the worker count and sync interval of every replica, or one value
+    per replica: after step s, the replicas whose K divides s + 1 average
+    and broadcast their rows, each run of consecutive replicas with equal M
+    and K as one block of rows.  Every replica follows the same float
+    expressions as a run of its own, its hyperparameters held as columns
+    that scale each run of equal M as one (replicas, M*dim) array, so each
+    replica is bit-identical to the run it stands for.  ``w0`` is every
+    replica's start point (None is the origin) or an (R, dim) array of one
+    start row per replica.
 
     ``callback(t, W, W_ag)`` is invoked before step t and at t = T with
     read-only views of every replica's state rows, valid until the callback
@@ -269,21 +271,19 @@ def run_replicas(obj: Objective, m, t: int, k, steps: Sequence,
     kernel ignores floating-point overflow and invalid operations, whatever
     the caller's ``np.errstate``, and callbacks run under that setting.
     """
-    return _replicas(obj, m, t, k, steps, seeds, w0, callback,
-                     obj.mu_est if mu is None else mu)
+    return _replicas(obj, m, t, k, steps, seeds, w0, callback)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
               seeds: Sequence[int], w0, callback: Optional[Callback],
-              mu: Optional[float], batch: int = 1) -> ReplicaResult:
-    """The body of ``run_replicas``.  ``mu=None`` skips FedAvg's
-    decay-weighted average, which the minibatch baselines discard.
-    ``batch`` > 1 runs the minibatch baselines: each of the M = 1 state rows
-    queries ``batch`` streams.  A step size averages the candidates
-    ``w - eta*g_j`` back into the row, which is FedAvg on M*batch workers at
-    K = 1 without its equal rows; a ``Hyper`` steps on the batch's mean
-    gradient, taken into the ``mean`` rows.
+              batch: int = 1) -> ReplicaResult:
+    """The body of ``run_replicas``.  ``batch`` > 1 runs the minibatch
+    baselines, which take no decay-weighted average: each of the M = 1
+    state rows queries ``batch`` streams.  A step size averages the
+    candidates ``w - eta*g_j`` back into the row, which is FedAvg on
+    M*batch workers at K = 1 without its equal rows; a ``Hyper`` steps on
+    the batch's mean gradient, taken into the ``mean`` rows.
 
     After each step the due blocks of equal (M, K) sync in place and every
     row is checked: a synced replica's rows are copies of its mean, so a
@@ -306,6 +306,7 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
                          f"{ks.size} for {reps}")
     _validate_run_args(ms.min(), t, ks.min())
     accelerated = isinstance(steps[0], Hyper)
+    weighted = not accelerated and batch == 1
     for rule in steps:
         if isinstance(rule, Hyper) != accelerated:
             raise ValueError("steps must be all Hyper or all step sizes")
@@ -330,8 +331,8 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
     else:
         w_ag = None
         cols = {"eta": column(steps)}
-        if mu is not None:
-            decay = column([1.0 - 0.5 * eta * mu for eta in steps])
+        if weighted:
+            decay = column([1.0 - 0.5 * eta * obj.mu_est for eta in steps])
             acc = np.zeros((reps, dim))
             acc_norm = np.zeros((reps, 1))
     diverged: List[Optional[Tuple[int, int]]] = [None] * reps
@@ -377,7 +378,7 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
                 np.multiply(r.h["gamma"], g, out=r.tmp)
                 np.subtract(r.w, r.tmp, out=r.w)
         else:
-            if mu is not None:
+            if weighted:
                 for r in runs:
                     _mean_into(r.w3, r.m, r.mean)
                 acc = decay * acc + mean
@@ -415,7 +416,7 @@ def _replicas(obj: Objective, m, t: int, k, steps: Sequence,
         callback(t, *seen)
     final_w = replica_mean(w, ms)
     final_ag = final_w.copy() if w_ag is None else replica_mean(w_ag, ms)
-    rho = None if accelerated or mu is None else acc / acc_norm
+    rho = acc / acc_norm if weighted else None
     for x in (final_w, final_ag, rho):
         if x is not None:
             x[[d is not None for d in diverged]] = np.nan
@@ -448,19 +449,16 @@ def fedac_run(obj: Objective, m: int, t: int, k: int, hyper: Hyper, seed: int,
 
 
 def fedavg_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
-               w0=None, callback: Optional[Callback] = None,
-               mu: Optional[float] = None) -> RunResult:
+               w0=None, callback: Optional[Callback] = None) -> RunResult:
     """Federated averaging (local SGD): v = w - eta * g with periodic averaging.
 
     Besides the plain final average, returns the weighted average point
     ``sum_t rho_t w_bar_t / sum_t rho_t`` over t = 0..T-1 with
-    ``rho_t = (1 - eta * mu / 2)**(T - t - 1)``, accumulated incrementally.
-    ``mu`` defaults to the objective's strong-convexity estimate; mu = 0
-    degrades gracefully to the uniform average.  A one-replica
-    ``run_replicas``.
+    ``rho_t = (1 - eta * mu / 2)**(T - t - 1)`` and mu = ``obj.mu_est``
+    (``mu_est = 0`` gives the uniform average), accumulated incrementally.
+    A one-replica ``run_replicas``.
     """
-    return _single(run_replicas(obj, m, t, k, [eta], [seed], w0, callback,
-                                mu))
+    return _single(run_replicas(obj, m, t, k, [eta], [seed], w0, callback))
 
 
 def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
@@ -484,7 +482,7 @@ def _run_minibatch(obj: Objective, m: int, t: int, k: int, steps: Sequence,
         raise ValueError(f"K must divide T, got T={t} K={k}")
     observe = None if callback is None else \
         lambda step, w, w_ag: callback(step * k, w, w_ag)
-    res = _replicas(obj, 1, t // k, 1, steps, seeds, w0, observe, None, m * k)
+    res = _replicas(obj, 1, t // k, 1, steps, seeds, w0, observe, m * k)
     diverged = [None if d is None else ((d[0] + 1) * k - 1, d[1])
                 for d in res.diverged]
     return ReplicaResult(res.final_avg_w, res.final_avg_w_ag,
@@ -505,16 +503,15 @@ def mb_sgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
 
 
 def mb_acsgd_run(obj: Objective, m: int, t: int, k: int, eta: float, seed: int,
-                 w0=None, callback: Optional[Callback] = None,
-                 mu: Optional[float] = None) -> RunResult:
+                 w0=None, callback: Optional[Callback] = None) -> RunResult:
     """Minibatch accelerated SGD baseline: T/K accelerated steps, batch M*K.
 
     Literally the single-worker, per-step-synchronized accelerated driver on
     its batch's mean gradient, with the vanilla schedule gamma = sqrt(eta/mu)
-    (no synchronization-interval correction -- the chain has no local steps).
-    A one-replica ``_run_minibatch``.
+    at mu = ``obj.mu_est`` (no synchronization-interval correction -- the
+    chain has no local steps).  A one-replica ``_run_minibatch``.
     """
-    hyper = schedule_vanilla(eta, obj.mu_est if mu is None else mu)
+    hyper = schedule_vanilla(eta, obj.mu_est)
     return _single(_run_minibatch(obj, m, t, k, [hyper], [seed], w0,
                                  callback))
 

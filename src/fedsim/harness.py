@@ -16,12 +16,12 @@ pass over the data per batch of points instead of one pass per point.  A
 deterministic full-gradient accelerated descent precomputes F* once per
 (dataset, regularization) pair and caches it beside the outputs.
 
-Evaluation points: accelerated methods report the worker average of the
-``w_ag`` family, FedAvg the worker average of ``w`` and minibatch SGD its
-one synchronized ``w``.
-FedAvg additionally reports its decay-weighted running average at the final
-step; that value competes during tuning but is not an extra CSV record, so
-every algorithm emits exactly T/eval_every + 1 records per cell.
+``_ALGORITHM_TABLE`` gives each algorithm its step rule and whether it runs
+minibatch chains; the rest comes from the kernel.  A cell's eval point is
+the worker average of ``w_ag`` when the kernel's callback passes one, else
+of ``w``.  A kernel that returns a decay-weighted average (FedAvg's, with mu
+= ``obj.mu_est``; 0 gives the uniform one) adds it as a tuning candidate,
+not as a CSV record: every cell has exactly T/eval_every + 1 records.
 
 Artifacts are CSV (records: ``algorithm,M,K,eta,seed,t,suboptimality``;
 sweep: ``algorithm,M,K,best_eta,best_suboptimality``) with JSON mirrors.
@@ -48,9 +48,17 @@ from .dataio import Dataset, load_dataset
 from .objectives import Logistic, Objective
 from .rng import StreamBundle
 
-ALGORITHMS = ("fedac1", "fedac2", "fedac_vanilla", "fedavg", "mb_sgd", "mb_acsgd")
-_ACCELERATED = {"fedac1", "fedac2", "fedac_vanilla", "mb_acsgd"}
-_MINIBATCH = {"mb_sgd", "mb_acsgd"}
+# per algorithm: its step rule, (eta, mu, K) -> the Hyper or eta the kernel
+# steps with (raising where infeasible), and whether it runs minibatch chains
+_ALGORITHM_TABLE = {
+    "fedac1": (schedule_fedac1, False),
+    "fedac2": (schedule_fedac2, False),
+    "fedac_vanilla": (lambda eta, mu, k: schedule_vanilla(eta, mu), False),
+    "fedavg": (lambda eta, mu, k: eta, False),
+    "mb_sgd": (lambda eta, mu, k: eta, True),
+    "mb_acsgd": (lambda eta, mu, k: schedule_vanilla(eta, mu), True),
+}
+ALGORITHMS = tuple(_ALGORITHM_TABLE)
 
 # state rows per sweep chunk (M per replica, M*K for the minibatch chains);
 # far more rows in flight ran slower than one replica at a time, and at M=64
@@ -126,7 +134,7 @@ class ExperimentConfig:
         if self.eval_every < 1 or self.t % self.eval_every:
             raise ConfigError(
                 f"eval_every={self.eval_every} must be >= 1 and divide T={self.t}")
-        if _MINIBATCH & set(self.algorithms):
+        if any(_ALGORITHM_TABLE[name][1] for name in self.algorithms):
             for k in self.k_list:
                 if self.eval_every % k:
                     raise ConfigError(
@@ -148,6 +156,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"opt_tol must be positive and finite, got {self.opt_tol}")
         if self.dataset == "synthetic":
+            if self.declared_dim is not None:
+                raise ConfigError("dim is a dataset file's feature dimension; "
+                                  "the synthetic dataset takes synthetic_dim")
             if self.synthetic_n < 1 or self.synthetic_dim < 1:
                 raise ConfigError("synthetic dataset needs n >= 1 and dim >= 1")
             if not (1 <= self.synthetic_nnz <= self.synthetic_dim):
@@ -358,11 +369,10 @@ def _replace_text(path: Path, text: str) -> None:
 
 
 class EvalRecord(NamedTuple):
-    """Suboptimality measured at one step; ``kind`` names the eval point."""
+    """Suboptimality measured at one step."""
 
     t: int
     suboptimality: float
-    kind: str
 
 
 @dataclass
@@ -397,27 +407,13 @@ class SweepRow(NamedTuple):
     best_suboptimality: float
 
 
-def _step_rule(algorithm: str, eta: float, mu: float, k: int):
-    """What the kernel steps a cell with: the schedule's ``Hyper`` for the
-    accelerated algorithms (``mb_acsgd`` included), eta itself for the
-    others.  Raises ScheduleError or ValueError when the schedule is
-    infeasible."""
-    if algorithm == "fedac1":
-        return schedule_fedac1(eta, mu, k)
-    if algorithm == "fedac2":
-        return schedule_fedac2(eta, mu, k)
-    if algorithm in ("fedac_vanilla", "mb_acsgd"):
-        return schedule_vanilla(eta, mu)
-    return eta
-
-
 def _chunks(algorithm: str, ms: Sequence[int], ks: Sequence[int],
             cell_bytes: int) -> List[slice]:
     """Cut a stream of replicas into consecutive slices, each as many as fit
     under ``ROW_BUDGET`` state rows (M per replica, M*K streams per minibatch
     chain) and ``TABLE_BYTES`` of eval points (``cell_bytes`` a replica), of
     one (M, K) for the minibatch baselines, and at least one."""
-    minibatch = algorithm in _MINIBATCH
+    minibatch = _ALGORITHM_TABLE[algorithm][1]
     cuts, rows, cells, last = [], ROW_BUDGET, 0, None
     for i, (m, k) in enumerate(zip(ms, ks)):
         size = m * k if minibatch else m
@@ -438,35 +434,31 @@ def run_group(obj: Objective, algorithm: str, m, k,
     per replica; the minibatch baselines take one M and one K in all, since
     they take T/K chain steps.
 
-    All the replicas run in one call of the step kernel,
-    ``run_replicas`` (``_run_minibatch`` for the minibatch baselines), a
-    call holding replicas of any M and K.  The kernel callback only writes
-    the evaluation points into one nan-filled (cells, T/eval_every + 2,
-    dim) table, whose last column takes FedAvg's decay-weighted averages;
-    F is evaluated after the call, by ``_suboptimalities`` over the table's
-    finite rows, with the replicas' common start point entered once.  Each
-    value is that of ``obj.eval`` at its point, so the records do not
-    depend on which replicas share the call.  Divergence (non-finite
-    iterates, after which the kernel freezes the replica and its later
-    points are cleared), a non-finite evaluation point and schedule
-    infeasibility at large eta all leave non-finite rows, which yield +inf
-    suboptimality, so tuning naturally discards them; a group with no
-    feasible schedule makes no kernel call.
-    Evaluation never consumes random draws.  Floating-point warnings are
-    ignored here, whatever the caller's ``np.errstate``: divergence is an
-    expected outcome that the records report.
+    All the replicas run in one call of the step kernel, ``run_replicas``
+    (``_run_minibatch`` for the minibatch baselines).  Its callback only
+    writes the eval points into a nan-filled (cells, T/eval_every + 2, dim)
+    table, whose last column takes the decay-weighted averages the kernel
+    returns (FedAvg's); F is evaluated after the call, by
+    ``_suboptimalities`` over the table's finite rows, with the replicas'
+    common start point entered once, so the records do not depend on which
+    replicas share the call.  Divergence (after which the kernel freezes
+    the replica and its later points are cleared), a non-finite eval point
+    and an infeasible schedule all leave non-finite rows, which yield +inf
+    suboptimality, so tuning discards them; a group with no feasible
+    schedule makes no kernel call.  Evaluation never consumes random draws.
+    Floating-point warnings are ignored here, whatever the caller's
+    ``np.errstate``: divergence is an expected outcome that the records
+    report.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm '{algorithm}'")
     ms, ks = (np.full(len(replicas), v) if np.ndim(v) == 0 else np.asarray(v)
               for v in (m, k))
-    minibatch = algorithm in _MINIBATCH
+    rule, minibatch = _ALGORITHM_TABLE[algorithm]
     if ms.shape != ks.shape or len(ms) != len(replicas) or \
             (minibatch and len({*zip(ms, ks)}) > 1):
         raise ConfigError(f"{algorithm} needs one M and one K per replica "
                           f"(one in all for minibatch): M={m!r} K={k!r}")
-    kind = "avg_ag" if algorithm in _ACCELERATED else "avg_w"
-    mu = obj.mu_est
     cells = [CellResult(algorithm, int(mc), int(kc), float(eta), seed)
              for (eta, seed), mc, kc in zip(replicas, ms, ks)]
     # the kernel's state rows per replica: one per minibatch chain
@@ -474,12 +466,13 @@ def run_group(obj: Objective, algorithm: str, m, k,
     # per cell: the eval point of each eval step, then FedAvg's weighted
     # average; nan where no run wrote one or after the cell diverged
     points = np.full((len(cells), t // eval_every + 2, obj.dim), np.nan)
+    weighted = False
 
     with np.errstate(all="ignore"):
         runnable, rules = [], []
         for i, cell in enumerate(cells):
             try:
-                rules.append(_step_rule(algorithm, cell.eta, mu, cell.k))
+                rules.append(rule(cell.eta, obj.mu_est, cell.k))
                 runnable.append(i)
             except (ScheduleError, ValueError):
                 cell.diverged = True
@@ -489,7 +482,7 @@ def run_group(obj: Objective, algorithm: str, m, k,
             """Callback writing each replica's eval point into ``points``."""
             if step % eval_every == 0:
                 points[rows, step // eval_every] = replica_mean(
-                    w_ag if kind == "avg_ag" else w, widths[rows])
+                    w if w_ag is None else w_ag, widths[rows])
 
         if runnable:
             run = _run_minibatch if minibatch else run_replicas
@@ -497,8 +490,8 @@ def run_group(obj: Objective, algorithm: str, m, k,
                 (ms[rows], ks[rows])
             result = run(obj, mc, t, kc, rules, [cells[i].seed for i in rows],
                          callback=observe)
-            if result.rho_avg_w is not None:
-                points[rows, -1] = result.rho_avg_w
+            weighted = result.rho_avg_w is not None
+            points[rows, -1] = result.rho_avg_w if weighted else np.nan
             for i, bad in zip(rows, result.diverged):
                 cells[i].diverged = bad is not None
                 if bad is not None:  # the frozen replica's later points
@@ -509,9 +502,9 @@ def run_group(obj: Objective, algorithm: str, m, k,
                                 f_star).reshape(points.shape[:2])
         gaps[runnable, 0] = gaps[runnable[:1], 0]
     for cell, row in zip(cells, gaps.tolist()):
-        cell.records = [EvalRecord(ts, sub, kind)
+        cell.records = [EvalRecord(ts, sub)
                         for ts, sub in zip(range(0, t + 1, eval_every), row)]
-        if algorithm == "fedavg" and not cell.diverged:
+        if weighted and not cell.diverged:
             cell.rho_suboptimality = row[-1]
     return cells
 

@@ -63,7 +63,7 @@ def _equivalence_fedavg_mb_sgd() -> Tuple[bool, str]:
     m, t, eta, seed = 4, 100, 0.05, 11
     fa_means: List[np.ndarray] = []
     mb_means: List[np.ndarray] = []
-    fedavg_run(obj, m, t, 1, eta, seed, mu=obj.mu_est,
+    fedavg_run(obj, m, t, 1, eta, seed,
                callback=lambda s, w, w_ag: fa_means.append(worker_mean(w)))
     mb_sgd_run(obj, m, t, 1, eta, seed,
                callback=lambda s, w, w_ag: mb_means.append(worker_mean(w)))

@@ -867,7 +867,7 @@ def test_divergence_report_matches_between_fedavg_and_mb_sgd_at_k1():
 
 def test_mb_acsgd_hand_stepped_single_update():
     obj = Quadratic([1.0])
-    res = mb_acsgd_run(obj, m=1, t=1, k=1, eta=1.0, seed=0, w0=[1.0], mu=1.0)
+    res = mb_acsgd_run(obj, m=1, t=1, k=1, eta=1.0, seed=0, w0=[1.0])
     assert res.final_avg_w[0] == 0.0
     assert res.final_avg_w_ag[0] == 0.0
 

@@ -175,14 +175,17 @@ def config_built(argv, monkeypatch):
     ("sweep", SWEEP_OVERRIDES, SWEEP_VALUES)])
 def test_each_override_flag_equals_its_config_line(command, flags, values,
                                                    tmp_path, monkeypatch):
-    base = write_config(tmp_path)
     start = ["--out", str(tmp_path / "out")]
-    default = config_built([command, "--config", base, *start], monkeypatch)
     for flag, key in flags.items():
         value = values[key]
+        # only a dataset file reads dim; the synthetic dataset refuses it
+        text = SMALL_CONFIG.replace("dataset = synthetic", "dataset = file.svm") \
+            if key == "dim" else SMALL_CONFIG
+        base = write_config(tmp_path, text, name="base.txt")
+        default = config_built([command, "--config", base, *start], monkeypatch)
         by_flag = config_built([command, "--config", base, *start,
                                 flag, value], monkeypatch)
-        line = write_config(tmp_path, SMALL_CONFIG + f"{key} = {value}\n",
+        line = write_config(tmp_path, text + f"{key} = {value}\n",
                             name=f"{key}.txt")
         by_line = config_built([command, "--config", line, *start],
                                monkeypatch)
@@ -563,6 +566,38 @@ def test_run_and_sweep_reject_a_nonpositive_dim(command, dataset, dim, tmp_path,
     assert (code, out) == (1, "")
     assert err.startswith(f"error: usage: dim must be >= 1, got {dim}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_run_and_sweep_reject_dim_on_the_synthetic_dataset(command, where,
+                                                           tmp_path, capsys):
+    """``dim`` declares a dataset file's feature dimension.  The synthetic
+    dataset takes ``synthetic_dim`` and would ignore it, so a ``dim`` there
+    is a usage error (exit 1), from the flag or the config file."""
+    text, flags = SMALL_CONFIG, ["--dim", "5"]
+    if where == "config":
+        text, flags = SMALL_CONFIG + "dim = 5\n", []
+    code, out, err = run_cli(
+        [command, "--config", write_config(tmp_path, text), *flags,
+         "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage: dim is a dataset file's feature "
+                          "dimension; the synthetic dataset takes synthetic_dim")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_take_dim_on_a_dataset_file(command, tmp_path, capsys):
+    """On a dataset file ``dim`` stays what it declares."""
+    data = tmp_path / "tiny.txt"
+    data.write_text("1 1:1.0 3:1.0\n-1 2:2.0\n")
+    text = SMALL_CONFIG.replace("dataset = synthetic", f"dataset = {data}")
+    code, _, _ = run_cli(
+        [command, "--config", write_config(tmp_path, text), "--dim", "5",
+         "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert (tmp_path / "out" / "records.csv").exists()
 
 
 @pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])

@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import fedsim.algorithms as algorithms
 import fedsim.harness as harness
-from fedsim.algorithms import agd_run, mb_sgd_run, replica_mean
+from fedsim.algorithms import (agd_run, fedac_run, fedavg_run, mb_acsgd_run,
+                               mb_sgd_run, replica_mean, schedule_fedac1,
+                               schedule_fedac2, schedule_vanilla, worker_mean)
 from fedsim.dataio import parse_libsvm
 from fedsim.harness import (
     ALGORITHMS,
@@ -378,14 +381,87 @@ def test_run_cell_at_optimum_records_zero():
         assert all(r.suboptimality == 0.0 for r in cell.records), alg
 
 
-def test_run_cell_eval_point_kinds():
-    obj = Quadratic([1.0], shift=[1.0], sigma=0.1)
-    acc = run_cell(obj, "fedac1", m=2, k=2, eta=0.1, t=4, seed=0,
-                   eval_every=2, f_star=0.0)
-    avg = run_cell(obj, "fedavg", m=2, k=2, eta=0.1, t=4, seed=0,
-                   eval_every=2, f_star=0.0)
-    assert {r.kind for r in acc.records} == {"avg_ag"}
-    assert {r.kind for r in avg.records} == {"avg_w"}
+# each algorithm's one-replica driver, stepping as the algorithm's cells do
+DRIVERS = {
+    "fedac1": lambda obj, m, t, k, eta, seed, cb: fedac_run(
+        obj, m, t, k, schedule_fedac1(eta, obj.mu_est, k), seed, callback=cb),
+    "fedac2": lambda obj, m, t, k, eta, seed, cb: fedac_run(
+        obj, m, t, k, schedule_fedac2(eta, obj.mu_est, k), seed, callback=cb),
+    "fedac_vanilla": lambda obj, m, t, k, eta, seed, cb: fedac_run(
+        obj, m, t, k, schedule_vanilla(eta, obj.mu_est), seed, callback=cb),
+    "fedavg": lambda obj, m, t, k, eta, seed, cb: fedavg_run(
+        obj, m, t, k, eta, seed, callback=cb),
+    "mb_sgd": lambda obj, m, t, k, eta, seed, cb: mb_sgd_run(
+        obj, m, t, k, eta, seed, callback=cb),
+    "mb_acsgd": lambda obj, m, t, k, eta, seed, cb: mb_acsgd_run(
+        obj, m, t, k, eta, seed, callback=cb),
+}
+
+
+def test_run_cell_records_f_at_each_drivers_eval_point():
+    """Each record is F, bit for bit, at the worker mean that the
+    one-replica driver's callback sees at that step: the mean of w_ag for
+    the four accelerated algorithms, of w for fedavg and mb_sgd.  Only
+    fedavg cells carry a weighted-average candidate, F at the driver's
+    ``rho_avg_w``."""
+    assert set(DRIVERS) == set(ALGORITHMS)
+    obj = Quadratic([1.0, 2.0, 0.5], shift=[0.3, -0.6, 0.2], sigma=1.0)
+    m, t, k, eta, seed, every = 3, 16, 2, 0.1, 4, 4
+    for algorithm, driver in DRIVERS.items():
+        means = {}
+        run = driver(obj, m, t, k, eta, seed, lambda s, w, w_ag: means.update(
+            {s: (worker_mean(w), None if w_ag is None else worker_mean(w_ag))}))
+        point = 0 if algorithm in ("fedavg", "mb_sgd") else 1
+        steps = range(0, t + 1, every)
+        cell = run_cell(obj, algorithm, m, k, eta, t, seed, every, 0.0)
+        assert cell.records == [EvalRecord(s, obj.eval(means[s][point]))
+                                for s in steps], algorithm
+        if point:  # the other mean would give other records
+            assert any(obj.eval(means[s][0]) != obj.eval(means[s][1])
+                       for s in steps), algorithm
+        assert cell.rho_suboptimality == (
+            obj.eval(run.rho_avg_w) if algorithm == "fedavg" else None), \
+            algorithm
+
+
+def test_each_table_rule_gives_what_its_driver_steps_with(monkeypatch):
+    """The step rule of each ``_ALGORITHM_TABLE`` entry gives the Hyper or
+    the eta that the algorithm's driver steps with: the schedule that
+    ``fedac_run`` is given, or what ``fedavg_run``, ``mb_sgd_run`` and
+    ``mb_acsgd_run`` pass to the kernel themselves."""
+    obj = Quadratic([0.5, 2.0])
+    stepped = []
+    for name in ("run_replicas", "_run_minibatch"):
+        monkeypatch.setattr(algorithms, name, lambda *a, real=getattr(
+            algorithms, name), **kw: stepped.append(a[4][0]) or real(*a, **kw))
+    for eta, k in ((0.05, 1), (0.05, 4), (0.3, 4)):
+        want = {"fedac1": schedule_fedac1(eta, obj.mu_est, k),
+                "fedac2": schedule_fedac2(eta, obj.mu_est, k),
+                "fedac_vanilla": schedule_vanilla(eta, obj.mu_est)}
+        for algorithm in ("fedavg", "mb_sgd", "mb_acsgd"):
+            stepped.clear()
+            DRIVERS[algorithm](obj, 2, 8, k, eta, 0, None)
+            want[algorithm] = stepped[0]
+        assert set(want) == set(harness._ALGORITHM_TABLE)
+        for algorithm, (rule, _) in harness._ALGORITHM_TABLE.items():
+            got = rule(eta, obj.mu_est, k)
+            assert (type(got), got) == (type(want[algorithm]),
+                                        want[algorithm]), (algorithm, eta, k)
+    # mb_acsgd_run, the last driver run, steps with the vanilla schedule
+    assert stepped[0] == schedule_vanilla(0.3, obj.mu_est)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_only_minibatch_entries_need_eval_every_a_multiple_of_k(algorithm):
+    minibatch = harness._ALGORITHM_TABLE[algorithm][1]
+    assert minibatch == (algorithm in ("mb_sgd", "mb_acsgd"))
+    cfg = dict(algorithms=(algorithm,), t=16, k_list=(1, 4), eval_every=2)
+    if minibatch:
+        with pytest.raises(ConfigError, match="multiple of K=4"):
+            ExperimentConfig(**cfg)
+    else:
+        assert ExperimentConfig(**cfg).eval_every == 2
+    assert ExperimentConfig(**dict(cfg, eval_every=8)).eval_every == 8
 
 
 def test_run_cell_fedavg_matches_mb_sgd_at_k1():
@@ -406,7 +482,7 @@ def test_run_cell_minibatch_sgd_reports_the_synced_iterate():
                callback=lambda t, w, w_ag: states.append((t, w[0].copy())))
     cell = run_cell(obj, "mb_sgd", m=3, k=2, eta=0.1, t=16, seed=4,
                     eval_every=4, f_star=0.0)
-    assert cell.records == [EvalRecord(t, obj.eval(w), "avg_w")
+    assert cell.records == [EvalRecord(t, obj.eval(w))
                             for t, w in states if t % 4 == 0]
 
 
@@ -572,8 +648,8 @@ def test_group_records_are_f_at_the_kernel_points(monkeypatch):
 
     for cell in cells:
         key = (cell.eta, cell.seed)
-        want = [EvalRecord(step, sub(p), "avg_w") for step, p in seen[key]]
-        want += [EvalRecord(step, math.inf, "avg_w")
+        want = [EvalRecord(step, sub(p)) for step, p in seen[key]]
+        want += [EvalRecord(step, math.inf)
                  for step in range(len(want) * eval_every, t + 1, eval_every)]
         assert cell.records == want
         assert cell.rho_suboptimality == (None if cell.diverged
