@@ -17,13 +17,12 @@ from .dataio import (DataFormatError, Dataset, DatasetStats, dataset_stats,
                      load_dataset, parse_libsvm, row_norms_sq)
 from .diagnostics import (ConstructionError, InstabilityRegionError,
                           InstabilityResult, InstabilityVerdict,
-                          NormBoundReport, NormBoundRow,
-                          PiecewiseCurvature1D, PotentialReport,
+                          NormBoundReport, NormBoundRow, PiecewiseCurvature1D,
                           construct_instability_objective,
                           instability_experiment, norm_bound_fedac1,
                           norm_bound_draws, norm_bound_fedac2,
                           norm_bound_sweep, potential_phi,
-                          potential_psi, potential_report, sample_admissible,
+                          potential_psi, sample_admissible,
                           spectral_norm_2x2, transfer_matrix_fedac1,
                           transfer_matrix_fedac2, transfer_matrix_from_hyper,
                           transformed_norm)

@@ -5,13 +5,14 @@ Subcommands: ``check-data`` (parse a dataset and print its stats), ``run``
 (worst-case accelerated-descent separation experiment), ``norm-bounds``
 (random search for transfer-matrix norm violations), ``verify`` (invariant
 battery).  Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
-failure or divergence, 4 verification failure, 5 a sweep worker process
-died (say, killed for memory).  Failures print a single
-``error: <kind>: <detail>`` line on stderr.  Flag values override config-file
-values, which override defaults; ``--deterministic-output`` suppresses the
-timing lines so identical invocations print identical bytes.  ``run`` and
-``sweep`` make one flag per key of ``OVERRIDES`` from ``harness.CONFIG_KEYS``;
-``run`` spells ``--algorithm``, ``--eta`` and ``--seed`` in the singular.
+failure or divergence, 4 verification failure, 5 out of memory (here, or
+a sweep worker process died, say killed for memory).  Failures print a
+single ``error: <kind>: <detail>`` line on stderr.  Flag values override
+config-file values, which override defaults; ``--deterministic-output``
+suppresses the timing lines so identical invocations print identical
+bytes.  ``run`` and ``sweep`` make one flag per key of ``OVERRIDES`` from
+``harness.CONFIG_KEYS``; ``run`` spells ``--algorithm``, ``--eta`` and
+``--seed`` in the singular.
 """
 
 from __future__ import annotations
@@ -312,6 +313,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             InstabilityRegionError) as exc:
         _error_line("numerical", exc)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        _error_line("memory", str(exc) or "out of memory")
+        return EXIT_WORKER
     except BrokenExecutor as exc:  # a sweep worker process died
         _error_line("worker", exc)
         return EXIT_WORKER

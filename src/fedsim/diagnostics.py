@@ -4,10 +4,10 @@ Three groups of tools:
 
 * Lyapunov potentials measuring progress of a worker ensemble toward the
   optimum (a decentralized variant averaging per-worker function values, and
-  a centralized variant evaluating at the averaged iterate), plus worker
-  discrepancy statistics.  They take one (M, dim) state or an (S, M, dim)
-  stack of S states, whose F values come from one ``eval_many`` call; slice
-  s of a stack's result is the call on state s, bit for bit.
+  a centralized variant evaluating at the averaged iterate).  They take one
+  (M, dim) state or an (S, M, dim) stack of S states, whose F values come
+  from one ``eval_many`` call; slice s of a stack's result is the call on
+  state s, bit for bit.
 
 * The 2x2 transfer matrices governing how the difference between two
   noise-free accelerated chains evolves per local step, as (..., 2, 2)
@@ -39,17 +39,6 @@ from .objectives import Objective
 from .rng import StreamBundle
 
 
-@dataclass(frozen=True)
-class PotentialReport:
-    """Potentials and worker-spread statistics: floats for one state, (S,)
-    arrays for a stack of S states."""
-
-    psi: float | np.ndarray
-    phi: float | np.ndarray
-    discrepancy_max: float | np.ndarray
-    discrepancy_mean_sq: float | np.ndarray
-
-
 class ConstructionError(RuntimeError):
     """The instability objective constructor failed to separate trajectory points."""
 
@@ -62,11 +51,6 @@ class InstabilityRegionError(RuntimeError):
         super().__init__(f"step {step}: {detail}")
 
 
-def _per_state(value):
-    """A float for one state's 0-d result; a stack's (S,) array as it is."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def _eval(obj: Objective, points) -> np.ndarray:
     """F at each point of a (..., dim) array, in one ``eval_many`` call."""
     points = np.asarray(points, dtype=np.float64)
@@ -74,9 +58,11 @@ def _eval(obj: Objective, points) -> np.ndarray:
 
 
 def _potential(f_term, w: np.ndarray, weight: float, w_star, f_star: float):
-    """``f_term`` - F* + weight * ||w_bar - w*||**2 for each state of ``w``."""
+    """``f_term`` - F* + weight * ||w_bar - w*||**2 for each state of ``w``:
+    a float for one state, an (S,) array for a stack."""
     d = np.mean(w, axis=-2) - np.atleast_1d(np.asarray(w_star, dtype=np.float64))
-    return _per_state(f_term - f_star + weight * (d * d).sum(axis=-1))
+    value = f_term - f_star + weight * (d * d).sum(axis=-1)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def potential_psi(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
@@ -92,17 +78,6 @@ def potential_phi(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
     """Centralized potential: F(w_bar_ag) - F* + (mu/6) ||w_bar - w*||**2,
     on one (M, dim) state or an (S, M, dim) stack, as ``potential_psi``."""
     return _potential(_eval(obj, np.mean(w_ag, axis=-2)), w, mu / 6.0, w_star, f_star)
-
-
-def potential_report(w: np.ndarray, w_ag: np.ndarray, obj: Objective, mu: float,
-                     w_star, f_star: float) -> PotentialReport:
-    """Both potentials plus max/mean-square deviation of workers from their
-    average, on one (M, dim) state or an (S, M, dim) stack."""
-    dev = np.sqrt(((w - np.mean(w, axis=-2, keepdims=True)) ** 2).sum(axis=-1))
-    return PotentialReport(potential_psi(w, w_ag, obj, mu, w_star, f_star),
-                           potential_phi(w, w_ag, obj, mu, w_star, f_star),
-                           _per_state(dev.max(axis=-1)),
-                           _per_state((dev * dev).mean(axis=-1)))
 
 
 def transfer_matrix_fedac1(mu, gamma, eta, h) -> np.ndarray:

@@ -213,7 +213,12 @@ def parse_config_text(text: str) -> Dict[str, str]:
 
 
 def parse_config_file(path) -> Dict[str, str]:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x}"
+                          f" at offset {exc.start}") from None
+    return parse_config_text(text)
 
 
 def build_config(*layers: Dict[str, str]) -> ExperimentConfig:
@@ -249,26 +254,30 @@ def make_synthetic_logistic(n: int, dim: int, seed: int, nnz: int = 14,
     census benchmark: each row has about ``nnz`` indicator features, labels
     come from a planted linear rule with a ``flip`` fraction of label flips.
 
-    The flip uniform is drawn for every row whatever ``flip`` is, so datasets
-    that differ only in the flip rate share the same feature matrix."""
+    Row i owns the stream slots ``dim + i*(nnz+1) + j``: ``nnz`` index draws,
+    then its flip uniform, drawn whatever ``flip`` is, so datasets that differ
+    only in the flip rate share the same feature matrix.  A row's margin is
+    one pairwise sum of its weights in sorted feature order."""
     import scipy.sparse as sp
 
+    if nnz < 0:
+        raise ValueError(f"nnz must be >= 0, got {nnz}")
     stream = StreamBundle(seed, [0])
     w_true = stream.gaussians(dim)[0] / math.sqrt(dim)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    cols: List[np.ndarray] = []
-    labels = np.empty(n)
-    for i in range(n):
-        idx = np.unique(stream.indices(dim, nnz)[0])
-        cols.append(idx)
-        margin = w_true[idx].sum()
-        flipped = stream.uniforms(1)[0, 0] < flip
-        sign = 1.0 if margin >= 0 else -1.0
-        labels[i] = -sign if flipped else sign
-        indptr[i + 1] = indptr[i] + len(idx)
-    indices = np.concatenate(cols).astype(np.int32)
-    data = np.ones(len(indices))
-    x = sp.csr_matrix((data, indices, indptr), shape=(n, dim))
+    slots = n * (nnz + 1)
+    draws = np.sort(stream.indices(dim, slots).reshape(n, nnz + 1)[:, :nnz], axis=1)
+    first = np.diff(draws, axis=1, prepend=-1) != 0
+    counts = first.sum(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = draws[first].astype(np.int32)
+    margin = np.empty(n)
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        cols = indices[indptr[rows, None] + np.arange(count)]
+        margin[rows] = np.add.reduce(w_true[cols], axis=1)
+    flipped = StreamBundle(seed, [0], dim).uniforms(slots)[0, nnz::nnz + 1] < flip
+    labels = np.where((margin >= 0) != flipped, 1.0, -1.0)
+    x = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, dim))
     return Dataset(X=x, labels=labels)
 
 

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import expit
 
-from .dataio import row_norms_sq
+from .dataio import DataFormatError, row_norms_sq
 from .rng import StreamBundle
 
 
@@ -244,6 +244,11 @@ class Logistic(Objective):
         self.n = int(dataset.n)
         self.labels = np.asarray(dataset.labels, dtype=np.float64)
         self.X = dataset.X
+        bad = np.flatnonzero(~np.isfinite(self.X.data))
+        if bad.size:  # the first one; its sample and feature count from 1
+            row, k = np.searchsorted(self.X.indptr, bad[0], "right"), bad[0]
+            raise DataFormatError(None, f"sample {row}, feature {self.X.indices[k] + 1}"
+                                  f": value {self.X.data[k]} is not finite")
         self._dense = None
         if self.n * self.dim <= self._DENSE_CACHE_LIMIT:
             self._dense = np.asarray(self.X.todense())

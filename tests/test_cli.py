@@ -416,6 +416,17 @@ def test_run_config_syntax_error_reports_line(tmp_path, capsys):
     assert "wibble" in err
 
 
+def test_run_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    """Bytes that are not UTF-8 make a usage error naming the file and the
+    byte, not a numerical failure (``UnicodeDecodeError`` is a ValueError)."""
+    cfg = tmp_path / "config.txt"
+    cfg.write_bytes(b"T = 8\xff\n")
+    code, out, err = run_cli(
+        ["run", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: usage: {cfg}: not UTF-8: byte 0xff at offset 5\n"
+
+
 def test_run_divergent_cell_exits_3_but_writes_records(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out_dir = tmp_path / "out"
@@ -611,6 +622,27 @@ def test_run_rejects_a_bad_lam(lam, tmp_path, capsys):
     assert err.startswith("error: usage: lam must be positive and finite")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("lines,where", [
+    ("+1 1:nan 2:1\n", "sample 1, feature 1: value nan"),
+    ("+1 1:1 2:1\n-1 2:1\n-1 1:1 3:-inf\n", "sample 3, feature 3: value -inf"),
+], ids=["nan-first-row", "inf-third-row"])
+def test_run_and_sweep_reject_a_non_finite_feature(command, lines, where,
+                                                    tmp_path, capsys):
+    """The grammar reads ``nan`` and ``inf`` values, and ``check-data``
+    prints their stats; an objective over them is a data error (exit 2)
+    naming the first such sample and feature, not a failure of the optimum."""
+    data = tmp_path / "data.txt"
+    data.write_text(lines)
+    assert run_cli(["check-data", str(data)], capsys)[0] == 0
+    text = SMALL_CONFIG.replace("dataset = synthetic", f"dataset = {data}")
+    code, out, err = run_cli(
+        [command, "--config", write_config(tmp_path, text),
+         "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: data: {where} is not finite\n"
+
+
 def test_sweep_whole_grid_infeasible_exits_3(tmp_path, capsys):
     # lam is the strong-convexity estimate; gamma * mu >= 1 makes the
     # fedac2 coupling weight infeasible at every eta on the grid
@@ -641,6 +673,23 @@ def test_sweep_whose_worker_died_exits_5(tmp_path, capsys, monkeypatch):
                               "--threads", "2"], capsys)
     assert code == 5
     assert err == "error: worker: a worker process was terminated abruptly\n"
+
+
+@pytest.mark.parametrize("detail,shown", [
+    ("", "out of memory"),
+    ("Unable to allocate 8.0 TiB", "Unable to allocate 8.0 TiB"),
+], ids=["no-detail", "numpy-detail"])
+def test_run_out_of_memory_exits_5(detail, shown, tmp_path, capsys, monkeypatch):
+    """A ``MemoryError`` is one ``error: memory:`` line and exit 5, the code
+    of a sweep worker killed for memory, not a traceback."""
+    def run_cell(*args, **kwargs):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(cli, "run_cell", run_cell)
+    code, out, err = run_cli(["run", "--config", write_config(tmp_path),
+                              "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (5, "")
+    assert err == f"error: memory: {shown}\n"
 
 
 def test_sweep_survives_an_overflowing_worker_mean(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,6 @@ from fedsim.diagnostics import (
     norm_bound_sweep,
     potential_phi,
     potential_psi,
-    potential_report,
     sample_admissible,
     spectral_norm_2x2,
     transfer_matrix_fedac1,
@@ -78,16 +77,6 @@ def test_phi_mean_term_obeys_jensen():
     assert centered <= mean_of_values + 1e-12
 
 
-def test_potential_report_discrepancy():
-    obj = Quadratic([1.0])
-    workers = states([(1.0, 1.0), (3.0, 3.0)])
-    rep = potential_report(*workers, obj, 1.0, [0.0], 0.0)
-    assert rep.discrepancy_max == pytest.approx(1.0, abs=1e-15)
-    assert rep.discrepancy_mean_sq == pytest.approx(1.0, abs=1e-15)
-    assert rep.psi == potential_psi(*workers, obj, 1.0, [0.0], 0.0)
-    assert rep.phi == potential_phi(*workers, obj, 1.0, [0.0], 0.0)
-
-
 # a stack's F values come from one eval_many call over all its rows; numpy's
 # pairwise sums work in blocks of 128, so the dims reach past one block
 STACK_M = [1, 3, 4, 9, 17]
@@ -111,16 +100,12 @@ def test_stacked_potentials_equal_per_state_calls(m, dim):
     obj, w, w_ag, w_star, f_star = random_stack(m, dim)
     args = (obj, 0.7, w_star, f_star)
     psi, phi = potential_psi(w, w_ag, *args), potential_phi(w, w_ag, *args)
-    rep = potential_report(w, w_ag, *args)
-    assert psi.shape == phi.shape == rep.discrepancy_max.shape == (len(w),)
+    assert psi.shape == phi.shape == (len(w),)
     for s in range(len(w)):
-        one = potential_report(w[s], w_ag[s], *args)
-        assert type(one.psi) is float and type(one.discrepancy_max) is float
-        assert psi[s] == potential_psi(w[s], w_ag[s], *args) == one.psi
-        assert phi[s] == potential_phi(w[s], w_ag[s], *args) == one.phi
-        assert rep.psi[s] == one.psi and rep.phi[s] == one.phi
-        assert rep.discrepancy_max[s] == one.discrepancy_max
-        assert rep.discrepancy_mean_sq[s] == one.discrepancy_mean_sq
+        one_psi = potential_psi(w[s], w_ag[s], *args)
+        one_phi = potential_phi(w[s], w_ag[s], *args)
+        assert type(one_psi) is float and type(one_phi) is float
+        assert (psi[s], phi[s]) == (one_psi, one_phi)
 
 
 @pytest.mark.parametrize("dim", STACK_DIMS)
@@ -135,17 +120,14 @@ def test_potentials_equal_the_per_point_formulas(m, dim):
         psi = float(np.mean(values) - f_star + 0.5 * 0.7 * (d * d).sum())
         phi = float(obj.eval(np.mean(w_ag[s], axis=0)) - f_star
                     + 0.7 / 6.0 * (d * d).sum())
-        dev = np.sqrt(((w[s] - np.mean(w[s], axis=0)) ** 2).sum(axis=1))
-        rep = potential_report(w[s], w_ag[s], obj, 0.7, w_star, f_star)
-        assert (rep.psi, rep.phi) == (psi, phi)
-        assert rep.discrepancy_max == float(dev.max())
-        assert rep.discrepancy_mean_sq == float((dev * dev).mean())
+        args = (w[s], w_ag[s], obj, 0.7, w_star, f_star)
+        assert (potential_psi(*args), potential_phi(*args)) == (psi, phi)
 
 
 def test_potentials_of_an_empty_stack():
     obj, w, w_ag, w_star, f_star = random_stack(3, 2)
-    rep = potential_report(w[:0], w_ag[:0], obj, 0.7, w_star, f_star)
-    assert rep.psi.shape == rep.phi.shape == rep.discrepancy_max.shape == (0,)
+    args = (w[:0], w_ag[:0], obj, 0.7, w_star, f_star)
+    assert potential_psi(*args).shape == potential_phi(*args).shape == (0,)
 
 
 def test_recorded_trajectory_potentials_equal_per_step_calls():

@@ -22,7 +22,7 @@ import fedsim.harness as harness
 from fedsim.algorithms import (agd_run, fedac_run, fedavg_run, mb_acsgd_run,
                                mb_sgd_run, replica_mean, schedule_fedac1,
                                schedule_fedac2, schedule_vanilla, worker_mean)
-from fedsim.dataio import parse_libsvm
+from fedsim.dataio import Dataset, parse_libsvm
 from fedsim.harness import (
     ALGORITHMS,
     DEFAULT_ETA_GRID,
@@ -244,6 +244,60 @@ def test_synthetic_dataset_is_deterministic():
     row_counts = np.diff(a.X.indptr)
     assert row_counts.max() <= 6
     assert row_counts.min() >= 1
+
+
+def _synthetic_reference(n, dim, seed, nnz=14, flip=0.1):
+    """``make_synthetic_logistic`` one row at a time: ``nnz`` index draws,
+    their sorted distinct values summed as one array, then one flip uniform."""
+    import scipy.sparse as sp
+
+    stream = rng.StreamBundle(seed, [0])
+    w_true = stream.gaussians(dim)[0] / math.sqrt(dim)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    cols, labels = [], np.empty(n)
+    for i in range(n):
+        idx = np.unique(stream.indices(dim, nnz)[0])
+        cols.append(idx)
+        margin = w_true[idx].sum()
+        flipped = stream.uniforms(1)[0, 0] < flip
+        sign = 1.0 if margin >= 0 else -1.0
+        labels[i] = -sign if flipped else sign
+        indptr[i + 1] = indptr[i] + len(idx)
+    indices = np.concatenate(cols).astype(np.int32)
+    x = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, dim))
+    return Dataset(X=x, labels=labels)
+
+
+@pytest.mark.parametrize("n,dim,seed,nnz,flip", [
+    (1, 5, 0, 1, 0.1),         # one row, one draw
+    (1, 5, 3, 5, 1.0),         # nnz = dim, every label flipped
+    (50, 5, 2, 5, 0.0),        # nnz = dim, no label flipped
+    (300, 4, 1, 9, 0.5),       # nnz > dim: every row repeats draws
+    (200, 3, 3, 0, 0.5),       # no features at all
+    (40, 10, 1, 3, 0.1),       # some rows repeat a draw
+    (20, 1000, 5, 300, 0.5),   # rows longer than a pairwise-sum block
+    (8000, 123, 7, 14, 0.03),  # the acceptance stand-in; half its rows repeat
+])
+def test_synthetic_dataset_matches_the_row_loop(n, dim, seed, nnz, flip):
+    """All rows drawn at once give the per-row loop's dataset, duplicate
+    draws, margin bits and flip slots included."""
+    ds = make_synthetic_logistic(n, dim, seed, nnz, flip)
+    ref = _synthetic_reference(n, dim, seed, nnz, flip)
+    assert ds == ref
+    assert (ds.X.indices.dtype, ds.X.indptr.dtype) == (ref.X.indices.dtype,
+                                                       ref.X.indptr.dtype)
+
+
+@pytest.mark.parametrize("nnz", [-1, -2])
+def test_synthetic_dataset_rejects_a_negative_nnz(nnz):
+    for make in (make_synthetic_logistic, _synthetic_reference):
+        with pytest.raises(ValueError):
+            make(5, 5, 1, nnz)
+
+
+def test_synthetic_dataset_acceptance_hash():
+    assert make_synthetic_logistic(8000, 123, 7, 14, 0.03).content_hash() \
+        .startswith("f614b02d33340670")
 
 
 def test_build_objective_synthetic_and_file(tmp_path):
