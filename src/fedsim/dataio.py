@@ -6,7 +6,7 @@ strictly increasing feature indices and labels in {+1, -1}.  In memory the
 indices are 0-based and rows live in a CSR matrix.  Files ending in ``.gz``
 are transparently decompressed.  Parsing is strict: malformed input raises
 :class:`DataFormatError` with the offending line number rather than being
-silently skipped.
+silently skipped, and the first error in the file is the one raised.
 
 Input is parsed in slices of about ``_SLICE_BYTES`` of whole lines, one
 decision per slice: a slice whose every line is plain is parsed by numpy
@@ -22,7 +22,7 @@ import io
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,14 +98,12 @@ _WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
 
 class _Rows(NamedTuple):
-    """The rows of one slice: labels, feature counts, 1-based indices, values,
-    and the first ``(line_no, index)`` whose index exceeds ``_INDEX_LIMIT``."""
+    """The rows of one slice: labels, feature counts, 1-based indices, values."""
 
     labels: np.ndarray
     counts: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-    too_big: Optional[Tuple[int, int]]
 
 
 def parse_libsvm(source, declared_dim: Optional[int] = None) -> Dataset:
@@ -114,19 +112,20 @@ def parse_libsvm(source, declared_dim: Optional[int] = None) -> Dataset:
     ``source`` may be a str/bytes blob or a text/binary file object.  When
     ``declared_dim`` is given it fixes the feature dimension and any larger
     index is an error; otherwise the dimension is the largest index seen.
-    Blank lines are skipped and ``#`` starts a comment.  A str or bytes blob
-    splits into lines at ``\\n`` only; a binary file object uses universal
-    newlines (``\\r``, ``\\r\\n`` and ``\\n`` each end a line); a text
-    file object yields its own lines.  Bytes are UTF-8.
+    Blank lines are skipped and ``#`` starts a comment.  Every source is read
+    as UTF-8 bytes with universal newlines (``\\n``, ``\\r\\n`` and a lone
+    ``\\r`` each end a line).  A str, or what a text file object reads, is
+    encoded with ``surrogatepass``, so a lone surrogate is invalid UTF-8 on
+    its own line, as a bad byte is.
     """
     if declared_dim is not None and declared_dim < 1:
         raise DataFormatError(None, f"declared dimension must be positive, got {declared_dim}")
-    read, universal, errors = _reader(source)
-
     labels, counts, indices, values = [], [], [], []
-    line0, max_idx, too_big = 0, 0, None
-    for buf in _slices(read, universal):
-        rows = _parse_slice(buf, line0, declared_dim, errors)
+    line0, max_idx = 0, 0
+    for buf in _slices(_reader(source)):
+        if b"\r" in buf:  # replace() scans for b"\r\n" far slower than `in` for b"\r"
+            buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        rows = _parse_slice(buf, line0, declared_dim)
         line0 += buf.count(b"\n")
         labels.append(rows.labels)
         counts.append(rows.counts)
@@ -134,15 +133,10 @@ def parse_libsvm(source, declared_dim: Optional[int] = None) -> Dataset:
         values.append(rows.values)
         if rows.indices.size:
             max_idx = max(max_idx, int(rows.indices.max()))
-        too_big = too_big or rows.too_big
 
     n = sum(len(part) for part in labels)
     if not n:
         raise DataFormatError(None, "empty dataset")
-    if too_big is not None:
-        raise DataFormatError(
-            too_big[0], f"feature index {too_big[1]} exceeds {_INDEX_LIMIT}, "
-                        f"the largest index int32 columns can hold")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
     dim = declared_dim if declared_dim is not None else max_idx
@@ -152,80 +146,60 @@ def parse_libsvm(source, declared_dim: Optional[int] = None) -> Dataset:
 
 
 def _reader(source):
-    """``(read, universal newlines, UTF-8 error handler)`` for a source.  A
-    str is encoded with ``surrogatepass`` so that every str round-trips."""
-    if isinstance(source, bytes):
-        return io.BytesIO(source).read, False, "strict"
+    """``read(size)`` for a source, returning its UTF-8 bytes."""
     if isinstance(source, str):
-        blob = source.encode("utf-8", "surrogatepass")
-        return io.BytesIO(blob).read, False, "surrogatepass"
+        source = source.encode("utf-8", "surrogatepass")
+    if isinstance(source, bytes):
+        return io.BytesIO(source).read
     if hasattr(source, "read"):
-        first = source.read(0)
-        if isinstance(first, bytes):
-            return source.read, True, "strict"
-        # one line per line the object yields; a newline inside one of them
-        # (possible with newline="\r") is whitespace, as str.split() sees it
-        text = "".join(line.removesuffix("\n").replace("\n", " ") + "\n"
-                       for line in source)
-        return io.BytesIO(text.encode("utf-8", "surrogatepass")).read, False, "surrogatepass"
+        if isinstance(source.read(0), bytes):
+            return source.read
+        return lambda size: source.read(size).encode("utf-8", "surrogatepass")
     raise TypeError(f"unsupported source type {type(source)!r}")
 
 
-def _slices(read, universal: bool):
+def _slices(read):
     """Yield the stream in slices of whole lines, about ``_SLICE_BYTES`` each.
-    With ``universal``, a lone ``\\r`` or ``\\r\\n`` ends a line and is
-    rewritten to ``\\n``; a ``\\r`` that ends a read waits for the next one."""
+    A ``\\n`` or a ``\\r`` ends a line; a ``\\r`` that ends a read waits
+    for the next one, which may start with the ``\\n`` of a ``\\r\\n``."""
     pending = []  # reads since the last line end
     while True:
         chunk = read(_SLICE_BYTES)
         if not chunk:
             break
-        cut = chunk.rfind(b"\n")
-        if universal:
-            cut = max(cut, chunk.rfind(b"\r", 0, len(chunk) - 1))
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1))
         if cut < 0:
             pending.append(chunk)
             continue
-        yield _newlines(b"".join(pending) + chunk[:cut + 1], universal)
+        yield b"".join(pending) + chunk[:cut + 1]
         pending = [chunk[cut + 1:]]
     rest = b"".join(pending)
     if rest:
-        yield _newlines(rest, universal)
+        yield rest
 
 
-def _newlines(buf: bytes, universal: bool) -> bytes:
-    if universal and b"\r" in buf:
-        return buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return buf
-
-
-def _parse_slice(buf: bytes, line0: int, declared_dim, errors: str) -> _Rows:
-    """Parse whole lines (``buf``'s first line is line ``line0 + 1``): by
-    ``_array_rows`` when every line is plain, else each line in order by
-    ``_parse_line``, which accepts it or raises its error.  An index above
-    ``_INDEX_LIMIT`` is kept, capped, for the error at the end of the file."""
-    rows = _array_rows(buf, line0, declared_dim)
+def _parse_slice(buf: bytes, line0: int, declared_dim) -> _Rows:
+    """Parse whole ``\\n``-ended lines (``buf``'s first line is line
+    ``line0 + 1``): by ``_array_rows`` when every line is plain, else each
+    line in order by ``_parse_line``, which accepts it or raises its error."""
+    rows = _array_rows(buf, declared_dim)
     if rows is not None:
         return rows
-    labels, counts, indices, values, too_big = [], [], [], [], None
-    for i, raw in enumerate(buf.removesuffix(b"\n").split(b"\n")):
-        line_no = line0 + i + 1
-        row = _parse_line(raw, line_no, declared_dim, errors)
+    labels, counts, indices, values = [], [], [], []
+    for line_no, raw in enumerate(buf.removesuffix(b"\n").split(b"\n"), line0 + 1):
+        row = _parse_line(raw, line_no, declared_dim)
         if row is None:
             continue
         label, row_idx, row_val = row
-        if row_idx and row_idx[-1] > _INDEX_LIMIT:
-            too_big = too_big or (line_no, next(j for j in row_idx if j > _INDEX_LIMIT))
-            row_idx = [min(j, _INDEX_LIMIT + 1) for j in row_idx]
         labels.append(label)
         counts.append(len(row_idx))
         indices += row_idx
         values += row_val
     return _Rows(np.array(labels, dtype=float), np.array(counts, dtype=int),
-                 np.array(indices, dtype=int), np.array(values, dtype=float), too_big)
+                 np.array(indices, dtype=int), np.array(values, dtype=float))
 
 
-def _array_rows(buf: bytes, line0: int, declared_dim) -> Optional[_Rows]:
+def _array_rows(buf: bytes, declared_dim) -> Optional[_Rows]:
     """The slice's rows by numpy array operations, or None unless every line
     is plain: ASCII without ``#``, an exact ``+1``/``1``/``-1`` label and
     ``digits:value`` features whose indices have at most ``_INDEX_DIGITS``
@@ -259,7 +233,7 @@ def _array_rows(buf: bytes, line0: int, declared_dim) -> Optional[_Rows]:
     prev = np.zeros_like(idx)
     prev[1:] = idx[:-1]
     prev[_run_starts(tok_line)] = 0
-    bad = ~idx_ok | (idx <= prev)
+    bad = ~idx_ok | (idx <= prev) | (idx > _INDEX_LIMIT)
     if declared_dim is not None:
         bad |= idx > declared_dim
     if bad.any():
@@ -271,10 +245,8 @@ def _array_rows(buf: bytes, line0: int, declared_dim) -> Optional[_Rows]:
             val[t] = float(buf[a:z])
         except ValueError:
             return None
-    over = np.flatnonzero(idx > _INDEX_LIMIT)
-    too_big = (line0 + int(tok_line[over[0]]) + 1, int(idx[over[0]])) if over.size else None
     counts = np.bincount(tok_line, minlength=first_tok.size)[line[first]]
-    return _Rows(np.where(c0 == ord("-"), -1.0, 1.0), counts, idx, val, too_big)
+    return _Rows(np.where(c0 == ord("-"), -1.0, 1.0), counts, idx, val)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -299,12 +271,12 @@ def _digits(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, most: int):
     return value, ok
 
 
-def _parse_line(raw: bytes, line_no: int, declared_dim, errors: str):
+def _parse_line(raw: bytes, line_no: int, declared_dim):
     """The LibSVM grammar for one line, and the one place its errors are
     written.  Returns None for a blank or comment line, else ``(label,
     1-based indices, values)``."""
     try:
-        text = raw.decode("utf-8", errors)
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(
             line_no, f"invalid UTF-8 at byte {exc.start + 1}: {exc.reason}") from None
@@ -343,22 +315,28 @@ def _parse_line(raw: bytes, line_no: int, declared_dim, errors: str):
             raise DataFormatError(
                 line_no, f"feature index {idx} exceeds declared dimension {declared_dim}"
             )
+        if idx > _INDEX_LIMIT:
+            raise DataFormatError(line_no, f"feature index {idx} exceeds {_INDEX_LIMIT}, "
+                                           f"the largest index int32 columns can hold")
         prev = idx
         indices.append(idx)
         values.append(val)
     return label, indices, values
 
 
-def load_dataset(path: str, declared_dim: Optional[int] = None) -> Dataset:
-    """Read a LibSVM file from disk; ``.gz`` suffix triggers decompression."""
-    if not os.path.exists(path):
-        raise DataFormatError(None, f"no such file: {path}")
-    opener = gzip.open if path.endswith(".gz") else open
+def load_dataset(path, declared_dim: Optional[int] = None) -> Dataset:
+    """Read a LibSVM file (a str or path-like) from disk; a ``.gz`` suffix
+    triggers decompression.  A file that cannot be opened or read (missing,
+    a directory, not gzip, truncated or corrupt gzip data) raises
+    :class:`DataFormatError` naming the path, with no line number."""
+    path = os.fspath(path)
+    gz = path.endswith(".gz")
     try:
-        with opener(path, "rb") as fh:
+        with (gzip.open if gz else open)(path, "rb") as fh:
             return parse_libsvm(fh, declared_dim)
-    except (EOFError, zlib.error) as exc:
-        raise DataFormatError(None, f"{path}: truncated or corrupt gzip data ({exc})") from None
+    except (OSError, EOFError, zlib.error) as exc:  # gzip.BadGzipFile is an OSError
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataFormatError(None, f"cannot read {'gzip ' * gz}file {path}: {reason}") from None
 
 
 def dataset_stats(ds: Dataset) -> DatasetStats:

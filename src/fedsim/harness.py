@@ -218,6 +218,8 @@ def parse_config_file(path) -> Dict[str, str]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x}"
                           f" at offset {exc.start}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from None
     return parse_config_text(text)
 
 

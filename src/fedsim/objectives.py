@@ -7,10 +7,12 @@ inner objective.  Each objective carries curvature estimates ``mu_est`` (strong
 convexity) and ``l_est`` (smoothness) that drive schedule and step-size
 choices downstream.
 
-Each objective defines F once, in ``eval_many`` over the rows of a (P, dim)
-array, of which ``Objective.eval`` is the one-row call.  Every objective
-raises the same ``ValueError``s for a point of the wrong shape or with
-non-finite entries.
+Each objective defines F in ``eval_many`` over the rows of a (P, dim)
+array, of which ``Objective.eval`` is the one-row call.  The exception is
+``Logistic.eval_grad``, which computes F's value itself from a whole-matrix
+gemv; ``test_eval_grad_value_is_eval_bit_for_bit`` holds it to ``eval``'s
+bits at one BLAS thread.  Every objective raises the same ``ValueError``s
+for a point of the wrong shape or with non-finite entries.
 
 All stochastic draws come from caller-owned streams (see :mod:`fedsim.rng`),
 so objectives are immutable and safe to share across threads.  The number of

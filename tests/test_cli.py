@@ -427,6 +427,17 @@ def test_run_config_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert err == f"error: usage: {cfg}: not UTF-8: byte 0xff at offset 5\n"
 
 
+def test_run_config_that_cannot_be_read_exits_1(tmp_path, capsys):
+    """A config path that exists but cannot be read is a config error that
+    names the path, not a data error."""
+    cfg = tmp_path / "config.d"
+    cfg.mkdir()
+    code, out, err = run_cli(
+        ["run", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: usage: {cfg}: cannot read: ")
+
+
 def test_run_divergent_cell_exits_3_but_writes_records(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out_dir = tmp_path / "out"

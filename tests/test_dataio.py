@@ -1,7 +1,8 @@
 """Tests for LibSVM parsing and dataset statistics.
 
 ``reference_parse`` is the token-at-a-time parser the array parser replaced.
-The equivalence tests hold the two to the same datasets and the same errors.
+The equivalence tests hold the two to the same datasets and the same errors,
+from every kind of source.
 ``serialize_libsvm`` and ``row_pairs`` are reference code for the round-trip
 and per-row checks.
 """
@@ -178,9 +179,28 @@ def test_load_plain_and_gzip(tmp_path):
     assert a.n == 2
 
 
+def test_load_by_path_object(tmp_path):
+    text = "+1 1:1 4:0.25\n-1 2:2\n"
+    plain = tmp_path / "toy.libsvm"
+    plain.write_text(text)
+    packed = tmp_path / "toy.libsvm.gz"
+    packed.write_bytes(gzip.compress(text.encode()))
+    assert load_dataset(plain) == load_dataset(packed) == parse_libsvm(text)
+
+
 def test_load_missing_file():
     with pytest.raises(DataFormatError):
         load_dataset("/nonexistent/nowhere.libsvm")
+
+
+@pytest.mark.parametrize("name", ["data", "data.gz"])
+def test_a_directory_is_a_data_error_naming_it(name, tmp_path):
+    path = tmp_path / name
+    path.mkdir()
+    with pytest.raises(DataFormatError) as ei:
+        load_dataset(path)
+    assert ei.value.line_no is None
+    assert str(path) in ei.value.detail
 
 
 def test_content_hash_tracks_content():
@@ -216,21 +236,25 @@ def test_row_norms_sq_matches_dense_rows():
 
 
 def reference_parse(source, declared_dim=None):
-    """One Python call per token: the parser before the array parser."""
+    """One Python call per token: the parser before the array parser.  Every
+    source is read whole as UTF-8 bytes (a str is encoded with
+    ``surrogatepass``) and split by ``bytes.splitlines``, whose line ends are
+    ``\\n``, ``\\r\\n`` and a lone ``\\r``."""
     if declared_dim is not None and declared_dim < 1:
         raise DataFormatError(None, f"declared dimension must be positive, got {declared_dim}")
-    if isinstance(source, bytes):
-        lines = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        lines = io.StringIO(source)
-    elif isinstance(source.read(0), bytes):
-        lines = io.TextIOWrapper(source, encoding="utf-8")
-    else:
-        lines = source
+    if not isinstance(source, (str, bytes)):
+        source = source.read()
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")
     labels, indptr, indices, data = [], [0], [], []
     max_idx = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+    for line_no, raw in enumerate(source.splitlines(), start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(
+                line_no, f"invalid UTF-8 at byte {exc.start + 1}: {exc.reason}") from None
+        line = text.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
@@ -264,6 +288,9 @@ def reference_parse(source, declared_dim=None):
                 raise DataFormatError(
                     line_no, f"feature index {idx} exceeds declared dimension {declared_dim}"
                 )
+            if idx > 2 ** 31:
+                raise DataFormatError(line_no, f"feature index {idx} exceeds {2 ** 31}, "
+                                               f"the largest index int32 columns can hold")
             prev = idx
             indices.append(idx - 1)
             data.append(val)
@@ -278,13 +305,6 @@ def reference_parse(source, declared_dim=None):
         shape=(len(labels), dim),
     )
     return Dataset(X=x, labels=np.asarray(labels, dtype=np.float64))
-
-
-def reference_load(path, declared_dim=None):
-    """Whole-file text read, as ``load_dataset`` did before."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        return reference_parse(fh.read(), declared_dim)
 
 
 def outcome(parse, *args):
@@ -344,45 +364,44 @@ CORPUS = [
 
 
 def _sources(tmp_path, text):
-    """``(name, run)`` pairs, where ``run(parse, dim)`` parses ``text`` from
-    one kind of source, and the paths of a plain and a gzip file of it."""
+    """``(name, run)`` pairs, where ``run(dim)`` parses ``text`` with the
+    package's parser from one kind of source: a str, bytes, text and binary
+    file objects, and a plain and a gzip file."""
     blob = text.encode("utf-8")
     plain = tmp_path / "corpus.libsvm"
     plain.write_bytes(blob)
     packed = tmp_path / "corpus.libsvm.gz"
     packed.write_bytes(gzip.compress(blob))
 
-    def text_file(newline):
-        def run(parse, dim):
-            with open(plain, "r", encoding="utf-8", newline=newline) as fh:
-                return parse(fh, dim)
+    def file_object(mode, **kwargs):
+        def run(dim):
+            with open(plain, mode, **kwargs) as fh:
+                return parse_libsvm(fh, dim)
         return run
 
-    def binary_file(parse, dim):
-        with open(plain, "rb") as fh:
-            return parse(fh, dim)
-
     return [
-        ("str", lambda parse, dim: parse(text, dim)),
-        ("bytes", lambda parse, dim: parse(blob, dim)),
-        ("text-file", text_file(None)),
-        ("text-file-untranslated", text_file("")),
-        ("binary-file", binary_file),
-    ], [str(plain), str(packed)]
+        ("str", lambda dim: parse_libsvm(text, dim)),
+        ("bytes", lambda dim: parse_libsvm(blob, dim)),
+        *[(f"text-file-newline={newline!r}",
+           file_object("r", encoding="utf-8", newline=newline))
+          for newline in (None, "", "\r", "\n")],
+        ("binary-file", file_object("rb")),
+        ("plain-file", lambda dim: load_dataset(str(plain), dim)),
+        ("gzip-file", lambda dim: load_dataset(str(packed), dim)),
+    ]
 
 
 @pytest.mark.parametrize("text", CORPUS, ids=[f"corpus{i}" for i in range(len(CORPUS))])
 def test_array_parser_matches_reference(text, tmp_path, monkeypatch):
-    sources, paths = _sources(tmp_path, text)
-    for slice_bytes in (1, 5, 64, dataio._SLICE_BYTES):
-        monkeypatch.setattr(dataio, "_SLICE_BYTES", slice_bytes)
-        for dim in (None, 8):
+    """Every kind of source gives the reference's outcome on the text's
+    UTF-8 bytes, at every slice size."""
+    sources = _sources(tmp_path, text)
+    for dim in (None, 8):
+        expected = outcome(reference_parse, text.encode("utf-8"), dim)
+        for slice_bytes in (1, 5, 64, dataio._SLICE_BYTES):
+            monkeypatch.setattr(dataio, "_SLICE_BYTES", slice_bytes)
             for name, run in sources:
-                assert outcome(run, parse_libsvm, dim) == \
-                    outcome(run, reference_parse, dim), (name, slice_bytes)
-            for path in paths:
-                assert outcome(load_dataset, path, dim) == \
-                    outcome(reference_load, path, dim), (path, slice_bytes)
+                assert outcome(run, dim) == expected, (name, slice_bytes)
 
 
 def test_each_slice_takes_one_path(monkeypatch):
@@ -412,6 +431,24 @@ def test_each_slice_takes_one_path(monkeypatch):
     assert lines_seen == [*range(5, 9), *range(13, 21), *range(25, 29)]
 
 
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+def test_every_line_end_bounds_a_slice(end, monkeypatch):
+    """A lone ``\\r`` ends a slice as ``\\n`` does, so a file whose lines
+    end in ``\\r`` is not read as one slice."""
+    monkeypatch.setattr(dataio, "_SLICE_BYTES", 64)
+    sizes = []
+    per_slice = dataio._parse_slice
+
+    def counted(buf, *args):
+        sizes.append(len(buf))
+        return per_slice(buf, *args)
+
+    monkeypatch.setattr(dataio, "_parse_slice", counted)
+    text = "".join(f"+1 {i % 9 + 1}:{i}{end}" for i in range(200))
+    assert outcome(parse_libsvm, text) == outcome(reference_parse, text)
+    assert len(sizes) > 20 and max(sizes) <= 2 * 64
+
+
 def test_negative_zero_keeps_its_sign():
     ds = parse_libsvm("+1 1:-0 2:0\n")
     assert np.signbit(ds.X.data).tolist() == [True, False]
@@ -426,7 +463,7 @@ def test_array_parser_matches_reference_across_slices(tmp_path):
     assert len(text) > 2 * dataio._SLICE_BYTES
     path = tmp_path / "big.libsvm"
     path.write_text(text)
-    assert outcome(load_dataset, str(path), None) == outcome(reference_load, str(path))
+    assert outcome(load_dataset, str(path), None) == outcome(reference_parse, text)
     assert outcome(parse_libsvm, text) == outcome(reference_parse, text)
     late_error = text + "+1 5:1 4:1\n"
     assert outcome(parse_libsvm, late_error) == outcome(reference_parse, late_error)
@@ -451,21 +488,43 @@ def test_index_beyond_int32_reports_its_line():
     assert "3000000000" in ei.value.detail
 
 
-def test_index_beyond_int32_yields_to_earlier_format_errors():
-    text = "+1 3000000000:1\n2 1:1\n"
-    assert outcome(parse_libsvm, text) == outcome(reference_parse, text)
+def test_lone_surrogate_is_invalid_utf8_on_its_line():
+    text = "+1 1:1\n-1 \ud800:1\n"
+    rejected = ("rejected", 2, "invalid UTF-8 at byte 4: invalid continuation byte")
+    assert outcome(parse_libsvm, text) == outcome(parse_libsvm, io.StringIO(text)) == \
+        outcome(parse_libsvm, b"+1 1:1\n-1 \xed\xa0\x80:1\n") == rejected
 
 
-@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+@pytest.mark.parametrize("slice_bytes", [1, dataio._SLICE_BYTES])
+def test_the_first_error_in_the_file_wins(slice_bytes, monkeypatch):
+    """An index above 2**31 is an error on its own line, like any other,
+    whether its slice (one line each at ``slice_bytes=1``) is plain or not,
+    and whether its index has 10 digits or more."""
+    monkeypatch.setattr(dataio, "_SLICE_BYTES", slice_bytes)
+    for big in ("3000000000", "00000000003000000000"):
+        big_line, bad_label = f"+1 {big}:1", "2 1:1"
+        for lines, first in (((big_line, bad_label), "exceeds"),
+                             ((bad_label, big_line), "label")):
+            text = "+1 1:1\n" + "\n".join(lines) + "\n"
+            got = outcome(parse_libsvm, text)
+            assert got == outcome(reference_parse, text)
+            assert got[:2] == ("rejected", 2) and first in got[2]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt", "not-gzip"])
 def test_damaged_gzip_is_a_data_error(damage, tmp_path):
     text = "".join(f"+1 {i % 100 + 1}:1 {i % 100 + 2}:0.5\n" for i in range(2000))
     blob = bytearray(gzip.compress(text.encode(), mtime=0))
     if damage == "truncated":
         blob = blob[:len(blob) // 2]
-    else:
+    elif damage == "corrupt":
         blob[40:60] = b"\xff" * 20
+    else:
+        blob = text.encode()
     path = tmp_path / "damaged.libsvm.gz"
     path.write_bytes(bytes(blob))
     with pytest.raises(DataFormatError) as ei:
         load_dataset(str(path))
-    assert "gzip" in ei.value.detail
+    assert ei.value.line_no is None
+    assert str(path) in ei.value.detail
+    assert "gzip" in ei.value.detail.replace(str(path), "")
