@@ -34,8 +34,8 @@ from .harness import (ALGORITHMS, DEFAULT_ETA_GRID, CellResult, ConfigError,
                       read_sweep_csv, run_cell, run_group, tune_and_sweep,
                       write_records_csv, write_records_json, write_sweep_csv,
                       write_sweep_json)
-from .objectives import (Augmented, GradSample, Logistic, Objective,
-                         Quadratic, smoothness_bounds)
+from .objectives import (Augmented, Logistic, Objective, Quadratic,
+                         smoothness_bounds)
 from .rng import StreamBundle
 from .verify import CheckResult, run_all
 

@@ -4,15 +4,15 @@ Subcommands: ``check-data`` (parse a dataset and print its stats), ``run``
 (one experiment cell), ``sweep`` (full tuning sweep), ``instability``
 (worst-case accelerated-descent separation experiment), ``norm-bounds``
 (random search for transfer-matrix norm violations), ``verify`` (invariant
-battery).  Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
-failure or divergence, 4 verification failure, 5 out of memory (here, or
-a sweep worker process died, say killed for memory).  Failures print a
-single ``error: <kind>: <detail>`` line on stderr.  Flag values override
-config-file values, which override defaults; ``--deterministic-output``
-suppresses the timing lines so identical invocations print identical
-bytes.  ``run`` and ``sweep`` make one flag per key of ``OVERRIDES`` from
-``harness.CONFIG_KEYS``; ``run`` spells ``--algorithm``, ``--eta`` and
-``--seed`` in the singular.
+battery).  Exit codes: 0 success, 1 usage error or unwritable output, 2
+data error, 3 numerical failure or divergence, 4 verification failure, 5
+out of memory (here, or a sweep worker process died, say killed for
+memory).  Failures print a single ``error: <kind>: <detail>`` line on
+stderr.  Flag values override config-file values, which override defaults;
+``--deterministic-output`` suppresses the timing lines so identical
+invocations print identical bytes.  ``run`` and ``sweep`` make one flag per
+key of ``OVERRIDES`` from ``harness.CONFIG_KEYS``; ``run`` spells
+``--algorithm``, ``--eta`` and ``--seed`` in the singular.
 """
 
 from __future__ import annotations
@@ -305,9 +305,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, ConfigError) as exc:
         _error_line("usage", exc)
         return EXIT_USAGE
-    except (DataFormatError, OSError) as exc:
+    except DataFormatError as exc:
         _error_line("data", exc)
         return EXIT_DATA
+    except OSError as exc:  # an unreadable input raises one of the above
+        _error_line("output", exc)
+        return EXIT_USAGE
     # DivergenceError is an ArithmeticError and ScheduleError a ValueError
     except (ValueError, ArithmeticError, OptimumError, ConstructionError,
             InstabilityRegionError) as exc:

@@ -306,24 +306,30 @@ def compute_optimum(obj: Objective, tol: Optional[float] = None,
     descent on exact gradients.
 
     Stops when the gradient norm at the query point drops to ``tol``
-    (default 1e-12 * (1 + |F|), tracking the current value); raises
-    OptimumError with the achieved norm if ``max_iter`` updates do not get
-    there.  An already-optimal start returns after zero updates.  A ``tol``
-    that is not finite and positive raises ValueError.
+    (default 1e-12 * (1 + |F|)); raises OptimumError with the achieved norm
+    if ``max_iter`` updates do not get there.  An already-optimal start
+    returns after zero updates.  A ``tol`` that is not finite and positive
+    raises ValueError.  F, from ``obj.eval``, is taken only where the test
+    can pass, so F* is ``eval`` at w*; ``obj.mu_est`` must be a true
+    strong-convexity modulus, as F - F* <= |grad F|**2 / (2 mu) bounds |F|.
     """
     if tol is not None and not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     agd = AgdStep(obj.l_est, obj.mu_est)
-    w = np.zeros(obj.dim)
-    w_ag = np.zeros(obj.dim)
+    w = w_ag = np.zeros(obj.dim)
+    f_lo, f_hi = -math.inf, math.inf  # an interval that holds F*
     iterations = 0
     while True:
         w_md = agd.couple(w, w_ag)
-        value, grad = obj.eval_grad(w_md)
+        grad = obj.grad(w_md)
         grad_norm = float(np.linalg.norm(grad))
-        threshold = tol if tol is not None else 1e-12 * (1.0 + abs(value))
-        if grad_norm <= threshold:
-            return OptimumResult(w_md.copy(), float(value), iterations, grad_norm)
+        gap = grad_norm * grad_norm / (2.0 * obj.mu_est)  # >= F(w_md) - F*
+        bound = max(abs(f_lo), abs(f_hi + gap)) * (1.0 + 1e-6)  # >= |F(w_md)|
+        if grad_norm <= (tol or 1e-12 * (1.0 + bound)):
+            value = obj.eval(w_md)
+            f_hi, f_lo = min(f_hi, value), max(f_lo, value - gap)
+            if grad_norm <= (tol or 1e-12 * (1.0 + abs(value))):
+                return OptimumResult(w_md.copy(), value, iterations, grad_norm)
         if iterations >= max_iter:
             raise OptimumError(grad_norm, iterations)
         w_ag, w = agd.update(w, w_md, grad)

@@ -7,12 +7,10 @@ inner objective.  Each objective carries curvature estimates ``mu_est`` (strong
 convexity) and ``l_est`` (smoothness) that drive schedule and step-size
 choices downstream.
 
-Each objective defines F in ``eval_many`` over the rows of a (P, dim)
-array, of which ``Objective.eval`` is the one-row call.  The exception is
-``Logistic.eval_grad``, which computes F's value itself from a whole-matrix
-gemv; ``test_eval_grad_value_is_eval_bit_for_bit`` holds it to ``eval``'s
-bits at one BLAS thread.  Every objective raises the same ``ValueError``s
-for a point of the wrong shape or with non-finite entries.
+Each objective defines F once, in ``eval_many`` over the rows of a (P, dim)
+array, of which ``Objective.eval`` is the one-row call; the records' F and
+the optimum's F* both come from it.  Every objective raises the same
+``ValueError``s for a point of the wrong shape or with non-finite entries.
 
 All stochastic draws come from caller-owned streams (see :mod:`fedsim.rng`),
 so objectives are immutable and safe to share across threads.  The number of
@@ -36,20 +34,13 @@ kernel, has its point checked and fresh arrays allocated by
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
 from .dataio import DataFormatError, row_norms_sq
 from .rng import StreamBundle
-
-
-class GradSample(NamedTuple):
-    """Objective value and gradient at a point, as returned by eval_grad."""
-
-    value: float
-    grad: np.ndarray
 
 
 def _log1p_exp(t: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -129,10 +120,6 @@ class Objective:
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def eval_grad(self, w: np.ndarray) -> GradSample:
-        """Value and gradient in one call (subclasses may share work)."""
-        return GradSample(self.eval(w), self.grad(w))
 
     def stoch_grad_multi(self, W: np.ndarray, bundle: StreamBundle, *,
                          out: Optional[np.ndarray] = None,
@@ -306,15 +293,11 @@ class Logistic(Objective):
         return zip(starts, starts[1:] + [self.n])
 
     def grad(self, w):
-        return self.eval_grad(w).grad
-
-    def eval_grad(self, w):
         w = self._check_point(w)
         a = self.X if self._dense is None else self._dense
         z = self.labels * (a @ w)
-        loss = float(_log1p_exp(-z).mean() + 0.5 * self.lam * (w * w).sum())
         coefs = (-self.labels * expit(-z)) / self.n
-        return GradSample(loss, a.T @ coefs + self.lam * w)
+        return a.T @ coefs + self.lam * w
 
     def stoch_grad_multi(self, W, bundle, *, out=None, scratch=None):
         W, out, scratch = self._work(W, bundle, out, scratch)

@@ -466,6 +466,20 @@ def test_run_out_dir_precedence(tmp_path, capsys, monkeypatch):
     assert (flag_dir / "records.csv").exists()
 
 
+@pytest.mark.parametrize("cmd", ["run", "sweep"])
+def test_unwritable_out_dir_exits_1_naming_it(cmd, tmp_path, capsys):
+    """An out dir under a regular file cannot be made: an output error that
+    names the path and exits 1, not a data error."""
+    cfg = write_config(tmp_path)
+    (tmp_path / "afile").write_text("")
+    out_dir = tmp_path / "afile" / "sub"
+    code, out, err = run_cli([cmd, "--config", cfg, "--out", str(out_dir)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: output: ") and err.count("\n") == 1
+    assert str(out_dir) in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import expit
 
 import fedsim.algorithms as algorithms
@@ -49,7 +50,7 @@ from fedsim.harness import (
     write_sweep_json,
 )
 from fedsim import rng
-from fedsim.objectives import Logistic, Quadratic
+from fedsim.objectives import Augmented, Logistic, Quadratic
 
 
 def small_cfg(**overrides):
@@ -148,6 +149,82 @@ def test_optimum_is_the_last_agd_query_point(kind):
     zeros = np.zeros(obj.dim)
     traj = agd_run(obj, zeros, zeros, obj.l_est, obj.mu_est, opt.iterations + 1)
     np.testing.assert_array_equal(opt.w_star, traj.w_md[-1])
+
+
+def reference_optimum(obj, tol=None, max_iter=10 ** 6):
+    """The optimum solver as first written: AGD that takes F at every query
+    point.  ``compute_optimum`` skips F where its stop test cannot pass, and
+    must return what this loop returns, bit for bit."""
+    agd = algorithms.AgdStep(obj.l_est, obj.mu_est)
+    w = w_ag = np.zeros(obj.dim)
+    iterations = 0
+    while True:
+        w_md = agd.couple(w, w_ag)
+        value, grad = obj.eval(w_md), obj.grad(w_md)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= (tol if tol is not None else 1e-12 * (1.0 + abs(value))):
+            return harness.OptimumResult(w_md, value, iterations, grad_norm)
+        if iterations >= max_iter:
+            raise OptimumError(grad_norm, iterations)
+        w_ag, w = agd.update(w, w_md, grad)
+        iterations += 1
+
+
+def optimum_objective(case, monkeypatch):
+    """``logistic-<n>-dense`` or ``-csr`` (half of 123 features set, so a sum
+    in another order shows in the last bits), ``quadratic`` or
+    ``augmented``."""
+    if case == "quadratic":
+        return Quadratic([2.0, 0.5, 1.0, 30.0], shift=[1.0, -2.0, 0.25, 3.0])
+    if case == "augmented":
+        inner = Logistic(make_synthetic_logistic(300, 20, seed=2), lam=1e-3)
+        return Augmented(inner, 0.5, np.linspace(-1.0, 1.0, 20))
+    _, n, form = case.split("-")
+    if form == "csr":
+        monkeypatch.setattr(Logistic, "_DENSE_CACHE_LIMIT", 0)
+    gen = np.random.default_rng(int(n))
+    x = sp.random(int(n), 123, density=0.5, format="csr", random_state=gen,
+                  data_rvs=gen.standard_normal)
+    labels = np.where(gen.random(int(n)) < 0.5, 1.0, -1.0)
+    obj = Logistic(Dataset(X=x, labels=labels), lam=0.05)
+    assert (obj._dense is None) == (form == "csr")
+    return obj
+
+
+def solve(solver, obj, **kwargs):
+    """The solver's w*, f*, iterations and gradient norm, or its
+    OptimumError's fields."""
+    try:
+        opt = solver(obj, **kwargs)
+    except OptimumError as exc:
+        return "OptimumError", exc.grad_norm, exc.iterations
+    return opt.w_star.tobytes(), opt.f_star, opt.iterations, opt.grad_norm
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"tol": 1e-8}, {"max_iter": 5}],
+                         ids=["tol-default", "tol-1e-8", "max-iter-5"])
+@pytest.mark.parametrize("case", [
+    f"logistic-{n}-{form}" for n in (60, 2000, 8001) for form in ("dense", "csr")
+] + ["quadratic", "augmented"])
+def test_optimum_is_the_loop_that_takes_f_everywhere(case, kwargs, monkeypatch):
+    obj = optimum_objective(case, monkeypatch)
+    assert solve(compute_optimum, obj, **kwargs) == \
+        solve(reference_optimum, obj, **kwargs)
+
+
+def test_optimum_takes_f_only_where_it_can_stop(monkeypatch):
+    """F costs a pass over the data beside the gradient's two: the solver
+    takes a gradient at each query point and F at no more than five."""
+    obj = optimum_objective("logistic-2000-dense", monkeypatch)
+    calls = {"eval": 0, "grad": 0}
+    for name in calls:
+        def counted(w, method=getattr(obj, name), name=name):
+            calls[name] += 1
+            return method(w)
+        monkeypatch.setattr(obj, name, counted)
+    opt = compute_optimum(obj)
+    assert calls["grad"] == opt.iterations + 1 > 100
+    assert 1 <= calls["eval"] <= 5
 
 
 @pytest.mark.parametrize("content", [b'{"trunc', b"", b"[1, 2]", b"\xff\xfe"])

@@ -15,7 +15,7 @@ MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # lines of src/fedsim/*.py (as ``wc -l`` counts them) that the package may
 # not exceed; a change that leaves fewer lines lowers it
-SOURCE_LINES = 3422
+SOURCE_LINES = 3414
 
 
 def unused_imports(tree: ast.Module):
