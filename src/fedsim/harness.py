@@ -686,13 +686,16 @@ def read_sweep_csv(path) -> List[SweepRow]:
             for alg, m, k, eta, sub in (line.split(",") for line in lines[1:])]
 
 
+def _write_json(path, header: str, rows: Sequence[tuple]) -> None:
+    """Rows keyed by the CSV header; a non-finite float is null (strict JSON)."""
+    payload = [{key: None if isinstance(v, float) and not math.isfinite(v) else v
+                for key, v in zip(header.split(","), row)} for row in rows]
+    _write_lines(path, [json.dumps(payload, allow_nan=False)])
+
+
 def write_records_json(cells: Sequence[CellResult], path) -> None:
-    payload = [row._asdict() for row in records_to_rows(cells)]
-    _write_lines(path, [json.dumps(payload)])
+    _write_json(path, RECORD_HEADER, records_to_rows(cells))
 
 
 def write_sweep_json(rows: Sequence[SweepRow], path) -> None:
-    payload = [{"algorithm": r.algorithm, "M": r.m, "K": r.k,
-                "best_eta": r.best_eta, "best_suboptimality": r.best_suboptimality}
-               for r in rows]
-    _write_lines(path, [json.dumps(payload)])
+    _write_json(path, SWEEP_HEADER, rows)

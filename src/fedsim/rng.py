@@ -16,11 +16,10 @@ index draws one word per rejection round (rejection is astronomically rare
 for any practical range).
 
 Because a variate depends only on its slot, ``StreamBundle.indices`` draws
-single-slot index variates ahead, in blocks: a call at slot ``c`` that
-misses the cached block draws slots ``[c, c + S)`` for every row in one
-vectorized pass, and the calls at the following slots read their slot's
-variates from it.  The counter still advances by exactly one per call, the
-block is looked up by absolute slot and range ``n``, and draws of other
+index variates ahead, in blocks: a call for ``count`` slots at slot ``c``
+that misses the cached block draws slots ``[c, c + max(count, S))`` for
+every row in one vectorized pass, and later calls read their slots from it.
+The block is looked up by absolute slot and range ``n``, so draws of other
 kinds in between (or a counter moved by hand) change no variate.
 """
 
@@ -41,9 +40,8 @@ _MAX_REJECTION_ROUNDS = 128
 
 _INV_2_53 = 2.0 ** -53
 
-# single-slot index draws are served from blocks of at most this many slots,
-# holding at most this many words; a bundle too wide for two slots per block
-# draws one slot per call
+# index draws are served from blocks of at most this many slots, holding at
+# most this many words; a draw of more slots than a block is not cached
 _BLOCK_SLOTS = 64
 _BLOCK_WORDS = 1 << 14
 
@@ -97,37 +95,22 @@ def _uniform_ints(keys: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """Uniform integers in [0, n) for every (key, slot) pair, where ``idx``
     holds the slots' first word indices; shape the broadcast of the inputs.
 
-    Uses rejection against the largest multiple of n below 2**64, so the
-    distribution is exactly uniform with no modulo bias.  When every first
-    word is accepted (always, if n divides 2**64), the result is taken from
-    those words directly; otherwise the rejection rounds start over from the
-    same slots and give the same variates.
+    A slot takes its first word below the largest multiple of n at most
+    2**64, mod n: exactly uniform, with no modulo bias.
     """
     nn = np.uint64(n)
-    # threshold == 0 means n divides 2**64 exactly: accept everything
-    threshold = np.uint64((((1 << 64) // n) * n) & _MASK)
+    # the last accepted word; every word when n divides 2**64
+    last = np.uint64((1 << 64) // n * n - 1)
     w = _words(keys, idx)
-    if not threshold or w.max(initial=0) < threshold:
-        return (w % nn).astype(np.int64)
-    return _reject(keys, idx, nn, threshold)
-
-
-def _reject(keys: np.ndarray, idx: np.ndarray, nn: np.uint64,
-            threshold: np.uint64) -> np.ndarray:
-    """The general rejection loop behind ``_uniform_ints``."""
-    shape = np.broadcast_shapes(keys.shape, idx.shape)
-    out = np.empty(shape, dtype=np.int64)
-    pending = np.ones(shape, dtype=bool)
-    for word in range(_MAX_REJECTION_ROUNDS):
-        w = _words(keys, idx + np.uint64(word))
-        if threshold:
-            ok = pending & (w < threshold)
-        else:
-            ok = pending.copy()
-        out[ok] = (w[ok] % nn).astype(np.int64)
-        pending &= ~ok
+    out = (w % nn).astype(np.int64)
+    pending = w > last
+    for word in range(1, _MAX_REJECTION_ROUNDS + 1):
         if not pending.any():
             return out
+        # a pending slot takes its next word's variate, kept if accepted
+        w = _words(keys, idx + np.uint64(word))
+        np.copyto(out, (w % nn).astype(np.int64), where=pending)
+        pending &= w > last
     raise RuntimeError("rejection sampling failed to terminate")  # pragma: no cover
 
 
@@ -191,24 +174,22 @@ class StreamBundle:
 
         ``n`` must be an integer in [1, 2**64 - 1] and ``count`` one >= 0
         (as for every draw); otherwise ValueError, and the counter does not
-        move.  A single-slot call is served from a block of up to
-        ``_BLOCK_SLOTS`` slots, drawn for every row at once when the call's
-        slot or ``n`` falls outside the cached block; the returned array is
-        a copy, never the block itself.
+        move.  The call's slots are read from a block of up to
+        ``_BLOCK_SLOTS`` slots, drawn for every row at once from the call's
+        slot when its slots or ``n`` fall outside the cached block; a call
+        for more slots than a block draws them alone and caches nothing.
+        The returned array is a copy, never the block itself.
         """
         n = _index_range(n)
-        rows = len(self)
-        span = min(_BLOCK_SLOTS, _BLOCK_WORDS // max(rows, 1))
-        if count != 1 or span < 2:
-            start = self._take_slots(count)
-            return _uniform_ints(self._keys, _slot_word_idx(start, count, 0), n)
-        c = self.counter
+        start = self._take_slots(count)
         block = self._block
-        col = c - self._block_first
-        if block is None or n != self._block_n or not 0 <= col < len(block):
-            # (span, rows): each slot's variates are one contiguous row
-            block = self._block = _uniform_ints(
-                self._keys.T, _slot_word_idx(c, span, 0)[:, None], n)
-            self._block_n, self._block_first, col = n, c, 0
-        self.counter = c + 1
-        return block[col, :, None].copy()
+        col = start - self._block_first
+        if block is None or n != self._block_n or not 0 <= col <= len(block) - count:
+            span = min(_BLOCK_SLOTS, _BLOCK_WORDS // max(len(self), 1))
+            # (slots, rows): each slot's variates are one contiguous row
+            block = _uniform_ints(self._keys.T, _slot_word_idx(
+                start, max(count, span), 0)[:, None], n)
+            col = 0
+            if count <= span:
+                self._block, self._block_n, self._block_first = block, n, start
+        return block[col:col + count].T.copy()

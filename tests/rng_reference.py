@@ -1,8 +1,9 @@
 """Reference code for the tests: the scalar stream key that ``StreamBundle``
-derives in uint64 arrays, and a single random stream as a one-row
-``StreamBundle`` whose draws are flat arrays."""
+derives in uint64 arrays, index variates drawn from that key in plain
+python ints, and a single random stream as a one-row ``StreamBundle`` whose
+draws are flat arrays."""
 
-from fedsim.rng import _GOLDEN, _MASK, _MIX_A, _MIX_B, StreamBundle
+from fedsim.rng import _GOLDEN, _MASK, _MIX_A, _MIX_B, _SLOT_SHIFT, StreamBundle
 
 
 def _mix_int(z: int) -> int:
@@ -18,6 +19,28 @@ def stream_key(seed: int, worker_id: int) -> int:
     s = _mix_int((int(seed) & _MASK) + _GOLDEN)
     w = _mix_int(((int(worker_id) & _MASK) + 1) * _GOLDEN)
     return _mix_int(s ^ w)
+
+
+def stream_word(key: int, position: int) -> int:
+    """The stream's SplitMix64 output word at ``position``."""
+    return _mix_int(key + position * _GOLDEN)
+
+
+def plain_indices(key: int, n: int, start: int, count: int):
+    """Index variates in [0, n) at slots [start, start + count) of the
+    stream keyed ``key``, and the number of words each slot read.
+
+    Slot s reads its words (s << 32) + j for j = 0, 1, ... and keeps the
+    first below the largest multiple of n at most 2**64, mod n."""
+    limit = (1 << 64) // n * n
+    values, words = [], []
+    for slot in range(start, start + count):
+        j = 0
+        while (w := stream_word(key, (slot << _SLOT_SHIFT) + j)) >= limit:
+            j += 1
+        values.append(w % n)
+        words.append(j + 1)
+    return values, words
 
 
 class RngStream:

@@ -28,6 +28,8 @@ from fedsim.harness import (
     ALGORITHMS,
     DEFAULT_ETA_GRID,
     ConfigError,
+    RECORD_HEADER,
+    SWEEP_HEADER,
     EvalRecord,
     ExperimentConfig,
     OptimumError,
@@ -1515,19 +1517,57 @@ def test_float_formatting_is_shortest_round_trip(tmp_path):
 
 
 def test_json_writers_mirror_schema(tmp_path):
+    """Each JSON row is keyed by the columns of its CSV header, in order."""
     cells = make_cells()
     rec_path = tmp_path / "records.json"
     write_records_json(cells, rec_path)
     payload = json.loads(rec_path.read_text())
     rows = records_to_rows(cells)
     assert len(payload) == len(rows)
-    assert payload[0] == rows[0]._asdict()
+    assert list(payload[0].items()) == list(zip(
+        ["algorithm", "M", "K", "eta", "seed", "t", "suboptimality"], rows[0]))
 
     sweep_path = tmp_path / "sweep.json"
     write_sweep_json([SweepRow("fedavg", 1, 2, 0.1, 0.5)], sweep_path)
     sweep_payload = json.loads(sweep_path.read_text())
     assert sweep_payload == [{"algorithm": "fedavg", "M": 1, "K": 2,
                               "best_eta": 0.1, "best_suboptimality": 0.5}]
+
+
+def test_json_mirrors_parse_strictly_and_match_the_csv(tmp_path):
+    """A diverged record (inf) and a flagged sweep row (nan, inf): both
+    mirrors parse under a parser that refuses NaN and Infinity, key every
+    row by the CSV header, and hold the CSV reader's rows, with null where
+    a value is not finite."""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    obj = Quadratic([1.0], shift=[1.0], sigma=0.0)
+    cells = [run_cell(obj, "fedavg", m=1, k=1, eta=1e300, t=4, seed=0,
+                      eval_every=2, f_star=0.0)]
+    sweep = [SweepRow("fedavg", 1, 1, math.nan, math.inf),
+             SweepRow("fedac1", 2, 4, 0.1, 0.25)]
+    csv_path, json_path = tmp_path / "a.csv", tmp_path / "a.json"
+    mirrors = {}
+    for write_csv, write_json, read_csv, header, data in (
+            (write_records_csv, write_records_json, read_records_csv,
+             RECORD_HEADER, cells),
+            (write_sweep_csv, write_sweep_json, read_sweep_csv,
+             SWEEP_HEADER, sweep)):
+        write_csv(data, csv_path)
+        write_json(data, json_path)
+        payload = json.loads(json_path.read_text(), parse_constant=refuse)
+        keys = header.split(",")
+        assert all(list(row) == keys for row in payload)
+        assert payload == [
+            {key: None if isinstance(v, float) and not math.isfinite(v) else v
+             for key, v in zip(keys, row)} for row in read_csv(csv_path)]
+        mirrors[header] = payload
+    assert mirrors[RECORD_HEADER][-1]["suboptimality"] is None
+    assert mirrors[SWEEP_HEADER][0] == {"algorithm": "fedavg", "M": 1, "K": 1,
+                                        "best_eta": None,
+                                        "best_suboptimality": None}
 
 
 def test_failed_artifact_write_leaves_the_old_file(tmp_path, monkeypatch):

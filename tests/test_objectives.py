@@ -14,12 +14,11 @@ from fedsim.objectives import (
     _log1p_exp,
     smoothness_bounds,
 )
-from fedsim import rng
 from fedsim.diagnostics import PiecewiseCurvature1D
 from fedsim.harness import compute_optimum
 from fedsim.rng import StreamBundle
 from fedsim.verify import _fd_gradient
-from rng_reference import RngStream
+from rng_reference import RngStream, plain_indices, stream_key
 
 
 def make_logistic(text, lam):
@@ -494,32 +493,26 @@ def test_shared_point_rows_match_repeated_rows(kind, points, monkeypatch):
 def test_gather_stays_in_range_on_the_rejection_path(monkeypatch):
     """Logistic gathers with ``np.take(mode="clip")``, which would clamp an
     index of n or more without a word: every index that
-    ``StreamBundle.indices`` returns, from the rejection loop too, lies in
-    [0, n)."""
-    rejected = []
-    reject = rng._reject
-
-    def spy(*args):
-        rejected.append(args)
-        return reject(*args)
-
-    monkeypatch.setattr(rng, "_reject", spy)
+    ``StreamBundle.indices`` returns lies in [0, n), and is the plain-int
+    reference's variate bit for bit, where a first word is rejected too."""
     n = 2 ** 62 + 1  # a quarter of all words lie above the largest multiple
-    idx = StreamBundle(5, np.arange(64)).indices(n, 4)
-    assert rejected
+    ids = np.arange(64)
+    idx = StreamBundle(5, ids).indices(n, 4)
+    drawn = [plain_indices(stream_key(5, w), n, 0, 4) for w in ids]
+    assert any(k > 1 for _, words in drawn for k in words)
+    assert idx.tolist() == [values for values, _ in drawn]
     assert idx.min() >= 0 and idx.max() < n
 
-    # the same gather on a small dataset, its indices from the rejection loop
-    def via_rejection(self, n, count=1):
+    # the same gather on a small dataset, its indices from the reference
+    def via_reference(self, n, count=1):
         start = self._take_slots(count)
-        threshold = np.uint64((1 << 64) // n * n & ((1 << 64) - 1))
-        return reject(self._keys, rng._slot_word_idx(start, count, 0),
-                      np.uint64(n), threshold)
+        return np.array([plain_indices(int(key), n, start, count)[0]
+                         for key in self._keys.ravel()], dtype=np.int64)
 
     obj = _logistic_rows(True, monkeypatch)
     W = np.random.default_rng(8).normal(size=(32, obj.dim))
     want = obj.stoch_grad_multi(W, StreamBundle(9, np.arange(32)))
-    monkeypatch.setattr(StreamBundle, "indices", via_rejection)
+    monkeypatch.setattr(StreamBundle, "indices", via_reference)
     np.testing.assert_array_equal(
         with_buffers(obj, W, StreamBundle(9, np.arange(32))), want)
 

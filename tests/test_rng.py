@@ -5,13 +5,8 @@ import pytest
 import scipy.stats
 
 from fedsim import rng
-from fedsim.rng import (
-    StreamBundle,
-    _reject,
-    _slot_word_idx,
-    _words,
-)
-from rng_reference import RngStream, stream_key
+from fedsim.rng import StreamBundle
+from rng_reference import RngStream, plain_indices, stream_key
 
 
 def test_same_state_same_output():
@@ -169,35 +164,43 @@ def test_bundle_rows_draw_as_a_bundle_of_fewer_rows():
     assert bundle.counter == fewer.counter == 10
 
 
+def as_ints(draws) -> list:
+    """Index variates as python ints in [0, n), unwrapping the int64 of a
+    variate at or above 2**63."""
+    return np.asarray(draws).astype(np.uint64).tolist()
+
+
+def reference_rows(seed, ids, n, start, count):
+    """(rows, count) plain-int variates and words read, one row per id."""
+    drawn = [plain_indices(stream_key(seed, w), n, start, count) for w in ids]
+    return [v for v, _ in drawn], [k for _, k in drawn]
+
+
 @pytest.mark.parametrize("n", [2**63 + 1, 2**40, 2**64 // 3 + 1, 1000, 1])
 def test_indices_fast_path_matches_rejection_loop(n):
-    """The accept-all shortcut gives the variates and counter of the general
-    rejection loop, whether or not a first word is rejected."""
+    """Vectorized draws give the plain-int rejection loop's variates and
+    counter, bit for bit, whether or not a first word is rejected."""
     ids = np.arange(64)
-    fast = StreamBundle(17, ids, counter=3)
-    general = StreamBundle(17, ids, counter=3)
-    got = fast.indices(n, 32)
-    threshold = np.uint64((((1 << 64) // n) * n) % (1 << 64))
-    first = _words(general._keys, _slot_word_idx(3, 32, 0))
+    bundle = StreamBundle(17, ids, counter=3)
+    got = bundle.indices(n, 32)
+    want, words = reference_rows(17, ids, n, 3, 32)
     if n == 2**63 + 1:  # about half of the first words are rejected
-        assert 0.4 < (first >= threshold).mean() < 0.6
-    start = general._take_slots(32)
-    want = _reject(general._keys, _slot_word_idx(start, 32, 0), np.uint64(n),
-                   threshold)
-    assert np.array_equal(got, want)
-    assert fast.counter == general.counter == 35
-    assert got.min() >= 0 and (got.astype(np.uint64) < np.uint64(n)).all()
+        assert 0.4 < (np.array(words) > 1).mean() < 0.6
+    assert as_ints(got) == want
+    assert bundle.counter == 35
+    assert as_ints(bundle.indices(n, 1)) == reference_rows(17, ids, n, 35, 1)[0]
 
 
 # ---------------------------------------------------------------------------
-# single-slot index draws served from blocks drawn ahead
+# index draws served from blocks drawn ahead
 
 
 def reference_indices(seed, ids, n, slots):
-    """(len(slots), rows) index variates, each slot drawn on its own by a
-    fresh one-row stream through the plain multi-slot path (count > 1)."""
-    return np.array([[RngStream(seed, w, counter=s).indices(n, 2)[0]
-                      for w in ids] for s in slots], dtype=np.int64)
+    """(len(slots), rows) index variates, each slot drawn on its own by the
+    plain-int reference."""
+    return np.array([[plain_indices(stream_key(seed, w), n, s, 1)[0][0]
+                      for w in ids] for s in slots], dtype=np.uint64
+                    ).reshape(len(slots), len(ids)).astype(np.int64)
 
 
 def single_slot_draws(bundle, n, count):
@@ -287,16 +290,51 @@ def test_single_slot_draws_through_the_rejection_loop():
 @pytest.mark.parametrize("rows, blocked", [(32, True), (33, False)])
 def test_bundle_wider_than_the_word_budget_draws_plainly(monkeypatch, rows,
                                                          blocked):
-    """A bundle too wide for two slots per block takes the plain path, one
-    slot per call, with the same variates and counter."""
-    monkeypatch.setattr(rng, "_BLOCK_WORDS", 64)
+    """A bundle with room for one slot per block caches one slot; a bundle
+    wider than the word budget draws exactly its call's slots and caches
+    nothing.  Either way the variates and counter are the reference's."""
+    monkeypatch.setattr(rng, "_BLOCK_WORDS", 32)
+    drawn = []
+    uniform_ints = rng._uniform_ints
+
+    def spy(keys, idx, n):
+        drawn.append(idx.shape[0])
+        return uniform_ints(keys, idx, n)
+
+    monkeypatch.setattr(rng, "_uniform_ints", spy)
     ids = np.arange(rows)
     bundle = StreamBundle(5, ids)
-    plain = StreamBundle(5, ids)
     got = single_slot_draws(bundle, 1000, 5)
     assert (bundle._block is not None) == blocked
-    assert np.array_equal(got, plain.indices(1000, 5).T)
-    assert bundle.counter == plain.counter == 5
+    assert np.array_equal(got, reference_indices(5, ids, 1000, range(5)))
+    assert as_ints(bundle.indices(1000, 3)) == \
+        reference_rows(5, ids, 1000, 5, 3)[0]
+    assert as_ints(bundle.indices(1000, 0)) == [[]] * rows
+    assert bundle.counter == 8
+    assert drawn == [1] * 5 + [3] + [int(blocked)]
+
+
+@pytest.mark.parametrize("rows, count", [(3, 0), (3, 64), (3, 65), (3, 300),
+                                         (0, 0), (0, 5), (0, 300)])
+def test_draws_of_any_count_match_the_reference(rows, count):
+    """A draw of no slot, of a whole block and of more slots than a block,
+    from a bundle with rows and from one without, after a single-slot draw
+    has cached a block: the reference's variates, and the counter moves by
+    ``count``.  A draw larger than a block leaves the cached block as it
+    was."""
+    ids = [4, 0, 9][:rows]
+    bundle = StreamBundle(6, ids, counter=7)
+    first = bundle.indices(2**40, 1)
+    block = bundle._block
+    got = bundle.indices(2**40, count)
+    assert got.shape == (rows, count) and got.dtype == np.int64
+    assert bundle.counter == 8 + count
+    if count > rng._BLOCK_SLOTS:
+        assert bundle._block is block
+    assert as_ints(np.hstack([first, got])) == \
+        reference_rows(6, ids, 2**40, 7, 1 + count)[0]
+    assert as_ints(bundle.indices(2**40, 2)) == \
+        reference_rows(6, ids, 2**40, 8 + count, 2)[0]
 
 
 def test_writing_into_a_returned_draw_changes_no_later_draw():
